@@ -22,13 +22,13 @@ from . import ahuffman, auth
 from .bits import BitString
 from .blockcipher import CipherBlock, decrypt_block, encrypt_block, partition, unpartition
 from .errors import AuthenticationError, CorruptionError, ParseError, WireOverflowError
-from .keyschedule import CipherKey, derive
+from .keyschedule import MAX_LEVEL, CipherKey, derive
 
 MAGIC = b"GCHW"
 VERSION = 1
 _HEADER = struct.Struct(">4sBHBQQQI")
 _TAG_SIZE = 32
-_MAX_SCALE_EXP = 16
+_MAX_SCALE_EXP = 2 * MAX_LEVEL
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Derivation of the enciphering matrix E and its exact inverse.
+"""Derivation of the enciphering matrix E and its integer adjugate.
 
 The pipeline is: build the golden base matrix from the shared secret,
 zero-pad it to the power-of-two order Z, run the multi-level 2-D Haar
@@ -16,19 +16,18 @@ material crossing the wire.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
 
 from . import auth
 from .errors import KeyDerivationError, ParameterError, ParseError, SingularMatrixError
-from .matrix import SquareMatrix
+from .matrix import SquareMatrix, det_adjugate
 from .recurrence import RecurrenceKind, golden_matrix, qp_power
 from .wavelet import haar2d_forward
 
 MAX_N = 10**4
 MAX_P = 64
-MAX_LEVEL = 8
+MAX_LEVEL = 6
 SECRET_BYTES = 32
 MAX_ATTEMPTS = 64
 
@@ -69,57 +68,53 @@ class CipherKey:
 
 @dataclass(frozen=True)
 class KeyMatrixPair:
-    """Enciphering matrix, its exact inverse, and the wire scaling data."""
+    """Enciphering matrix, its integer adjugate, and the wire scaling data.
+
+    With E = e * 2**scale_exp, decryption is the exact product with
+    E^-1 = adjugate_scaled / det_scaled.
+    """
 
     e: SquareMatrix
-    e_inv: SquareMatrix
     z: int
     scale_exp: int
     attempt: int
+    e_scaled: tuple[tuple[int, ...], ...]
+    det_scaled: int
+    adjugate_scaled: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_matrix(cls, e: SquareMatrix, scale_exp: int, attempt: int = 0) -> "KeyMatrixPair":
-        """Build a pair from an arbitrary nonsingular dyadic matrix."""
-        return cls(e=e, e_inv=e.inverse(), z=e.order, scale_exp=scale_exp, attempt=attempt)
+        """Build a pair from an arbitrary nonsingular dyadic matrix.
 
-    @cached_property
-    def e_scaled(self) -> tuple[tuple[int, ...], ...]:
-        """e * 2**scale_exp as integer rows (the exact wire form)."""
-        scale = 1 << self.scale_exp
-        rows = []
-        for row in self.e.rows:
+        Raises :class:`ParameterError` if ``e * 2**scale_exp`` is not
+        integral and :class:`SingularMatrixError` if ``e`` is singular.
+        """
+        scale = 1 << scale_exp
+        e_scaled = []
+        for row in e.rows:
             out = []
             for x in row:
                 v = x * scale
-                if getattr(v, "denominator", 1) != 1:
+                if v.denominator != 1:
                     raise ParameterError("enciphering matrix is not dyadic at this scale")
                 out.append(int(v))
-            rows.append(tuple(out))
-        return tuple(rows)
+            e_scaled.append(tuple(out))
+        det, adj = det_adjugate(e_scaled)
+        if det == 0:
+            raise SingularMatrixError("matrix is singular")
+        return cls(
+            e=e,
+            z=e.order,
+            scale_exp=scale_exp,
+            attempt=attempt,
+            e_scaled=tuple(e_scaled),
+            det_scaled=det,
+            adjugate_scaled=adj,
+        )
 
     @cached_property
     def e_scaled_cols(self) -> tuple[tuple[int, ...], ...]:
         return tuple(zip(*self.e_scaled))
-
-    @cached_property
-    def det_scaled(self) -> int:
-        """det(e * 2**scale_exp); nonzero by construction."""
-        d = SquareMatrix(self.e_scaled).det()
-        return int(d)
-
-    @cached_property
-    def adjugate_scaled(self) -> tuple[tuple[int, ...], ...]:
-        """Integer adjugate A of the scaled matrix: (e*2^s) @ A = det_scaled * I."""
-        rows = []
-        for row in self.e_inv.rows:
-            out = []
-            for x in row:
-                v = Fraction(x) * self.det_scaled / (1 << self.scale_exp)
-                if v.denominator != 1:
-                    raise ArithmeticError("adjugate entry is not integral")
-                out.append(int(v))
-            rows.append(tuple(out))
-        return tuple(rows)
 
     @cached_property
     def adjugate_scaled_cols(self) -> tuple[tuple[int, ...], ...]:

@@ -1,14 +1,16 @@
-"""Exact square matrices over Python rationals.
+"""Exact square matrices over Python rationals, and integer elimination.
 
 Entries are plain ints or :class:`fractions.Fraction`; every operation is
-exact, so identities like ``m @ m.inverse() == identity`` hold bit-for-bit.
+exact.  :func:`det_adjugate` is the one elimination: it works on integers
+only, so identities like ``a @ adj == det * identity`` hold bit-for-bit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .errors import ShapeError, SingularMatrixError
+from .errors import ShapeError
 
 
 class SquareMatrix:
@@ -53,60 +55,16 @@ class SquareMatrix:
     def __matmul__(self, other: "SquareMatrix") -> "SquareMatrix":
         if self.order != other.order:
             raise ShapeError("orders differ")
-        n = self.order
         cols = list(zip(*other.rows))
         return SquareMatrix(
             [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
         )
 
     def det(self) -> Fraction:
-        """Exact determinant by fraction-based Gaussian elimination."""
-        n = self.order
-        a = [[Fraction(x) for x in row] for row in self.rows]
-        result = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col]), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                result = -result
-            result *= a[col][col]
-            inv = 1 / a[col][col]
-            for r in range(col + 1, n):
-                if a[r][col]:
-                    factor = a[r][col] * inv
-                    for c in range(col, n):
-                        a[r][c] -= factor * a[col][c]
-        return result
-
-    def inverse(self) -> "SquareMatrix":
-        """Exact inverse by Gauss-Jordan elimination.
-
-        Raises :class:`SingularMatrixError` when the determinant is zero.
-        """
-        n = self.order
-        a = [[Fraction(x) for x in row] for row in self.rows]
-        b = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col]), None)
-            if pivot is None:
-                raise SingularMatrixError("matrix is singular")
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                b[col], b[pivot] = b[pivot], b[col]
-            inv = 1 / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            b[col] = [x * inv for x in b[col]]
-            for r in range(n):
-                if r != col and a[r][col]:
-                    factor = a[r][col]
-                    a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-                    b[r] = [x - factor * y for x, y in zip(b[r], b[col])]
-        return SquareMatrix(b)
-
-    def is_integral(self) -> bool:
-        return all(getattr(x, "denominator", 1) == 1 for row in self.rows for x in row)
+        """Exact determinant: clear denominators, then :func:`det_adjugate`."""
+        d = lcm(*(x.denominator for row in self.rows for x in row))
+        det, _ = det_adjugate([[int(x * d) for x in row] for row in self.rows])
+        return Fraction(det, d**self.order)
 
     def dyadic_exponent(self) -> int:
         """Smallest e such that 2**e times every entry is an integer.
@@ -122,3 +80,37 @@ class SquareMatrix:
                     raise ValueError(f"entry {x!r} is not a dyadic rational")
                 worst = max(worst, den.bit_length() - 1)
         return worst
+
+
+def det_adjugate(rows) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
+    """Determinant and adjugate of an integer matrix, ``a @ adj == det * I``.
+
+    Fraction-free (Bareiss) Gauss-Jordan elimination on ``[a | I]``: every
+    division is exact by Sylvester's identity, so all intermediates stay
+    integers no larger than a minor of ``[a | I]``.  Once column k is
+    eliminated, the pivot is the leading (k+1) x (k+1) minor of the
+    row-swapped matrix, so the last pivot is det(a) up to the sign of the
+    swaps and the right half is that pivot times a^-1.  Returns
+    ``(0, None)`` for a singular matrix.
+    """
+    n = len(rows)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if m[r][k]), None)
+        if pivot is None:
+            return 0, None
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        pk = m[k][k]
+        # columns <= k are left stale because they are never read again: the
+        # left block ends as det * I and column k of the other rows becomes 0
+        tail = m[k][k + 1 :]
+        for i in range(n):
+            if i != k:
+                row = m[i]
+                f = row[k]
+                row[k + 1 :] = [(pk * x - f * y) // prev for x, y in zip(row[k + 1 :], tail)]
+        prev = pk
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in m)

@@ -11,6 +11,7 @@ from gchw.errors import (
     GchwError,
     ParseError,
 )
+from gchw.keyschedule import MAX_LEVEL
 from gchw.recurrence import RecurrenceKind
 
 MESSAGE = b"Cryptographist is the science of overt secret writing"
@@ -92,6 +93,14 @@ def test_bad_magic_and_version(key):
         envelope.deserialize(bad_magic)
     wire[4] ^= 0xFF  # version byte
     with pytest.raises(ParseError):
+        envelope.deserialize(bytes(wire))
+
+
+@pytest.mark.parametrize("scale_exp", [0, 3, 2 * MAX_LEVEL + 2])
+def test_invalid_scale_exponent_is_parse_error(key, scale_exp):
+    wire = bytearray(envelope.serialize(envelope.seal(b"x", key)))
+    wire[7] = scale_exp  # after magic (4), version (1) and z (2)
+    with pytest.raises(ParseError, match="scale exponent"):
         envelope.deserialize(bytes(wire))
 
 

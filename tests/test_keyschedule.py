@@ -7,6 +7,7 @@ import pytest
 from conftest import make_key
 from gchw.errors import ParameterError, ParseError, SingularMatrixError
 from gchw.keyschedule import (
+    MAX_LEVEL,
     CipherKey,
     KeyMatrixPair,
     base_transform,
@@ -20,6 +21,15 @@ from gchw.matrix import SquareMatrix
 from gchw.recurrence import RecurrenceKind
 
 LEVEL1_KEY_MATRIX = SquareMatrix([[F(1, 4), F(-1, 2)], [F(-1, 2), 1]])
+
+
+def assert_exact_adjugate(kp):
+    """E_scaled = e * 2^s is nonsingular and (e * 2^s) @ adj = det * I."""
+    scaled = SquareMatrix(kp.e_scaled)
+    assert scaled == (1 << kp.scale_exp) * kp.e
+    assert kp.det_scaled != 0
+    adj = SquareMatrix(kp.adjugate_scaled)
+    assert scaled @ adj == kp.det_scaled * SquareMatrix.identity(kp.z)
 
 
 def test_golden_base_examples():
@@ -88,12 +98,10 @@ def test_derive_covers_exactly_the_zeros():
 def test_derive_is_deterministic():
     a = derive(make_key())
     b = derive(make_key())
-    assert a.e == b.e and a.e_inv == b.e_inv and a.attempt == b.attempt
-    assert a.e_scaled == b.e_scaled and a.det_scaled == b.det_scaled
+    assert a == b
 
 
 def test_derive_inverse_for_200_random_keys(rng):
-    identity_cache = {}
     for _ in range(200):
         key = make_key(
             kind=rng.choice(list(RecurrenceKind)),
@@ -103,9 +111,7 @@ def test_derive_inverse_for_200_random_keys(rng):
             seed=rng.randbytes(32),
             mac_key=rng.randbytes(32),
         )
-        kp = derive(key)
-        identity = identity_cache.setdefault(kp.z, SquareMatrix.identity(kp.z))
-        assert kp.e @ kp.e_inv == identity
+        assert_exact_adjugate(derive(key))
 
 
 def test_derive_failure_after_attempt_budget(monkeypatch):
@@ -128,18 +134,25 @@ def test_derive_inverse_and_scaling(rng):
             mac_key=rng.randbytes(32),
         )
         kp = derive(key)
-        assert kp.e @ kp.e_inv == SquareMatrix.identity(kp.z)
         assert kp.scale_exp == 2 * key.level
         assert kp.e.dyadic_exponent() <= kp.scale_exp
-        # scaled forms agree: (e * 2^s) @ adj = det * I
-        scaled = SquareMatrix(kp.e_scaled)
-        adj = SquareMatrix(kp.adjugate_scaled)
-        assert scaled @ adj == kp.det_scaled * SquareMatrix.identity(kp.z)
+        assert_exact_adjugate(kp)
+
+
+def test_derive_at_the_top_level():
+    kp = derive(make_key(level=MAX_LEVEL))
+    assert kp.z == 64
+    assert_exact_adjugate(kp)
 
 
 def test_key_matrix_pair_from_singular_matrix():
     with pytest.raises(SingularMatrixError):
         KeyMatrixPair.from_matrix(SquareMatrix([[1, 1], [1, 1]]), scale_exp=2)
+
+
+def test_key_matrix_pair_from_non_dyadic_matrix():
+    with pytest.raises(ParameterError):
+        KeyMatrixPair.from_matrix(SquareMatrix([[F(1, 3), 0], [0, 1]]), scale_exp=2)
 
 
 @pytest.mark.parametrize(
@@ -155,6 +168,7 @@ def test_key_matrix_pair_from_singular_matrix():
         dict(mac_key=b"\x00" * 31),
         dict(kind=RecurrenceKind.LUCAS, p=2),
         dict(kind="fibonacci"),
+        dict(level=7),
     ],
 )
 def test_cipher_key_validation(kwargs):
