@@ -207,16 +207,29 @@ def encode(data: bytes) -> BitString:
     """Compress a byte sequence to a bit string (no terminator in-band)."""
     tree = AdaptiveHuffmanTree()
     out = BitString()
-    out_bits = out.bits
+    emit = out.bits.extend
+    # arrays bound to locals (they are only ever mutated in place); each
+    # code is walked leaf-to-root inline, as in ``_path``, into one reused
+    # buffer, so no per-symbol object outlives its symbol
+    parent = tree.parent
+    left = tree.left
     leaf_of = tree.leaf_of
-    code_for = tree.code_for
     update = tree.update
+    path = bytearray()
+    step = path.append
     for byte in data:
-        if leaf_of[byte] != -1:
-            out_bits.extend(code_for(byte))
-        else:
-            out_bits.extend(tree.nyt_code())
-            out_bits.extend((byte >> shift) & 1 for shift in range(7, -1, -1))
+        leaf = leaf_of[byte]
+        node = tree.nyt if leaf == -1 else leaf
+        p = parent[node]
+        while p != -1:
+            step(left[p] != node)
+            node = p
+            p = parent[node]
+        path.reverse()
+        emit(path)
+        path.clear()
+        if leaf == -1:
+            emit((byte >> shift) & 1 for shift in range(7, -1, -1))
         update(byte)
     return out
 
@@ -224,14 +237,17 @@ def encode(data: bytes) -> BitString:
 def decode(bits: BitString, symbol_count: int) -> bytes:
     """Exact inverse of :func:`encode`; consumes every bit of ``bits``."""
     tree = AdaptiveHuffmanTree()
+    left = tree.left
+    right = tree.right
+    symbol = tree.symbol
+    update = tree.update
+    root = tree.root
     out = bytearray()
     stream = bits.bits
     total = len(stream)
     pos = 0
     for _ in range(symbol_count):
-        node = tree.root
-        left = tree.left
-        right = tree.right
+        node = root
         while left[node] != -1:
             if pos >= total:
                 raise CorruptStreamError("bit stream ended mid-code")
@@ -245,9 +261,9 @@ def decode(bits: BitString, symbol_count: int) -> bytes:
                 byte = (byte << 1) | stream[pos]
                 pos += 1
         else:
-            byte = tree.symbol[node]
+            byte = symbol[node]
         out.append(byte)
-        tree.update(byte)
+        update(byte)
     if pos != total:
         raise CorruptStreamError("trailing bits after the final symbol")
     return bytes(out)

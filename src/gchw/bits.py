@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
-from .errors import ParameterError
+from .errors import CorruptStreamError, ParameterError
+
+# bytes.translate tables between 0/1 values and the ASCII digits "0"/"1";
+# any non-zero value packs as a set bit
+_TO_ASCII = b"0" + b"1" * 255
+_FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class BitString:
@@ -60,19 +65,28 @@ class BitString:
 
     def pack(self) -> bytes:
         """Pack MSB-first into bytes, zero-padding the final byte."""
-        out = bytearray((len(self.bits) + 7) // 8)
-        for i, bit in enumerate(self.bits):
-            if bit:
-                out[i >> 3] |= 0x80 >> (i & 7)
-        return bytes(out)
+        count = len(self.bits)
+        if not count:
+            return b""
+        pad = -count % 8
+        value = int(self.bits.translate(_TO_ASCII), 2) << pad
+        return value.to_bytes((count + pad) // 8, "big")
 
     @classmethod
     def unpack(cls, data: bytes, bit_count: int) -> "BitString":
-        """Recover the first ``bit_count`` bits of MSB-first packed data."""
+        """Recover the first ``bit_count`` bits of MSB-first packed data.
+
+        Every bit of ``data`` past ``bit_count`` must be zero, as
+        :meth:`pack` leaves it; a set padding bit raises
+        :class:`CorruptStreamError`.
+        """
         if bit_count < 0 or bit_count > 8 * len(data):
             raise ParameterError("bit count exceeds the packed data")
-        bs = cls()
-        bits = bs.bits
-        for i in range(bit_count):
-            bits.append((data[i >> 3] >> (7 - (i & 7))) & 1)
-        return bs
+        value = int.from_bytes(data, "big")
+        spare = 8 * len(data) - bit_count
+        if value & ((1 << spare) - 1):
+            raise CorruptStreamError("non-zero padding bits after the bit count")
+        if not bit_count:
+            return cls()
+        digits = format(value >> spare, f"0{bit_count}b").encode("ascii").translate(_FROM_ASCII)
+        return cls(digits)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import CorruptionError, ParameterError, ShapeError, WireOverflowError
 from .keyschedule import KeyMatrixPair
@@ -70,21 +71,18 @@ def unpartition(blocks, byte_count: int) -> bytes:
     if byte_count > len(flat):
         raise CorruptionError("fewer block entries than the recorded byte count")
     data = flat[:byte_count]
-    if any(v == PAD for v in data):
+    if PAD in data:
         raise CorruptionError("padding marker inside the data region")
-    if any(v != PAD for v in flat[byte_count:]):
+    tail = flat[byte_count:]
+    if tail.count(PAD) != len(tail):
         raise CorruptionError("block tail is not all padding")
     return bytes(data)
 
 
 def _product(flat, cols, z: int) -> list[int]:
     """flat (row-major z x z) times the matrix given by its columns."""
-    out = []
-    for base in range(0, z * z, z):
-        row = flat[base : base + z]
-        for col in cols:
-            out.append(sum(a * b for a, b in zip(row, col)))
-    return out
+    rows = [flat[base : base + z] for base in range(0, z * z, z)]
+    return [sum(map(mul, row, col)) for row in rows for col in cols]
 
 
 def _product_counted(flat, cols, z: int, counter: OpCounter) -> list[int]:
@@ -112,12 +110,11 @@ def encrypt_block(block: PlainBlock, kp: KeyMatrixPair, counter: OpCounter | Non
         scaled = _product(block.entries, cols, kp.z)
     else:
         scaled = _product_counted(block.entries, cols, kp.z, counter)
-    for v in scaled:
-        if not INT64_MIN <= v <= INT64_MAX:
-            raise WireOverflowError(
-                "scaled ciphertext entry exceeds the signed 64-bit wire range; "
-                "use a smaller n or level"
-            )
+    if min(scaled) < INT64_MIN or max(scaled) > INT64_MAX:
+        raise WireOverflowError(
+            "scaled ciphertext entry exceeds the signed 64-bit wire range; "
+            "use a smaller n or level"
+        )
     return CipherBlock(kp.z, kp.scale_exp, tuple(scaled))
 
 
@@ -132,13 +129,13 @@ def decrypt_block(cipher: CipherBlock, kp: KeyMatrixPair, counter: OpCounter | N
         raw = _product(cipher.scaled, cols, kp.z)
     else:
         raw = _product_counted(cipher.scaled, cols, kp.z, counter)
-    den = kp.det_scaled
-    entries = []
-    for v in raw:
-        q, r = divmod(v, den)
-        if r:
-            raise CorruptionError("decrypted entry is not an integer")
-        if q != PAD and not 0 <= q <= 255:
-            raise CorruptionError("decrypted entry outside the byte range")
-        entries.append(q)
-    return PlainBlock(kp.z, tuple(entries))
+    entries = tuple(map(kp.plain_of.get, raw))
+    if None in entries:
+        # some entry is not det_scaled * q for a valid q: name the first fault
+        for v in raw:
+            q, r = divmod(v, kp.det_scaled)
+            if r:
+                raise CorruptionError("decrypted entry is not an integer")
+            if q != PAD and not 0 <= q <= 255:
+                raise CorruptionError("decrypted entry outside the byte range")
+    return PlainBlock(kp.z, entries)

@@ -120,6 +120,15 @@ class KeyMatrixPair:
     def adjugate_scaled_cols(self) -> tuple[tuple[int, ...], ...]:
         return tuple(zip(*self.adjugate_scaled))
 
+    @cached_property
+    def plain_of(self) -> dict[int, int]:
+        """Maps each valid product ``det_scaled * q`` back to q in {-1} | 0..255.
+
+        Decryption multiplies by the adjugate, so a plaintext entry q comes
+        back as exactly ``det_scaled * q``; any other value is corrupt.
+        """
+        return {self.det_scaled * q: q for q in range(-1, 256)}
+
 
 def golden_base(key: CipherKey) -> SquareMatrix:
     """The integer golden matrix selected by the key."""

@@ -4,7 +4,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gchw.bits import BitString
-from gchw.errors import ParameterError
+from gchw.errors import CorruptionError, CorruptStreamError, ParameterError
+
+
+def reference_pack(bits) -> bytes:
+    """The original per-bit packer, kept as the oracle for :meth:`BitString.pack`."""
+    out = bytearray((len(bits) + 7) // 8)
+    for i, bit in enumerate(bits):
+        if bit:
+            out[i >> 3] |= 0x80 >> (i & 7)
+    return bytes(out)
+
+
+def reference_unpack(data: bytes, bit_count: int) -> bytearray:
+    """The original per-bit unpacker, kept as the oracle for :meth:`BitString.unpack`."""
+    return bytearray((data[i >> 3] >> (7 - (i & 7))) & 1 for i in range(bit_count))
 
 
 def test_append_and_to01():
@@ -53,3 +67,43 @@ def test_append_uint_msb_first():
     bs = BitString()
     bs.append_uint(0x61, 8)
     assert bs.to01() == "01100001"
+
+
+@given(st.lists(st.integers(min_value=0, max_value=1), max_size=300))
+def test_pack_matches_reference(bits):
+    assert BitString(bits).pack() == reference_pack(bits)
+
+
+@given(st.binary(max_size=64), st.integers(min_value=0, max_value=7))
+def test_unpack_matches_reference(data, dropped):
+    # clear the dropped low bits of the last byte so the padding is valid
+    if data:
+        data = data[:-1] + bytes([data[-1] & (0xFF << dropped) & 0xFF])
+    bit_count = max(0, 8 * len(data) - dropped)
+    assert BitString.unpack(data, bit_count).bits == reference_unpack(data, bit_count)
+
+
+@pytest.mark.parametrize(
+    "data, bit_count",
+    [
+        (b"", 0),
+        (b"\x00", 0),
+        (b"\x00", 1),
+        (b"\x00\x00\x01", 24),  # leading zero bytes vanish from int.from_bytes
+        (b"\x00\x00\x80", 17),
+        (b"\x00\xff\xe0", 19),
+        (b"\x00" * 9, 70),
+    ],
+)
+def test_unpack_edge_cases_match_reference(data, bit_count):
+    bs = BitString.unpack(data, bit_count)
+    assert bs.bits == reference_unpack(data, bit_count)
+    assert len(bs) == bit_count
+    assert bs.pack() == reference_pack(bs.bits)
+
+
+@pytest.mark.parametrize("data, bit_count", [(b"\xa1", 3), (b"\x01", 0), (b"\x80\x00\x01", 9)])
+def test_unpack_rejects_set_padding_bits(data, bit_count):
+    with pytest.raises(CorruptStreamError):
+        BitString.unpack(data, bit_count)
+    assert issubclass(CorruptStreamError, CorruptionError)

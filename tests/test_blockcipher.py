@@ -6,8 +6,11 @@ import pytest
 
 from conftest import make_key
 from gchw.blockcipher import (
+    PAD,
     OpCounter,
     PlainBlock,
+    _product,
+    _product_counted,
     decrypt_block,
     encrypt_block,
     partition,
@@ -90,6 +93,46 @@ def test_decrypt_rejects_tampered_entry():
     tampered = type(cipher)(cipher.order, cipher.scale_exp, tuple(scaled))
     with pytest.raises(CorruptionError):
         decrypt_block(tampered, kp)
+
+
+@pytest.mark.parametrize("q", [256, -2])
+def test_decrypt_rejects_exact_integer_outside_byte_range(q):
+    # the product divides exactly but lands outside {-1} | 0..255
+    kp = example_pair()
+    cipher = encrypt_block(PlainBlock(2, (65, q, 67, 68)), kp)
+    with pytest.raises(CorruptionError, match="outside the byte range"):
+        decrypt_block(cipher, kp)
+
+
+@pytest.mark.parametrize(
+    "plain, tampered_index, message",
+    [
+        ((300, 66, 67, 68), 3, "outside the byte range"),  # row 0 faults first
+        ((65, 66, 67, 300), 0, "not an integer"),
+    ],
+)
+def test_decrypt_error_names_the_first_faulty_entry(plain, tampered_index, message):
+    kp = example_pair()
+    cipher = encrypt_block(PlainBlock(2, plain), kp)
+    scaled = list(cipher.scaled)
+    scaled[tampered_index] += 1  # breaks exact division in that row only
+    tampered = type(cipher)(cipher.order, cipher.scale_exp, tuple(scaled))
+    with pytest.raises(CorruptionError, match=message):
+        decrypt_block(tampered, kp)
+
+
+@pytest.mark.parametrize("z", [2, 4, 8])
+def test_product_matches_counted_product(z, rng):
+    values = [PAD, 0, 255, 1 << 62, -(1 << 63), (1 << 63) - 1]
+    for _ in range(20):
+        flat = tuple(
+            rng.choice(values) if rng.random() < 0.3 else rng.randrange(-(1 << 40), 1 << 40)
+            for _ in range(z * z)
+        )
+        cols = tuple(
+            tuple(rng.randrange(-(1 << 70), 1 << 70) for _ in range(z)) for _ in range(z)
+        )
+        assert _product(flat, cols, z) == _product_counted(flat, cols, z, OpCounter())
 
 
 def test_roundtrip_under_derived_keys(rng):

@@ -135,6 +135,19 @@ def test_compressed_file_layout(tmp_path):
     assert data[16:] == bytes([0b01100001, 0b10000000])
 
 
+def test_decompress_rejects_set_padding_bits(tmp_path):
+    plain = tmp_path / "two.bin"
+    packed = tmp_path / "two.ahc"
+    plain.write_bytes(b"aa")
+    assert run("compress", "--in", str(plain), "--out", str(packed)) == 0
+    data = bytearray(packed.read_bytes())
+    data[-1] |= 0x01  # a bit past the 9-bit stream
+    packed.write_bytes(bytes(data))
+    out = tmp_path / "x"
+    assert run("decompress", "--in", str(packed), "--out", str(out)) == 3
+    assert not out.exists()
+
+
 def test_decompress_corrupt_header(tmp_path):
     bad = tmp_path / "bad.ahc"
     bad.write_bytes(b"\x00" * 10)
