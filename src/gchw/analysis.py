@@ -159,7 +159,7 @@ def _regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 def cipher_series(env: CipherEnvelope) -> list[float]:
     """Flattened ciphertext entries as reals (scaled ints / 2**scale_exp)."""
     scale = float(1 << env.scale_exp)
-    return [v / scale for block in env.blocks for v in block.scaled]
+    return [v / scale for block in env.blocks for v in block]
 
 
 def seed_variant(key: CipherKey, index: int) -> CipherKey:

@@ -1,10 +1,12 @@
 """Z x Z block encryption by right-multiplication with the enciphering matrix.
 
-Plaintext bytes fill blocks row-major; the final block's tail is padded
-with -1, which cannot collide with byte values.  Encryption computes the
-exact product block @ E (block on the left); since E = (E * 2^s) / 2^s
-with an integer scaled form, the wire-ready scaled ciphertext is just the
-integer product block @ E_scaled.  Decryption multiplies by the integer
+A block is a row-major tuple of Z*Z integers; Z and the scale exponent s
+live on the key and on the envelope header, not on each block.  Plaintext
+bytes fill blocks row-major; the final block's tail is padded with -1,
+which cannot collide with byte values.  Encryption computes the exact
+product block @ E (block on the left); since E = (E * 2^s) / 2^s with an
+integer scaled form, the wire-ready scaled ciphertext is just the integer
+product block @ E_scaled.  Decryption multiplies by the integer
 adjugate and divides by the scaled determinant, rejecting any entry that
 fails to divide exactly or falls outside {-1} | 0..255.
 """
@@ -12,7 +14,6 @@ fails to divide exactly or falls outside {-1} | 0..255.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from .errors import CorruptionError, ParameterError, ShapeError, WireOverflowError
@@ -31,28 +32,7 @@ class OpCounter:
     adds: int = 0
 
 
-@dataclass(frozen=True)
-class PlainBlock:
-    """Row-major block of byte values, -1 marking the padded tail."""
-
-    order: int
-    entries: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class CipherBlock:
-    """Row-major block of dyadic entries, stored as entry * 2**scale_exp."""
-
-    order: int
-    scale_exp: int
-    scaled: tuple[int, ...]
-
-    def entries(self) -> list[Fraction]:
-        scale = 1 << self.scale_exp
-        return [Fraction(v, scale) for v in self.scaled]
-
-
-def partition(data: bytes, z: int) -> list[PlainBlock]:
+def partition(data: bytes, z: int) -> list[tuple[int, ...]]:
     """Split bytes into ceil(len/z^2) blocks, padding the last with -1."""
     if z < 2:
         raise ParameterError(f"block order must be at least 2, got {z}")
@@ -60,14 +40,13 @@ def partition(data: bytes, z: int) -> list[PlainBlock]:
     blocks = []
     for offset in range(0, len(data), cells):
         chunk = data[offset : offset + cells]
-        entries = tuple(chunk) + (PAD,) * (cells - len(chunk))
-        blocks.append(PlainBlock(z, entries))
+        blocks.append(tuple(chunk) + (PAD,) * (cells - len(chunk)))
     return blocks
 
 
 def unpartition(blocks, byte_count: int) -> bytes:
     """Invert :func:`partition`, verifying the -1 tail."""
-    flat = [v for block in blocks for v in block.entries]
+    flat = [v for block in blocks for v in block]
     if byte_count > len(flat):
         raise CorruptionError("fewer block entries than the recorded byte count")
     data = flat[:byte_count]
@@ -101,34 +80,32 @@ def _product_counted(flat, cols, z: int, counter: OpCounter) -> list[int]:
     return out
 
 
-def encrypt_block(block: PlainBlock, kp: KeyMatrixPair, counter: OpCounter | None = None) -> CipherBlock:
-    """Exact product block @ E, returned in scaled wire form."""
-    if block.order != kp.z:
-        raise ShapeError(f"block order {block.order} does not match key order {kp.z}")
+def encrypt_block(block, kp: KeyMatrixPair, counter: OpCounter | None = None) -> tuple[int, ...]:
+    """Exact product block @ E, returned as scaled entries (entry * 2**scale_exp)."""
+    if len(block) != kp.z * kp.z:
+        raise ShapeError(f"block of {len(block)} entries does not match key order {kp.z}")
     cols = kp.e_scaled_cols
     if counter is None:
-        scaled = _product(block.entries, cols, kp.z)
+        scaled = _product(block, cols, kp.z)
     else:
-        scaled = _product_counted(block.entries, cols, kp.z, counter)
+        scaled = _product_counted(block, cols, kp.z, counter)
     if min(scaled) < INT64_MIN or max(scaled) > INT64_MAX:
         raise WireOverflowError(
             "scaled ciphertext entry exceeds the signed 64-bit wire range; "
             "use a smaller n or level"
         )
-    return CipherBlock(kp.z, kp.scale_exp, tuple(scaled))
+    return tuple(scaled)
 
 
-def decrypt_block(cipher: CipherBlock, kp: KeyMatrixPair, counter: OpCounter | None = None) -> PlainBlock:
+def decrypt_block(cipher, kp: KeyMatrixPair, counter: OpCounter | None = None) -> tuple[int, ...]:
     """Exact product cipher @ E^-1; rejects non-integer or non-byte entries."""
-    if cipher.order != kp.z:
-        raise ShapeError(f"block order {cipher.order} does not match key order {kp.z}")
-    if cipher.scale_exp != kp.scale_exp:
-        raise CorruptionError("ciphertext scale does not match the key")
+    if len(cipher) != kp.z * kp.z:
+        raise ShapeError(f"block of {len(cipher)} entries does not match key order {kp.z}")
     cols = kp.adjugate_scaled_cols
     if counter is None:
-        raw = _product(cipher.scaled, cols, kp.z)
+        raw = _product(cipher, cols, kp.z)
     else:
-        raw = _product_counted(cipher.scaled, cols, kp.z, counter)
+        raw = _product_counted(cipher, cols, kp.z, counter)
     entries = tuple(map(kp.plain_of.get, raw))
     if None in entries:
         # some entry is not det_scaled * q for a valid q: name the first fault
@@ -138,4 +115,4 @@ def decrypt_block(cipher: CipherBlock, kp: KeyMatrixPair, counter: OpCounter | N
                 raise CorruptionError("decrypted entry is not an integer")
             if q != PAD and not 0 <= q <= 255:
                 raise CorruptionError("decrypted entry outside the byte range")
-    return PlainBlock(kp.z, entries)
+    return entries

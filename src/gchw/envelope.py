@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import ahuffman, auth
 from .bits import BitString
-from .blockcipher import CipherBlock, decrypt_block, encrypt_block, partition, unpartition
+from .blockcipher import decrypt_block, encrypt_block, partition, unpartition
 from .errors import AuthenticationError, CorruptionError, ParseError, WireOverflowError
 from .keyschedule import MAX_LEVEL, CipherKey, derive
 
@@ -41,7 +41,7 @@ class CipherEnvelope:
     plain_byte_count: int
     compressed_bit_count: int
     compressed_symbol_count: int
-    blocks: tuple[CipherBlock, ...]
+    blocks: tuple[tuple[int, ...], ...]  # scaled entries, z*z per block, row-major
     tag: bytes
 
 
@@ -104,10 +104,10 @@ def serialize(env: CipherEnvelope) -> bytes:
     cells = env.z * env.z
     entry_struct = struct.Struct(f">{cells}q")
     for block in env.blocks:
-        if block.order != env.z or block.scale_exp != env.scale_exp:
-            raise CorruptionError("block shape disagrees with the envelope header")
+        if len(block) != cells:
+            raise CorruptionError("block length disagrees with the envelope header")
         try:
-            parts.append(entry_struct.pack(*block.scaled))
+            parts.append(entry_struct.pack(*block))
         except struct.error as exc:
             raise WireOverflowError(f"scaled entry does not fit the wire: {exc}") from exc
     parts.append(env.tag)
@@ -125,7 +125,7 @@ def deserialize(data: bytes) -> CipherEnvelope:
         raise ParseError(f"bad magic {magic!r}")
     if version != VERSION:
         raise ParseError(f"unknown version {version}")
-    if z < 2:
+    if z & (z - 1) or not 2 <= z <= 1 << MAX_LEVEL:
         raise ParseError(f"invalid block order {z}")
     if scale_exp % 2 or not 2 <= scale_exp <= _MAX_SCALE_EXP:
         raise ParseError(f"invalid scale exponent {scale_exp}")
@@ -135,13 +135,8 @@ def deserialize(data: bytes) -> CipherEnvelope:
     expected = _HEADER.size + block_count * cells * 8 + _TAG_SIZE
     if len(data) != expected:
         raise ParseError(f"envelope length {len(data)} != expected {expected}")
-    entry_struct = struct.Struct(f">{cells}q")
-    blocks = []
-    offset = _HEADER.size
-    for _ in range(block_count):
-        blocks.append(CipherBlock(z, scale_exp, entry_struct.unpack_from(data, offset)))
-        offset += cells * 8
-    tag = data[offset:]
+    body = memoryview(data)[_HEADER.size : -_TAG_SIZE]
+    blocks = tuple(struct.Struct(f">{cells}q").iter_unpack(body))
     return CipherEnvelope(
         version=version,
         z=z,
@@ -149,6 +144,6 @@ def deserialize(data: bytes) -> CipherEnvelope:
         plain_byte_count=plain_count,
         compressed_bit_count=bit_count,
         compressed_symbol_count=symbol_count,
-        blocks=tuple(blocks),
-        tag=tag,
+        blocks=blocks,
+        tag=data[-_TAG_SIZE:],
     )

@@ -26,8 +26,8 @@ from .recurrence import RecurrenceKind, golden_matrix, qp_power
 from .wavelet import haar2d_forward
 
 MAX_N = 10**4
-MAX_P = 64
 MAX_LEVEL = 6
+MAX_P = (1 << MAX_LEVEL) - 1  # the Q_p base has order p + 1, so Z stays <= 2**MAX_LEVEL
 SECRET_BYTES = 32
 MAX_ATTEMPTS = 64
 

@@ -8,7 +8,6 @@ from conftest import make_key
 from gchw.blockcipher import (
     PAD,
     OpCounter,
-    PlainBlock,
     _product,
     _product_counted,
     decrypt_block,
@@ -28,11 +27,16 @@ def example_pair() -> KeyMatrixPair:
     return KeyMatrixPair.from_matrix(EXAMPLE_E, scale_exp=2)
 
 
+def as_fractions(scaled) -> list[F]:
+    """The exact dyadic entries behind scaled cipher entries at scale_exp 2."""
+    return [F(v, 4) for v in scaled]
+
+
 def test_partition_examples():
     blocks = partition(bytes([65, 66, 67]), 2)
-    assert blocks == [PlainBlock(2, (65, 66, 67, -1))]
+    assert blocks == [(65, 66, 67, -1)]
     assert partition(b"", 2) == []
-    assert partition(bytes([1, 2, 3, 4]), 2) == [PlainBlock(2, (1, 2, 3, 4))]
+    assert partition(bytes([1, 2, 3, 4]), 2) == [(1, 2, 3, 4)]
     assert len(partition(bytes(17), 2)) == 5
 
 
@@ -50,56 +54,57 @@ def test_unpartition_inverts_partition(rng):
 
 def test_unpartition_padding_violations():
     with pytest.raises(CorruptionError):
-        unpartition([PlainBlock(2, (65, 66, 67, 0))], 3)  # tail not -1
+        unpartition([(65, 66, 67, 0)], 3)  # tail not -1
     with pytest.raises(CorruptionError):
-        unpartition([PlainBlock(2, (65, -1, 67, -1))], 3)  # pad inside data
+        unpartition([(65, -1, 67, -1)], 3)  # pad inside data
     with pytest.raises(CorruptionError):
-        unpartition([PlainBlock(2, (65, 66, 67, -1))], 5)  # too few entries
+        unpartition([(65, 66, 67, -1)], 5)  # too few entries
 
 
 def test_encrypt_with_identity_key_is_identity():
     kp = KeyMatrixPair.from_matrix(SquareMatrix.identity(2), scale_exp=2)
-    block = PlainBlock(2, (9, 8, 7, -1))
+    block = (9, 8, 7, -1)
     cipher = encrypt_block(block, kp)
-    assert cipher.entries() == [9, 8, 7, -1]
+    assert cipher == (36, 32, 28, -4)
+    assert as_fractions(cipher) == [9, 8, 7, -1]
     assert decrypt_block(cipher, kp) == block
 
 
 def test_encrypt_block_known_answer():
     # exact product [[65,66],[67,68]] @ EXAMPLE_E, frozen from a by-hand
     # matrix multiply
-    cipher = encrypt_block(PlainBlock(2, (65, 66, 67, 68)), example_pair())
-    assert cipher.entries() == [F(-67, 4), F(199, 2), F(-69, 4), F(205, 2)]
+    cipher = encrypt_block((65, 66, 67, 68), example_pair())
+    assert cipher == (-67, 398, -69, 410)
+    assert as_fractions(cipher) == [F(-67, 4), F(199, 2), F(-69, 4), F(205, 2)]
 
 
 def test_unit_block_selects_first_row_of_e():
     kp = example_pair()
-    cipher = encrypt_block(PlainBlock(2, (1, 0, 0, 0)), kp)
+    cipher = encrypt_block((1, 0, 0, 0), kp)
+    assert cipher == (1, -2, 0, 0)  # first row of E_scaled
     e00, e01 = kp.e.rows[0]
-    assert cipher.entries() == [e00, e01, 0, 0]
+    assert as_fractions(cipher) == [e00, e01, 0, 0]
 
 
 def test_decrypt_block_known_answer():
     kp = example_pair()
-    cipher = encrypt_block(PlainBlock(2, (65, 66, 67, 68)), kp)
-    assert decrypt_block(cipher, kp) == PlainBlock(2, (65, 66, 67, 68))
+    cipher = encrypt_block((65, 66, 67, 68), kp)
+    assert decrypt_block(cipher, kp) == (65, 66, 67, 68)
 
 
 def test_decrypt_rejects_tampered_entry():
     kp = example_pair()
-    cipher = encrypt_block(PlainBlock(2, (65, 66, 67, 68)), kp)
-    scaled = list(cipher.scaled)
-    scaled[1] += 1  # +1/4 on the dyadic entry
-    tampered = type(cipher)(cipher.order, cipher.scale_exp, tuple(scaled))
+    tampered = list(encrypt_block((65, 66, 67, 68), kp))
+    tampered[1] += 1  # +1/4 on the dyadic entry
     with pytest.raises(CorruptionError):
-        decrypt_block(tampered, kp)
+        decrypt_block(tuple(tampered), kp)
 
 
 @pytest.mark.parametrize("q", [256, -2])
 def test_decrypt_rejects_exact_integer_outside_byte_range(q):
     # the product divides exactly but lands outside {-1} | 0..255
     kp = example_pair()
-    cipher = encrypt_block(PlainBlock(2, (65, q, 67, 68)), kp)
+    cipher = encrypt_block((65, q, 67, 68), kp)
     with pytest.raises(CorruptionError, match="outside the byte range"):
         decrypt_block(cipher, kp)
 
@@ -113,12 +118,10 @@ def test_decrypt_rejects_exact_integer_outside_byte_range(q):
 )
 def test_decrypt_error_names_the_first_faulty_entry(plain, tampered_index, message):
     kp = example_pair()
-    cipher = encrypt_block(PlainBlock(2, plain), kp)
-    scaled = list(cipher.scaled)
-    scaled[tampered_index] += 1  # breaks exact division in that row only
-    tampered = type(cipher)(cipher.order, cipher.scale_exp, tuple(scaled))
+    tampered = list(encrypt_block(plain, kp))
+    tampered[tampered_index] += 1  # breaks exact division in that row only
     with pytest.raises(CorruptionError, match=message):
-        decrypt_block(tampered, kp)
+        decrypt_block(tuple(tampered), kp)
 
 
 @pytest.mark.parametrize("z", [2, 4, 8])
@@ -159,7 +162,7 @@ def test_blocks_are_independent(rng):
 def test_multiply_counter_is_z_cubed():
     for z in (2, 4, 8):
         kp = KeyMatrixPair.from_matrix(SquareMatrix.identity(z), scale_exp=2)
-        block = PlainBlock(z, tuple(range(z * z)))
+        block = tuple(range(z * z))
         counter = OpCounter()
         cipher = encrypt_block(block, kp, counter=counter)
         assert counter.mults == z**3
@@ -170,20 +173,14 @@ def test_multiply_counter_is_z_cubed():
 
 
 def test_order_mismatch_is_shape_error():
-    kp = example_pair()
+    kp = example_pair()  # Z = 2
     with pytest.raises(ShapeError):
-        encrypt_block(PlainBlock(4, tuple(range(16))), kp)
-
-
-def test_scale_mismatch_is_corruption():
-    kp = example_pair()
-    cipher = encrypt_block(PlainBlock(2, (1, 2, 3, 4)), kp)
-    wrong_scale = type(cipher)(cipher.order, cipher.scale_exp + 2, cipher.scaled)
-    with pytest.raises(CorruptionError):
-        decrypt_block(wrong_scale, kp)
+        encrypt_block(tuple(range(16)), kp)
+    with pytest.raises(ShapeError):
+        decrypt_block(tuple(range(16)), kp)
 
 
 def test_wire_overflow_is_rejected():
     huge = KeyMatrixPair.from_matrix(SquareMatrix([[1 << 62, 0], [0, 1]]), scale_exp=2)
     with pytest.raises(WireOverflowError):
-        encrypt_block(PlainBlock(2, (255, 255, 255, 255)), huge)
+        encrypt_block((255, 255, 255, 255), huge)

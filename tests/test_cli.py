@@ -64,6 +64,16 @@ def test_keygen_rejects_bad_parameters(tmp_path):
     assert code == 5
 
 
+def test_key_file_with_p_64_exits_5(tmp_path, keyfile):
+    # p = 64 would give a Q_p base of order 65 and so Z = 128
+    big_p = tmp_path / "p64.key"
+    big_p.write_text(keyfile.read_text().replace("p=1\n", "p=64\n"))
+    plain = tmp_path / "m.txt"
+    plain.write_bytes(b"attack at dawn")
+    code = run("encrypt", "--key", str(big_p), "--in", str(plain), "--out", str(tmp_path / "x"))
+    assert code == 5
+
+
 def test_encrypt_decrypt_roundtrip(tmp_path, keyfile):
     plain = tmp_path / "plain.bin"
     sealed = tmp_path / "sealed.gchw"

@@ -1,5 +1,7 @@
 """Seal/open pipeline, the wire format, and tamper behaviour."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -102,6 +104,27 @@ def test_invalid_scale_exponent_is_parse_error(key, scale_exp):
     wire[7] = scale_exp  # after magic (4), version (1) and z (2)
     with pytest.raises(ParseError, match="scale exponent"):
         envelope.deserialize(bytes(wire))
+
+
+@pytest.mark.parametrize("z", [3, 6, 2 * 2**MAX_LEVEL])
+def test_invalid_block_order_is_parse_error(key, z):
+    wire = bytearray(envelope.serialize(envelope.seal(b"x", key)))
+    wire[5:7] = z.to_bytes(2, "big")  # after magic (4) and version (1)
+    with pytest.raises(ParseError, match="block order"):
+        envelope.deserialize(bytes(wire))
+
+
+def test_serialize_rejects_block_of_wrong_length(key):
+    env = envelope.seal(MESSAGE, key)
+    short = dataclasses.replace(env, blocks=(env.blocks[0][:-1],) + env.blocks[1:])
+    with pytest.raises(CorruptionError, match="block length"):
+        envelope.serialize(short)
+
+
+def test_scale_mismatch_is_corruption(key):
+    env = envelope.seal(MESSAGE, key)
+    with pytest.raises(CorruptionError, match="different key parameters"):
+        envelope.open(dataclasses.replace(env, scale_exp=env.scale_exp + 2), key)
 
 
 def test_open_with_wrong_key_never_returns_plaintext(rng, key):

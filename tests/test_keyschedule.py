@@ -145,6 +145,12 @@ def test_derive_at_the_top_level():
     assert_exact_adjugate(kp)
 
 
+def test_derive_at_the_largest_p():
+    kp = derive(make_key(p=63, level=1))
+    assert kp.z == 64
+    assert_exact_adjugate(kp)
+
+
 def test_key_matrix_pair_from_singular_matrix():
     with pytest.raises(SingularMatrixError):
         KeyMatrixPair.from_matrix(SquareMatrix([[1, 1], [1, 1]]), scale_exp=2)
@@ -169,6 +175,7 @@ def test_key_matrix_pair_from_non_dyadic_matrix():
         dict(kind=RecurrenceKind.LUCAS, p=2),
         dict(kind="fibonacci"),
         dict(level=7),
+        dict(p=64),  # a Q_p base of order 65 would need Z = 128
     ],
 )
 def test_cipher_key_validation(kwargs):
