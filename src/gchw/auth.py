@@ -2,26 +2,14 @@
 
 from __future__ import annotations
 
-import hashlib
 import hmac as _stdlib_hmac
 
-BLOCK_SIZE = 64
 TAG_SIZE = 32
 
 
 def mac(key: bytes, data: bytes) -> bytes:
-    """HMAC-SHA-256: H((k ^ opad) || H((k ^ ipad) || data)).
-
-    Keys longer than the 64-byte SHA-256 block are hashed first; shorter
-    keys are zero-padded to the block size.
-    """
-    if len(key) > BLOCK_SIZE:
-        key = hashlib.sha256(key).digest()
-    key = key.ljust(BLOCK_SIZE, b"\x00")
-    ipad = bytes(b ^ 0x36 for b in key)
-    opad = bytes(b ^ 0x5C for b in key)
-    inner = hashlib.sha256(ipad + data).digest()
-    return hashlib.sha256(opad + inner).digest()
+    """HMAC-SHA-256 (RFC 2104): H((k ^ opad) || H((k ^ ipad) || data))."""
+    return _stdlib_hmac.digest(key, data, "sha256")
 
 
 def verify(key: bytes, data: bytes, tag: bytes) -> bool:

@@ -22,7 +22,7 @@ from . import ahuffman, auth
 from .bits import BitString
 from .blockcipher import decrypt_block, encrypt_block, partition, unpartition
 from .errors import AuthenticationError, CorruptionError, ParseError, WireOverflowError
-from .keyschedule import MAX_LEVEL, CipherKey, derive
+from .keyschedule import MAX_LEVEL, CipherKey
 
 MAGIC = b"GCHW"
 VERSION = 1
@@ -54,7 +54,7 @@ def seal(message: bytes, key: CipherKey) -> CipherEnvelope:
     bits = ahuffman.encode(message)
     compressed = bits.pack()
     tag = auth.mac(key.mac_key, compressed)
-    kp = derive(key)
+    kp = key.matrix_pair
     blocks = tuple(encrypt_block(b, kp) for b in partition(compressed, kp.z))
     return CipherEnvelope(
         version=VERSION,
@@ -72,7 +72,7 @@ def open(env: CipherEnvelope, key: CipherKey) -> bytes:  # noqa: A001 - mirrors 
     """Decrypt, verify (before decompressing), and decode an envelope."""
     if env.version != VERSION:
         raise ParseError(f"unsupported envelope version {env.version}")
-    kp = derive(key)
+    kp = key.matrix_pair
     if env.z != kp.z or env.scale_exp != kp.scale_exp:
         raise CorruptionError("envelope was sealed under different key parameters")
     plain_blocks = [decrypt_block(b, kp) for b in env.blocks]

@@ -65,6 +65,16 @@ class CipherKey:
         if len(self.mac_key) != SECRET_BYTES:
             raise ParameterError(f"mac_key must be {SECRET_BYTES} bytes")
 
+    @cached_property
+    def matrix_pair(self) -> "KeyMatrixPair":
+        """``derive(self)``, run on first use and kept for the life of this object.
+
+        The memo sits in the instance ``__dict__``, outside the dataclass
+        fields, so equality, hashing and ``repr`` still see only the secret.
+        An equal key built separately derives its own pair.
+        """
+        return derive(self)
+
 
 @dataclass(frozen=True)
 class KeyMatrixPair:
@@ -161,7 +171,7 @@ def _randomization_stream(seed: bytes, attempt: int) -> Iterator[int]:
 
 
 def derive(key: CipherKey) -> KeyMatrixPair:
-    """Derive the enciphering matrix pair; pure function of the key.
+    """Derive the enciphering matrix pair; pure and uncached (see ``CipherKey.matrix_pair``).
 
     Raises :class:`KeyDerivationError` if no attempt in the budget yields a
     nonsingular matrix (a pathological seed; pick another).

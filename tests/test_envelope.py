@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_key
-from gchw import envelope
+from gchw import envelope, keyschedule
+from gchw.analysis import analyze_message, seed_variant
 from gchw.errors import (
     AuthenticationError,
     CorruptionError,
@@ -164,3 +165,30 @@ def test_flipping_count_fields_is_detected(key):
         tampered[offset] ^= 0x01
         with pytest.raises(GchwError):
             envelope.open(envelope.deserialize(bytes(tampered)), key)
+
+
+def test_one_derive_per_key_object(monkeypatch, key):
+    derived = []
+    real_derive = keyschedule.derive
+
+    def counting_derive(k):
+        derived.append(k)
+        return real_derive(k)
+
+    monkeypatch.setattr(keyschedule, "derive", counting_derive)
+    for message in (MESSAGE, MESSAGE_1, MESSAGE_2, b"", b"x" * 100):
+        assert envelope.open(envelope.seal(message, key), key) == message
+    env = envelope.seal(MESSAGE, key)
+    forged = dataclasses.replace(env, tag=bytes([env.tag[0] ^ 1]) + env.tag[1:])
+    with pytest.raises(AuthenticationError):
+        envelope.open(forged, key)
+    assert len(analyze_message(MESSAGE, key, seeds=3)) == 3
+    envelope.seal(MESSAGE, key)
+    assert derived == [key, seed_variant(key, 1), seed_variant(key, 2)]
+
+
+def test_seed_variants_derive_their_own_pairs(key):
+    variant = seed_variant(key, 1)
+    assert variant != key
+    assert variant.matrix_pair != key.matrix_pair
+    assert seed_variant(key, 0).matrix_pair is key.matrix_pair

@@ -123,6 +123,22 @@ def test_derive_failure_after_attempt_budget(monkeypatch):
         derive(make_key())
 
 
+def test_matrix_pair_is_the_derived_pair_memoized():
+    key = make_key()
+    assert key.matrix_pair == derive(key)
+    assert key.matrix_pair is key.matrix_pair
+
+
+def test_memoized_key_keeps_equality_hash_and_repr():
+    key = make_key(kind=RecurrenceKind.ELC, n=7, level=3)
+    fresh = parse_key(format_key(key))
+    key.matrix_pair
+    assert key == fresh and fresh == key
+    assert hash(key) == hash(fresh)
+    assert repr(key) == repr(fresh)
+    assert "matrix" not in repr(key)
+
+
 def test_derive_inverse_and_scaling(rng):
     for _ in range(20):
         key = make_key(
