@@ -1,7 +1,9 @@
-"""Golden vectors: the exact FGK bit streams, frozen so codec rewrites stay bit-exact.
+"""Golden vectors: the exact FGK bit streams and envelope wire bytes.
 
-The expected values were produced by the per-bit reference codec and must
-never be regenerated from the code under test.
+They are frozen so codec and block-layer rewrites stay bit-exact.  The
+stream values were produced by the per-bit reference codec and the wire
+digests by the per-block encrypt route; they must never be regenerated
+from the code under test.
 """
 
 import hashlib
@@ -11,6 +13,9 @@ import pytest
 
 from gchw.ahuffman import decode, encode
 from gchw.bits import BitString
+from gchw.envelope import deserialize, seal, serialize
+from gchw.envelope import open as open_envelope
+from gchw.keyschedule import parse_key
 
 # the three demo messages of scripts/replicate_experiments.py:
 # (message, compressed bit count, packed stream)
@@ -77,3 +82,140 @@ def test_bulk_stream_digests(name):
     packed = bits.pack()
     assert hashlib.sha256(packed).hexdigest() == digest
     assert decode(BitString.unpack(packed, bit_count), len(data)) == data
+
+
+# Wire vectors: SHA-256 of ``serialize(seal(message, key))`` for fixed key
+# files, levels 1-4 of each kind plus one level-6 key, so block-layer
+# rewrites stay byte-exact.  Each seed is two bytes (level, kind index)
+# repeated to 32 bytes.
+WIRE_KINDS = {"fibonacci": (5, 1), "lucas": (5, 1), "elc": (3, 1)}
+
+
+def wire_key_file(kind: str, level: int) -> str:
+    n, p = WIRE_KINDS[kind]
+    seed = bytes([level, list(WIRE_KINDS).index(kind)]).hex() * 16
+    return f"kind={kind}\nn={n}\np={p}\nlevel={level}\nseed={seed}\nmac_key={'4e' * 32}\n"
+
+
+WIRE_MESSAGES = {
+    "empty": b"",
+    **{f"demo{i}": message for i, (message, _, _) in enumerate(DEMO_VECTORS)},
+    "text-4KiB": english_like(4096, 6),
+    "random-4KiB": random.Random(6).randbytes(4096),
+}
+
+WIRE_DIGESTS = {
+    ("fibonacci", 1): {
+        "empty": "3ae11582dbd16c18dc99814e761cfa84e2cbc57dd416fb07eae3dd387ea1f109",
+        "demo0": "32c9c924cb1a17f94dab21a0da5920191a09b0863c4232934f80cec3b8183ad1",
+        "demo1": "2549ccb330373aaffb53d3f495a57edad8cdc2ae2d92d648bbb2bf51824c2c5e",
+        "demo2": "41506346dbe0cceb06949b795c29d9d2f307bdb597db044bfae9a20c9755ab9a",
+        "text-4KiB": "dfa2ad2cda8bacbab0f0d7b258b65d1e9e8205b1fff5741f0dd13617c979749f",
+        "random-4KiB": "c07d5d4aaf5f025ddc54fef971718a0611ec0daabbd47fee46bc573309dd8b19",
+    },
+    ("lucas", 1): {
+        "empty": "3ae11582dbd16c18dc99814e761cfa84e2cbc57dd416fb07eae3dd387ea1f109",
+        "demo0": "294624b5e64abeb14ac46fa2a094ee4e15620c6d0c723e44a53946e4d3e93d31",
+        "demo1": "6a29192eb9b390a758d4e1ca081374e5ccdb5ca59514603099a69fb13d8ae7e7",
+        "demo2": "45f4b47bd4c074b65688b0b8b267986ba0d5f27666d0b9008f0695db6a205f39",
+        "text-4KiB": "3c250a358e2c18075159695852cec9b95768a435b00b7dd538cba6ad1e55deee",
+        "random-4KiB": "bafdce63aef50137b7024fab32628ac7a95ee153ce0afbed3bfa58ea62b2cbb3",
+    },
+    ("elc", 1): {
+        "empty": "3ae11582dbd16c18dc99814e761cfa84e2cbc57dd416fb07eae3dd387ea1f109",
+        "demo0": "36673d55fd9e8329958743eed02462aaeff8bbae8d70413c98d27e96b3740312",
+        "demo1": "655030a38302b748a59a1928de90c08ebd0fd211a75537745ca19e33e4479322",
+        "demo2": "aae5a73e6c5dfcd0f69228f5a9c62740bc739e24c8914abfe40a82bdb4275d08",
+        "text-4KiB": "05aefa234618f63ce64b1fc0e92a384308996eb011918f7015ca8bb15b8680b6",
+        "random-4KiB": "3279602dee55ca53daf357658382e9684cc1bed78725ed9359657015b626cb34",
+    },
+    ("fibonacci", 2): {
+        "empty": "09f156474423fc916bf214de693e7c0d16924bc7224a96dcd601c985a0a3ca93",
+        "demo0": "d32c233c01602b3bcc915bd37b186f6ea2f2df2f183fdf6f7df91c736c1bead0",
+        "demo1": "e78fc5825fc75a77737bc40ffc4380c5743b072df72869ebe2037d732a8da717",
+        "demo2": "0b5634c6af157c2f065d76d602c5647a26be7698319de1fca062c54b0695d5ae",
+        "text-4KiB": "a4a9a771010001bf987e67bc3dbd5450a5508c7f3bd18ab8346546d02dc4c6db",
+        "random-4KiB": "37ebb3e75860883cfb8526796161dc7cd8cdd730e238b36a93dd3c8b26879199",
+    },
+    ("lucas", 2): {
+        "empty": "09f156474423fc916bf214de693e7c0d16924bc7224a96dcd601c985a0a3ca93",
+        "demo0": "7317d3538e96eea87ee3424e0280e1dada3857fcda8107a49811fdc04ab6b186",
+        "demo1": "57d12b36659665f44432b3789b4184ea443f846f87c215a30a323f459eba00b7",
+        "demo2": "4d575608dc3405c3a722bb2a73c6500dc762d34e0a85e3ec2d9823c6d979979b",
+        "text-4KiB": "5f225e6d38b62ff48e4841235091570df28172f315d742d5c0631fda55fe1165",
+        "random-4KiB": "ce3e07453df52b9af76e232ebad27c5c0e747b55da66077004b1a17248e95027",
+    },
+    ("elc", 2): {
+        "empty": "09f156474423fc916bf214de693e7c0d16924bc7224a96dcd601c985a0a3ca93",
+        "demo0": "34b566b52bbc70cacb93aecb1c90b55039d38b083902de1ad49b972735ef776a",
+        "demo1": "00db48c2d25f5f157da6de4d9724a5aa6ae42076c532abae3f628d8a071f59e1",
+        "demo2": "d91663a3021a285063eefc473cea715b51e6b992b6c1592cd65acaec80545232",
+        "text-4KiB": "413a3a8712dfadd59f40b4ab9efb698257a8ef1df0a8bf1b48a0a9459ef22ed8",
+        "random-4KiB": "1491537fa7c1bc84276a4046320db4c48fd50794a172b98809376c85311da4b9",
+    },
+    ("fibonacci", 3): {
+        "empty": "9178ee0cd3ced97eace2f138617b1ecdda72ff57f199c788f3dd6fe3109b3662",
+        "demo0": "02f66012a9c7dd654ac2602fcd3f49ee9ed8498ef599c5c3134a40d919f5adc7",
+        "demo1": "4fe84ecb65801f36023f9556edc9134bf2c35fde8b7a164000bd31cb672f78f1",
+        "demo2": "a14d9df2398ab88af25c69a988899ea9ed323b70b9625e39bf98e4be39b21f39",
+        "text-4KiB": "840c610f16368b127301b5b29e7fdb33bb65e4fafd8220bcc5e81901d35c8682",
+        "random-4KiB": "79df6abde82adfd2f2297a2972e6cd0bd7486c9618e4d03e012508e9b2518817",
+    },
+    ("lucas", 3): {
+        "empty": "9178ee0cd3ced97eace2f138617b1ecdda72ff57f199c788f3dd6fe3109b3662",
+        "demo0": "794331011b09d09d76edfc145eac20eaacb8b8ced6a2f41dee72240c83004d34",
+        "demo1": "44deb3b3b45691e44804b56d90c28f35c9641229b76636bcab337ab60fa4a021",
+        "demo2": "8bd3b2ff3ce12df0b4226cd544ac5e254ea8f28a001072e96d4186fb9a84f203",
+        "text-4KiB": "5787d2c0421d4cd12929d8113c7154748b71c9e11c85ca66f0ea76602067b61a",
+        "random-4KiB": "36e3c8642bbb49d03f6e979da288c5de039600576283e84940d32fd0e3c54ec2",
+    },
+    ("elc", 3): {
+        "empty": "9178ee0cd3ced97eace2f138617b1ecdda72ff57f199c788f3dd6fe3109b3662",
+        "demo0": "3e79afa6878dafaa59b6c914ad9400f8c4c8c1e01a1cd92fc1b9366c3576e7f2",
+        "demo1": "1ef3b0517f977b7426f637dffc0fc24e6cabe7f347583e01d91d98f1f6283cc7",
+        "demo2": "8a355d2eaaf575ae696a4260a77097a2bb46b30791619696c54ebd51f366c40f",
+        "text-4KiB": "bb5448bdae41d45c5c53e49e12c3167453d67893e4ee4f89d1906119f7b9b600",
+        "random-4KiB": "09a960781a338b1bd8760173f8cfe14affc67e7f8a6a6c27520b560a90da2102",
+    },
+    ("fibonacci", 4): {
+        "empty": "d5cdeaa009ee7348af691a6d3ed8fcc4c75d478d439cb03b734c4ed3c20c460a",
+        "demo0": "098fe4e7c470f827f618ae77f1a83f820bd6f32b69e331e42445f154ccdae961",
+        "demo1": "288771e2ad2796f188e4b76949caa670aae245bd3819c833ecc7b6152d7cf2dd",
+        "demo2": "b264d7d48dfdd443119088911092ee08299ff1e8d9fe464ee06ac97cc94818a7",
+        "text-4KiB": "379b5152f71d10b7853aaffc421116792a46cb95971ba569c6dcc27c484f105c",
+        "random-4KiB": "0b608aab373c730a3dc410904cf38f39adde8d75b2161bbb678bea9f4870cdde",
+    },
+    ("lucas", 4): {
+        "empty": "d5cdeaa009ee7348af691a6d3ed8fcc4c75d478d439cb03b734c4ed3c20c460a",
+        "demo0": "ee16cc7e8d44b537c9c0a8d5e6bcc7730dad774d96db231dcf60e627c4cb6619",
+        "demo1": "fcfa0113fcfa410385e73bee8cccfcdb0cd140b64ee6e105322b705179c778fd",
+        "demo2": "7d5cda2ea16bcf78d753a2959e55a3f3532aebf1d7f1441f646bf9e165d32e8b",
+        "text-4KiB": "2ea18a15a3193feb34dd5f5844bfcf425e45a69572259f4b2b99925ded540e52",
+        "random-4KiB": "9a72027002bfb19753f3ce0c689ec0f81db7797fc3204f94739938c2dc487baf",
+    },
+    ("elc", 4): {
+        "empty": "d5cdeaa009ee7348af691a6d3ed8fcc4c75d478d439cb03b734c4ed3c20c460a",
+        "demo0": "cf7970d3ae5ec6a0985d2e02fae9363a92a4b29f0cdcd7ba6099e4dbac227b84",
+        "demo1": "b58dc93e00fdd8de307f3aceda60b9aed08f9f34c9a4593f63f189b8dfc7cedd",
+        "demo2": "9091a6d41259b9e0fea32deb8e8cf0df2d440a6ffa004a3e31da3248515ea2ff",
+        "text-4KiB": "49381fe94a0458ea7bbdd736d809ea46f8ac9ec668ad6c412345a7d80cd62f93",
+        "random-4KiB": "9f59e70d9ad218b96e9700d0fb7aa1b5a4825095d39584e287d304d6f6f4ab44",
+    },
+    ("fibonacci", 6): {
+        "empty": "d47908d0af4209c11068907c7cbb6bb915cdc091e1f4563cc6d469dc78b89ad7",
+        "demo0": "bff54a16b4212e174785cdd2331cec6cdb5eba92eb0f159ac4cd0b3f7eae8ac8",
+        "demo1": "264d05a9ad64de77ae7b29a08950eec9e5c828dea45daa5d32ce2d3b0a3279cd",
+        "demo2": "cdf6cd06a1876646a580ab03f5afd45671e573521a5e147312eb9727d32e5a95",
+        "text-4KiB": "2a28ed460fc97353992ddff4857b0456eb73dca52e0f5f8186b49b1af6e16183",
+        "random-4KiB": "62e7da2c0d47a1c69f1e34a94c56ddb7fe1ae3effda21342d803aa0582b7acfb",
+    },
+}
+
+
+@pytest.mark.parametrize("kind, level", sorted(WIRE_DIGESTS))
+def test_wire_digests(kind, level):
+    key = parse_key(wire_key_file(kind, level))
+    for name, message in WIRE_MESSAGES.items():
+        wire = serialize(seal(message, key))
+        assert hashlib.sha256(wire).hexdigest() == WIRE_DIGESTS[kind, level][name], name
+        assert open_envelope(deserialize(wire), key) == message, name
