@@ -13,15 +13,18 @@ fails to divide exactly or falls outside {-1} | 0..255.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from operator import mul
 
 from .errors import CorruptionError, ParameterError, ShapeError, WireOverflowError
-from .keyschedule import KeyMatrixPair
+from .keyschedule import MODULUS, KeyMatrixPair
 
 PAD = -1
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
+CHUNK_BLOCKS = 256  # blocks per packed pass; bounds the big-integer working set
+_OVERFLOW = "scaled ciphertext entry exceeds the signed 64-bit wire range; use a smaller n or level"
 
 
 @dataclass
@@ -90,10 +93,7 @@ def encrypt_block(block, kp: KeyMatrixPair, counter: OpCounter | None = None) ->
     else:
         scaled = _product_counted(block, cols, kp.z, counter)
     if min(scaled) < INT64_MIN or max(scaled) > INT64_MAX:
-        raise WireOverflowError(
-            "scaled ciphertext entry exceeds the signed 64-bit wire range; "
-            "use a smaller n or level"
-        )
+        raise WireOverflowError(_OVERFLOW)
     return tuple(scaled)
 
 
@@ -116,3 +116,137 @@ def decrypt_block(cipher, kp: KeyMatrixPair, counter: OpCounter | None = None) -
             if q != PAD and not 0 <= q <= 255:
                 raise CorruptionError("decrypted entry outside the byte range")
     return entries
+
+
+def decrypt_blocks(blocks, kp: KeyMatrixPair, byte_count: int) -> bytes:
+    """The per-block route: :func:`decrypt_block` on each block, then :func:`unpartition`."""
+    return unpartition([decrypt_block(b, kp) for b in blocks], byte_count)
+
+
+def _ones(width: int, rows: int) -> int:
+    """``rows`` adjacent ``width``-byte slots, each holding 1; other slot masks are its shifts."""
+    return int.from_bytes((1).to_bytes(width, "big") * rows, "big")
+
+
+def encrypt_message(data: bytes, kp: KeyMatrixPair) -> bytes:
+    """The wire body of ``data``: every block's :func:`encrypt_block` entries as big-endian int64.
+
+    Column k of the tall plaintext matrix (all block rows stacked) is one
+    integer with a fixed-width slot per row, so each ciphertext column is
+    Z big-integer multiply-adds per pass of up to ``CHUNK_BLOCKS`` blocks.
+    """
+    z = kp.z
+    bits = kp.entry_bound.bit_length()
+    words = 1 if bits < 64 else (bits + 65) // 64  # 64-bit words per slot
+    width, slot_bits = 8 * words, 64 * words
+    step = CHUNK_BLOCKS * z * z
+    rows_max = -(-min(len(data), step) // (z * z)) * z
+    ones_max = _ones(width, rows_max)
+    parts = []
+    for start in range(0, len(data), step):
+        chunk = data[start : start + step]
+        rows = -(-len(chunk) // (z * z)) * z
+        ones = ones_max >> (slot_bits * (rows_max - rows))
+        plain = []
+        for k in range(z):
+            column = chunk[k::z]
+            buf = bytearray(rows * width)
+            buf[width - 1 : len(column) * width : width] = column
+            # the -1 padding fills the last, least significant slots
+            plain.append(int.from_bytes(buf, "big") - (ones >> (slot_bits * len(column))))
+        # entry + 2**63 is the int64 entry with its sign bit flipped; a wider
+        # slot also carries 2**(slot_bits - 1), and if the entry fits int64
+        # that is all its bits above the low 64 hold
+        flip = ones << 63
+        wide = 0 if words == 1 else ones << (slot_bits - 1)
+        high = (ones << slot_bits) - (ones << 64)
+        out = bytearray(rows * z * 8)
+        out_q = memoryview(out).cast("Q")
+        for j, col in enumerate(kp.e_scaled_cols):
+            acc = sum(map(mul, col, plain)) + flip + wide
+            if acc & high != wide:
+                raise WireOverflowError(_OVERFLOW)
+            slots = memoryview((acc ^ flip).to_bytes(rows * width, "big")).cast("Q")
+            out_q[j::z] = slots[words - 1 :: words]
+        parts.append(out)
+    return b"".join(parts)
+
+
+def decrypt_message(body: bytes, kp: KeyMatrixPair, byte_count: int) -> bytes:
+    """Invert :func:`encrypt_message`; the result and errors of ``decrypt_blocks`` on its blocks.
+
+    Each pass multiplies the received columns by E_scaled^-1 mod p
+    (p = ``MODULUS``), reduces by Mersenne folding, and accepts only if every
+    entry is a byte in the data region and -1 after it, and the exact
+    re-encryption of those entries equals the received columns.  The
+    per-block route runs only to name the first faulty block, and for a key
+    whose det_scaled is 0 mod p.
+    """
+    z = kp.z
+    cells = z * z
+    block = struct.Struct(f">{cells}q")
+    if len(body) % block.size:
+        raise ShapeError(f"body of {len(body)} bytes is not whole blocks of key order {z}")
+    total = len(body) // 8
+    inverse = kp.inverse_cols_mod_p
+    if inverse is None or byte_count > total:
+        return decrypt_blocks(block.iter_unpack(body), kp, byte_count)
+    # wide enough that a re-encrypted slot, even of a faulty entry, never borrows
+    words = max(2, (kp.entry_bound.bit_length() + 90) // 64)
+    width, slot_bits = 8 * words, 64 * words
+    step = CHUNK_BLOCKS * cells
+    rows_max = min(total, step) // z
+    ones_max = _ones(width, rows_max)
+    entries = memoryview(body).cast("Q")
+    parts = []
+    for start in range(0, total, step):
+        chunk = entries[start : start + step]
+        rows = len(chunk) // z
+        ones = ones_max >> (slot_bits * (rows_max - rows))
+        sign = ones << 63
+        received = []  # signed entries, one slot per row
+        for j in range(z):
+            buf = bytearray(rows * width)
+            memoryview(buf).cast("Q")[words - 1 :: words] = chunk[j::z]
+            received.append((int.from_bytes(buf, "big") ^ sign) - sign)
+        # |sum| < z * 2**93 per slot; lift adds p * 2**e (0 mod p) to keep
+        # every slot positive, and 256 so a slot ends as 256 + q
+        e = 63 + z.bit_length()
+        lift = (ones << (e + 31)) - (ones << e) + (ones << 8)
+        low62, rest62 = (ones << 62) - ones, (ones << (slot_bits - 62)) - ones
+        low31, rest31 = (ones << 31) - ones, (ones << (slot_bits - 31)) - ones
+        plain = []
+        for col in inverse:
+            # slot bounds for z <= 64: 2**102, then 2**62 + 2**40 (2**62 is 1
+            # mod p), 2**32 + 2**9 and 2**31 + 3, so a residue 255..511 is exact
+            v = sum(map(mul, col, received)) + lift
+            v = (v & low62) + ((v >> 62) & rest62)
+            v = (v & low31) + ((v >> 31) & rest31)
+            plain.append((v & low31) + ((v >> 31) & rest31))
+        # a data slot must hold 256..511 (a byte), a padding slot exactly 255 (-1)
+        data_count = max(0, min(byte_count - start, len(chunk)))
+        faults = []
+        masks = {}
+        for k, t in enumerate(plain):
+            n = len(range(k, data_count, z))
+            if n not in masks:
+                pad = ones >> (slot_bits * n)  # the last rows - n slots
+                masks[n] = ((ones << slot_bits) - ((ones - pad) << 8) - pad, (ones << 8) - pad)
+            mask, expect = masks[n]
+            faults.append(t & mask ^ expect)
+        # exact re-encryption; both sides carry 2**(slot_bits - 2) so no slot borrows
+        slack = ones << (slot_bits - 2)
+        for col, c in zip(kp.e_scaled_cols, received):
+            faults.append(sum(map(mul, col, plain)) + slack ^ c + slack + 256 * sum(col) * ones)
+        top = max(map(int.bit_length, faults))
+        if top:
+            # the highest differing bit lies in the first faulty row's slot
+            first = (start + (rows - 1 - (top - 1) // slot_bits) * z) // cells
+            decrypt_block(block.unpack_from(body, first * block.size), kp)
+            # that block decrypts, so the padding is misplaced: unpartition names it
+            return decrypt_blocks(block.iter_unpack(body), kp, byte_count)
+        out = bytearray(rows * z)
+        for k, t in enumerate(plain):
+            out[k::z] = t.to_bytes(rows * width, "big")[width - 1 :: width]
+        parts.append(out[:data_count])
+    return b"".join(parts)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import ahuffman, auth
 from .bits import BitString
-from .blockcipher import decrypt_block, encrypt_block, partition, unpartition
+from .blockcipher import decrypt_blocks, decrypt_message, encrypt_message
 from .errors import AuthenticationError, CorruptionError, ParseError, WireOverflowError
 from .keyschedule import MAX_LEVEL, CipherKey
 
@@ -55,7 +55,8 @@ def seal(message: bytes, key: CipherKey) -> CipherEnvelope:
     compressed = bits.pack()
     tag = auth.mac(key.mac_key, compressed)
     kp = key.matrix_pair
-    blocks = tuple(encrypt_block(b, kp) for b in partition(compressed, kp.z))
+    body = encrypt_message(compressed, kp)
+    blocks = tuple(struct.Struct(f">{kp.z * kp.z}q").iter_unpack(body))
     return CipherEnvelope(
         version=VERSION,
         z=kp.z,
@@ -75,9 +76,14 @@ def open(env: CipherEnvelope, key: CipherKey) -> bytes:  # noqa: A001 - mirrors 
     kp = key.matrix_pair
     if env.z != kp.z or env.scale_exp != kp.scale_exp:
         raise CorruptionError("envelope was sealed under different key parameters")
-    plain_blocks = [decrypt_block(b, kp) for b in env.blocks]
     byte_count = (env.compressed_bit_count + 7) // 8
-    compressed = unpartition(plain_blocks, byte_count)
+    entry_struct = struct.Struct(f">{kp.z * kp.z}q")
+    try:
+        body = b"".join([entry_struct.pack(*block) for block in env.blocks])
+    except struct.error:  # a block of the wrong length or an entry beyond int64
+        compressed = decrypt_blocks(env.blocks, kp, byte_count)
+    else:
+        compressed = decrypt_message(body, kp, byte_count)
     if not auth.verify(key.mac_key, compressed, env.tag):
         raise AuthenticationError("MAC tag mismatch: data attack or wrong key")
     bits = BitString.unpack(compressed, env.compressed_bit_count)

@@ -30,6 +30,7 @@ MAX_LEVEL = 6
 MAX_P = (1 << MAX_LEVEL) - 1  # the Q_p base has order p + 1, so Z stays <= 2**MAX_LEVEL
 SECRET_BYTES = 32
 MAX_ATTEMPTS = 64
+MODULUS = (1 << 31) - 1  # the Mersenne prime of the packed decryption in ``blockcipher``
 
 
 @dataclass(frozen=True)
@@ -138,6 +139,26 @@ class KeyMatrixPair:
         back as exactly ``det_scaled * q``; any other value is corrupt.
         """
         return {self.det_scaled * q: q for q in range(-1, 256)}
+
+    @cached_property
+    def inverse_cols_mod_p(self) -> tuple[tuple[int, ...], ...] | None:
+        """Columns of ``E_scaled^-1 mod MODULUS``, or None if det_scaled is 0 mod MODULUS.
+
+        Entries are the residues of least magnitude, so each is below 2**30
+        in absolute value.
+        """
+        if not self.det_scaled % MODULUS:
+            return None
+        inv = pow(self.det_scaled, -1, MODULUS)
+        half = MODULUS // 2
+        return tuple(
+            tuple((a * inv + half) % MODULUS - half for a in col) for col in self.adjugate_scaled_cols
+        )
+
+    @cached_property
+    def entry_bound(self) -> int:
+        """256 * the largest column sum of |E_scaled|: bounds every entry of block @ E_scaled."""
+        return 256 * max(sum(map(abs, col)) for col in self.e_scaled_cols)
 
 
 def golden_base(key: CipherKey) -> SquareMatrix:

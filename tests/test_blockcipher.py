@@ -1,22 +1,32 @@
-"""Block partitioning and the encrypt/decrypt pair, with a multiply counter."""
+"""Block partitioning, the encrypt/decrypt pair with a multiply counter, and the packed route."""
 
+import random
+import struct
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_key
+from gchw import blockcipher
 from gchw.blockcipher import (
+    CHUNK_BLOCKS,
     PAD,
     OpCounter,
     _product,
     _product_counted,
     decrypt_block,
+    decrypt_message,
     encrypt_block,
+    encrypt_message,
     partition,
     unpartition,
 )
+from gchw.envelope import deserialize, seal, serialize
+from gchw.envelope import open as open_envelope
 from gchw.errors import CorruptionError, ParameterError, ShapeError, WireOverflowError
-from gchw.keyschedule import KeyMatrixPair, derive
+from gchw.keyschedule import MODULUS, KeyMatrixPair, derive
 from gchw.matrix import SquareMatrix
 
 # an arbitrary nonsingular dyadic matrix used by the known-answer product tests
@@ -184,3 +194,157 @@ def test_wire_overflow_is_rejected():
     huge = KeyMatrixPair.from_matrix(SquareMatrix([[1 << 62, 0], [0, 1]]), scale_exp=2)
     with pytest.raises(WireOverflowError):
         encrypt_block((255, 255, 255, 255), huge)
+
+
+# --- the packed message route against the per-block route ---------------------
+
+
+@cache
+def level_pair(level: int, n: int = 5) -> KeyMatrixPair:
+    return derive(make_key(n=n, level=level))
+
+
+def per_block_body(data: bytes, kp: KeyMatrixPair) -> bytes:
+    """The wire body built block by block, the oracle for :func:`encrypt_message`."""
+    entry = struct.Struct(f">{kp.z * kp.z}q")
+    return b"".join(entry.pack(*encrypt_block(b, kp)) for b in partition(data, kp.z))
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (WireOverflowError, CorruptionError) as exc:
+        return type(exc), str(exc)
+
+
+def diagonal_pair(top_left: int) -> KeyMatrixPair:
+    """Z = 2, E_scaled = [[top_left, 0], [0, 1]]: entries reach exactly +-top_left."""
+    return KeyMatrixPair.from_matrix(SquareMatrix([[F(top_left, 4), 0], [0, F(1, 4)]]), 2)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_encrypt_message_matches_the_per_block_route(level):
+    kp = level_pair(level)
+    cells = kp.z * kp.z
+    rng = random.Random(level)
+    for length in (0, 1, cells - 1, cells, cells + 1, CHUNK_BLOCKS * cells + 1):
+        data = rng.randbytes(length)
+        body = encrypt_message(data, kp)
+        assert body == per_block_body(data, kp), length
+        assert decrypt_message(body, kp, length) == data, length
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.binary(max_size=300), st.sampled_from([1, 2, 3]))
+def test_packed_route_matches_per_block_on_random_data(data, level):
+    kp = level_pair(level)
+    body = encrypt_message(data, kp)
+    assert body == per_block_body(data, kp)
+    assert decrypt_message(body, kp, len(data)) == data
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.binary(min_size=1, max_size=12), st.sampled_from([80, 84, 88, 90]))
+def test_wide_slots_match_per_block_near_the_int64_limit(data, n):
+    # large-n keys need slots wider than 64 bits; some blocks overflow the wire
+    kp = level_pair(1, n)
+    assert kp.entry_bound.bit_length() >= 64
+    body = outcome(encrypt_message, data, kp)
+    assert body == outcome(per_block_body, data, kp)
+    if isinstance(body, bytes):
+        assert decrypt_message(body, kp, len(data)) == data
+
+
+@pytest.mark.parametrize(
+    "top_left, data, fits",
+    [
+        (1 << 63, b"\x00", True),  # the padding row gives exactly INT64_MIN
+        (1 << 63, b"\x01", False),  # 2**63 is one past INT64_MAX
+        ((1 << 63) - 1, b"\x01\x00", True),  # exactly INT64_MAX
+        ((1 << 63) - 1, b"\x02", False),
+    ],
+)
+def test_int64_limits_are_exact(top_left, data, fits):
+    kp = diagonal_pair(top_left)
+    if fits:
+        body = encrypt_message(data, kp)
+        assert body == per_block_body(data, kp)
+        assert decrypt_message(body, kp, len(data)) == data
+    else:
+        with pytest.raises(WireOverflowError):
+            per_block_body(data, kp)
+        with pytest.raises(WireOverflowError):
+            encrypt_message(data, kp)
+
+
+def test_large_n_key_still_overflows_in_seal():
+    with pytest.raises(WireOverflowError):
+        seal(b"\xff" * 64, make_key(n=90, level=1))
+
+
+def test_round_trips_never_take_the_per_block_route(monkeypatch):
+    def per_block(*args):
+        raise AssertionError("the per-block product ran")
+
+    monkeypatch.setattr(blockcipher, "_product", per_block)
+    rng = random.Random(3)
+    for level in (1, 2, 3, 4):
+        key = make_key(level=level)
+        for message in (b"", b"x", rng.randbytes(700), b"meet me after party" * 40):
+            wire = serialize(seal(message, key))
+            assert open_envelope(deserialize(wire), key) == message
+
+
+def test_key_with_det_zero_mod_p_uses_the_per_block_route(monkeypatch):
+    kp = KeyMatrixPair.from_matrix(
+        SquareMatrix([[F(MODULUS, 4), F(1, 4)], [0, F(1, 4)]]), scale_exp=2
+    )
+    assert kp.det_scaled == MODULUS and kp.inverse_cols_mod_p is None
+    products = []
+
+    def counting_product(flat, cols, z):
+        products.append(cols)
+        return _product(flat, cols, z)
+
+    monkeypatch.setattr(blockcipher, "_product", counting_product)
+    data = bytes(range(256)) * 2 + b"tail"
+    body = encrypt_message(data, kp)
+    assert not products
+    assert body == per_block_body(data, kp)
+    del products[:]
+    assert decrypt_message(body, kp, len(data)) == data
+    assert products and all(cols == kp.adjugate_scaled_cols for cols in products)
+
+
+def test_decrypt_message_rejects_a_partial_block():
+    kp = level_pair(2)
+    body = encrypt_message(b"abc", kp)
+    with pytest.raises(ShapeError):
+        decrypt_message(body[:-8], kp, 3)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_decrypt_message_fails_like_the_per_block_route(level):
+    # every entry of a three-block body nudged, then each region boundary moved
+    kp = level_pair(level)
+    cells = kp.z * kp.z
+    entry = struct.Struct(f">{cells}q")
+    data = random.Random(level).randbytes(2 * cells + 5)
+    body = encrypt_message(data, kp)
+    blocks = [list(b) for b in entry.iter_unpack(body)]
+
+    def reference(blocks, byte_count):
+        return unpartition([decrypt_block(b, kp) for b in blocks], byte_count)
+
+    cases = [(blocks, n) for n in range(len(data) - cells, 3 * cells + 2)]
+    for b in range(3):
+        for i in range(cells):
+            for delta in (1, -1, 1 << 40, MODULUS):
+                tampered = [list(x) for x in blocks]
+                tampered[b][i] += delta
+                cases.append((tampered, len(data)))
+    for tampered, byte_count in cases:
+        wire = b"".join(entry.pack(*x) for x in tampered)
+        assert outcome(decrypt_message, wire, kp, byte_count) == outcome(
+            reference, tampered, byte_count
+        )

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_key
-from gchw import envelope, keyschedule
+from gchw import ahuffman, auth, envelope, keyschedule
 from gchw.analysis import analyze_message, seed_variant
+from gchw.bits import BitString
+from gchw.blockcipher import decrypt_block, unpartition
 from gchw.errors import (
     AuthenticationError,
     CorruptionError,
@@ -192,3 +194,98 @@ def test_seed_variants_derive_their_own_pairs(key):
     assert variant != key
     assert variant.matrix_pair != key.matrix_pair
     assert seed_variant(key, 0).matrix_pair is key.matrix_pair
+
+
+def reference_open(env, key):
+    """``open`` on the per-block route: decrypt_block, unpartition, then the MAC."""
+    kp = key.matrix_pair
+    if env.version != envelope.VERSION:
+        raise ParseError(f"unsupported envelope version {env.version}")
+    if env.z != kp.z or env.scale_exp != kp.scale_exp:
+        raise CorruptionError("envelope was sealed under different key parameters")
+    plain_blocks = [decrypt_block(b, kp) for b in env.blocks]
+    compressed = unpartition(plain_blocks, (env.compressed_bit_count + 7) // 8)
+    if not auth.verify(key.mac_key, compressed, env.tag):
+        raise AuthenticationError("MAC tag mismatch: data attack or wrong key")
+    bits = BitString.unpack(compressed, env.compressed_bit_count)
+    message = ahuffman.decode(bits, env.compressed_symbol_count)
+    if len(message) != env.plain_byte_count:
+        raise CorruptionError("decoded length does not match the recorded byte count")
+    return message
+
+
+def open_outcome(open_fn, env, key):
+    try:
+        return open_fn(env, key)
+    except GchwError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_every_bit_flip_fails_like_the_per_block_route(level):
+    key = make_key(level=level)
+    wire = envelope.serialize(envelope.seal(MESSAGE_2, key))
+    seen = set()
+    for position in range(8 * len(wire)):
+        tampered = bytearray(wire)
+        tampered[position // 8] ^= 0x80 >> (position % 8)
+        try:
+            env = envelope.deserialize(bytes(tampered))
+        except ParseError:
+            continue
+        expected = open_outcome(reference_open, env, key)
+        assert open_outcome(envelope.open, env, key) == expected, position
+        seen.add(expected)
+    # the flips reach the decrypt, padding and MAC checks
+    assert {message for _, message in seen} >= {
+        "decrypted entry is not an integer",
+        "padding marker inside the data region",
+        "MAC tag mismatch: data attack or wrong key",
+    }
+
+
+def _replace_entry(blocks, b, i, value):
+    blocks = [list(x) for x in blocks]
+    blocks[b][i] = value
+    return tuple(map(tuple, blocks))
+
+
+IN_MEMORY_TAMPERS = {
+    "entry above int64": lambda bl: _replace_entry(bl, 1, 3, 1 << 63),
+    "entry below int64": lambda bl: _replace_entry(bl, 0, 0, -(1 << 63) - 1),
+    "entry above int64 after a corrupt block": lambda bl: _replace_entry(
+        _replace_entry(bl, 0, 1, bl[0][1] + 1), 2, 0, 1 << 64
+    ),
+    "short block": lambda bl: bl[:1] + (bl[1][:-1],) + bl[2:],
+    "long block": lambda bl: bl[:1] + (bl[1] + (0,),) + bl[2:],
+    "missing block": lambda bl: bl[:-1],
+    "extra block": lambda bl: bl + bl[:1],
+    "no blocks": lambda bl: (),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IN_MEMORY_TAMPERS))
+def test_in_memory_tampering_fails_like_the_per_block_route(name, key):
+    env = envelope.seal(MESSAGE, key)
+    assert len(env.blocks) >= 3
+    forged = dataclasses.replace(env, blocks=IN_MEMORY_TAMPERS[name](env.blocks))
+    expected = open_outcome(reference_open, forged, key)
+    assert isinstance(expected, tuple)
+    assert open_outcome(envelope.open, forged, key) == expected
+
+
+@pytest.mark.parametrize("bit_delta", [-8, -1, 1, 8])
+def test_moved_padding_with_a_later_corrupt_block_names_the_block(key, bit_delta):
+    # the count change misplaces the padding in the last block, but the
+    # per-block route decrypts every block first, so the corrupt one wins
+    env = envelope.seal(MESSAGE, key)
+    blocks = _replace_entry(env.blocks, len(env.blocks) - 1, 2, env.blocks[-1][2] + 1)
+    for forged in (
+        dataclasses.replace(env, compressed_bit_count=env.compressed_bit_count + bit_delta),
+        dataclasses.replace(
+            env, compressed_bit_count=env.compressed_bit_count + bit_delta, blocks=blocks
+        ),
+    ):
+        expected = open_outcome(reference_open, forged, key)
+        assert isinstance(expected, tuple)
+        assert open_outcome(envelope.open, forged, key) == expected
