@@ -60,28 +60,6 @@ class AdaptiveHuffmanTree:
         self.root = 0
         self.nyt = 0
 
-    def contains(self, byte: int) -> bool:
-        return self.leaf_of[byte] != -1
-
-    def code_for(self, byte: int) -> list[int]:
-        """Current code of a previously seen symbol (root-to-leaf bits)."""
-        return self._path(self.leaf_of[byte])
-
-    def nyt_code(self) -> list[int]:
-        return self._path(self.nyt)
-
-    def _path(self, node: int) -> list[int]:
-        bits = []
-        parent = self.parent
-        left = self.left
-        p = parent[node]
-        while p != -1:
-            bits.append(0 if left[p] == node else 1)
-            node = p
-            p = parent[node]
-        bits.reverse()
-        return bits
-
     def _spawn(self, byte: int) -> int:
         """NYT gives birth: new NYT on the left, the symbol leaf on the right.
 
@@ -209,7 +187,7 @@ def encode(data: bytes) -> BitString:
     out = BitString()
     emit = out.bits.extend
     # arrays bound to locals (they are only ever mutated in place); each
-    # code is walked leaf-to-root inline, as in ``_path``, into one reused
+    # code is walked leaf-to-root inline and reversed into one reused
     # buffer, so no per-symbol object outlives its symbol
     parent = tree.parent
     left = tree.left

@@ -22,22 +22,11 @@ class BitString:
     def __init__(self, bits=()):
         self.bits = bytearray(bits)
 
-    @classmethod
-    def from01(cls, text: str) -> "BitString":
-        if set(text) - {"0", "1"}:
-            raise ParameterError("bit string may only contain 0 and 1")
-        return cls(int(c) for c in text)
-
     def to01(self) -> str:
         return "".join("01"[b] for b in self.bits)
 
     def append(self, bit: int) -> None:
         self.bits.append(1 if bit else 0)
-
-    def append_uint(self, value: int, width: int) -> None:
-        """Append ``value`` as ``width`` bits, most significant bit first."""
-        for shift in range(width - 1, -1, -1):
-            self.bits.append((value >> shift) & 1)
 
     def extend(self, other) -> None:
         """Append bits from another BitString or an iterable of 0/1 ints."""

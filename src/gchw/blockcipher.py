@@ -6,9 +6,27 @@ bytes fill blocks row-major; the final block's tail is padded with -1,
 which cannot collide with byte values.  Encryption computes the exact
 product block @ E (block on the left); since E = (E * 2^s) / 2^s with an
 integer scaled form, the wire-ready scaled ciphertext is just the integer
-product block @ E_scaled.  Decryption multiplies by the integer
-adjugate and divides by the scaled determinant, rejecting any entry that
-fails to divide exactly or falls outside {-1} | 0..255.
+product block @ E_scaled.
+
+Messages take the packed route.  Stacking the rows of all blocks gives a
+tall plaintext matrix; :func:`encrypt_message` stores each of its columns
+in one integer, one fixed-width slot per row, so a ciphertext column is
+Z big-integer multiply-adds with entries of E_scaled (Kronecker
+substitution).  :func:`decrypt_message` multiplies the received columns by
+E_scaled^-1 modulo the Mersenne prime p = 2^31 - 1, folds every slot back
+below p, and reads a candidate entry from each.  It accepts the candidates
+only if each is a byte in the data region and -1 after it, and their exact
+re-encryption equals the received columns.  That check makes the result
+exact: E_scaled is nonsingular, so the true plaintext is the only matrix
+whose product with E_scaled is the ciphertext, and a candidate that passes
+is that plaintext (Dixon's modular solving with an exact check).
+
+The per-block route, :func:`encrypt_block` and :func:`decrypt_block`,
+multiplies by E_scaled and by its integer adjugate and divides by the
+scaled determinant, rejecting any entry that fails to divide exactly or
+falls outside {-1} | 0..255.  It stays as the counted cost-model oracle, it
+names the fault of the first bad block when the packed check fails, and it
+decrypts for a key whose scaled determinant is 0 mod p.
 """
 
 from __future__ import annotations
@@ -188,12 +206,10 @@ def decrypt_message(body: bytes, kp: KeyMatrixPair, byte_count: int) -> bytes:
     if len(body) % block.size:
         raise ShapeError(f"body of {len(body)} bytes is not whole blocks of key order {z}")
     total = len(body) // 8
-    inverse = kp.inverse_cols_mod_p
-    if inverse is None or byte_count > total:
+    if kp.inverse_cols_mod_p is None or byte_count > total:
         return decrypt_blocks(block.iter_unpack(body), kp, byte_count)
     # wide enough that a re-encrypted slot, even of a faulty entry, never borrows
-    words = max(2, (kp.entry_bound.bit_length() + 90) // 64)
-    width, slot_bits = 8 * words, 64 * words
+    width = 8 * max(2, (kp.entry_bound.bit_length() + 90) // 64)
     step = CHUNK_BLOCKS * cells
     rows_max = min(total, step) // z
     ones_max = _ones(width, rows_max)
@@ -201,52 +217,65 @@ def decrypt_message(body: bytes, kp: KeyMatrixPair, byte_count: int) -> bytes:
     parts = []
     for start in range(0, total, step):
         chunk = entries[start : start + step]
-        rows = len(chunk) // z
-        ones = ones_max >> (slot_bits * (rows_max - rows))
-        sign = ones << 63
-        received = []  # signed entries, one slot per row
-        for j in range(z):
-            buf = bytearray(rows * width)
-            memoryview(buf).cast("Q")[words - 1 :: words] = chunk[j::z]
-            received.append((int.from_bytes(buf, "big") ^ sign) - sign)
-        # |sum| < z * 2**93 per slot; lift adds p * 2**e (0 mod p) to keep
-        # every slot positive, and 256 so a slot ends as 256 + q
-        e = 63 + z.bit_length()
-        lift = (ones << (e + 31)) - (ones << e) + (ones << 8)
-        low62, rest62 = (ones << 62) - ones, (ones << (slot_bits - 62)) - ones
-        low31, rest31 = (ones << 31) - ones, (ones << (slot_bits - 31)) - ones
-        plain = []
-        for col in inverse:
-            # slot bounds for z <= 64: 2**102, then 2**62 + 2**40 (2**62 is 1
-            # mod p), 2**32 + 2**9 and 2**31 + 3, so a residue 255..511 is exact
-            v = sum(map(mul, col, received)) + lift
-            v = (v & low62) + ((v >> 62) & rest62)
-            v = (v & low31) + ((v >> 31) & rest31)
-            plain.append((v & low31) + ((v >> 31) & rest31))
-        # a data slot must hold 256..511 (a byte), a padding slot exactly 255 (-1)
+        ones = ones_max >> (8 * width * (rows_max - len(chunk) // z))
         data_count = max(0, min(byte_count - start, len(chunk)))
-        faults = []
-        masks = {}
-        for k, t in enumerate(plain):
-            n = len(range(k, data_count, z))
-            if n not in masks:
-                pad = ones >> (slot_bits * n)  # the last rows - n slots
-                masks[n] = ((ones << slot_bits) - ((ones - pad) << 8) - pad, (ones << 8) - pad)
-            mask, expect = masks[n]
-            faults.append(t & mask ^ expect)
-        # exact re-encryption; both sides carry 2**(slot_bits - 2) so no slot borrows
-        slack = ones << (slot_bits - 2)
-        for col, c in zip(kp.e_scaled_cols, received):
-            faults.append(sum(map(mul, col, plain)) + slack ^ c + slack + 256 * sum(col) * ones)
-        top = max(map(int.bit_length, faults))
-        if top:
-            # the highest differing bit lies in the first faulty row's slot
-            first = (start + (rows - 1 - (top - 1) // slot_bits) * z) // cells
+        plain = _decrypt_pass(chunk, kp, ones, width, data_count)
+        if isinstance(plain, int):
+            # the pass returned its first faulty row, and has freed its
+            # big integers before the per-block route raises
+            first = (start + plain * z) // cells
             decrypt_block(block.unpack_from(body, first * block.size), kp)
             # that block decrypts, so the padding is misplaced: unpartition names it
             return decrypt_blocks(block.iter_unpack(body), kp, byte_count)
-        out = bytearray(rows * z)
-        for k, t in enumerate(plain):
-            out[k::z] = t.to_bytes(rows * width, "big")[width - 1 :: width]
-        parts.append(out[:data_count])
+        parts.append(plain)
     return b"".join(parts)
+
+
+def _decrypt_pass(chunk, kp: KeyMatrixPair, ones: int, width: int, data_count: int):
+    """The first ``data_count`` plaintext bytes of one pass, or the index of its first faulty row."""
+    z = kp.z
+    rows = len(chunk) // z
+    words, slot_bits = width // 8, 8 * width
+    sign = ones << 63
+    received = []  # signed entries, one slot per row
+    for j in range(z):
+        buf = bytearray(rows * width)
+        memoryview(buf).cast("Q")[words - 1 :: words] = chunk[j::z]
+        received.append((int.from_bytes(buf, "big") ^ sign) - sign)
+    # |sum| < z * 2**93 per slot; lift adds p * 2**e (0 mod p) to keep
+    # every slot positive, and 256 so a slot ends as 256 + q
+    e = 63 + z.bit_length()
+    lift = (ones << (e + 31)) - (ones << e) + (ones << 8)
+    low62, rest62 = (ones << 62) - ones, (ones << (slot_bits - 62)) - ones
+    low31, rest31 = (ones << 31) - ones, (ones << (slot_bits - 31)) - ones
+    plain = []
+    for col in kp.inverse_cols_mod_p:
+        # slot bounds for z <= 64: 2**102, then 2**62 + 2**40 (2**62 is 1
+        # mod p), 2**32 + 2**9 and 2**31 + 3, so a residue 255..511 is exact
+        v = sum(map(mul, col, received)) + lift
+        v = (v & low62) + ((v >> 62) & rest62)
+        v = (v & low31) + ((v >> 31) & rest31)
+        plain.append((v & low31) + ((v >> 31) & rest31))
+    # top: the highest bit at which a check differs from what it expects
+    top = 0
+    # a data slot must hold 256..511 (a byte), a padding slot exactly 255 (-1)
+    masks = {}
+    for k, t in enumerate(plain):
+        n = len(range(k, data_count, z))
+        if n not in masks:
+            pad = ones >> (slot_bits * n)  # the last rows - n slots
+            masks[n] = ((ones << slot_bits) - ((ones - pad) << 8) - pad, (ones << 8) - pad)
+        mask, expect = masks[n]
+        top = max(top, (t & mask ^ expect).bit_length())
+    # exact re-encryption; both sides carry 2**(slot_bits - 2) so no slot borrows
+    slack = ones << (slot_bits - 2)
+    for col, c in zip(kp.e_scaled_cols, received):
+        again = sum(map(mul, col, plain)) + slack
+        top = max(top, (again ^ c + slack + 256 * sum(col) * ones).bit_length())
+    if top:
+        # the highest differing bit lies in the first faulty row's slot
+        return rows - 1 - (top - 1) // slot_bits
+    out = bytearray(rows * z)
+    for k, t in enumerate(plain):
+        out[k::z] = t.to_bytes(rows * width, "big")[width - 1 :: width]
+    return out[:data_count]

@@ -42,13 +42,6 @@ class SquareMatrix:
     def __repr__(self):
         return f"SquareMatrix({[list(row) for row in self.rows]!r})"
 
-    def __add__(self, other: "SquareMatrix") -> "SquareMatrix":
-        if self.order != other.order:
-            raise ShapeError("orders differ")
-        return SquareMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
     def __rmul__(self, scalar) -> "SquareMatrix":
         return SquareMatrix([[scalar * x for x in row] for row in self.rows])
 
@@ -65,21 +58,6 @@ class SquareMatrix:
         d = lcm(*(x.denominator for row in self.rows for x in row))
         det, _ = det_adjugate([[int(x * d) for x in row] for row in self.rows])
         return Fraction(det, d**self.order)
-
-    def dyadic_exponent(self) -> int:
-        """Smallest e such that 2**e times every entry is an integer.
-
-        Raises ValueError if some entry has a denominator that is not a
-        power of two.
-        """
-        worst = 0
-        for row in self.rows:
-            for x in row:
-                den = getattr(x, "denominator", 1)
-                if den & (den - 1):
-                    raise ValueError(f"entry {x!r} is not a dyadic rational")
-                worst = max(worst, den.bit_length() - 1)
-        return worst
 
 
 def det_adjugate(rows) -> tuple[int, tuple[tuple[int, ...], ...] | None]:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from gchw.ahuffman import AdaptiveHuffmanTree, check_sibling_property, decode, encode
 from gchw.bits import BitString
 from gchw.errors import CorruptStreamError
+from helpers import bits_from01, code_for, contains, nyt_code
 
 
 def test_encode_empty():
@@ -21,7 +22,7 @@ def test_encode_single_byte_is_raw_literal():
 def test_encode_repeated_byte():
     # after the first 'a' the root has NYT on the left and 'a' on the right
     assert encode(b"aa").to01() == "011000011"
-    assert decode(BitString.from01("011000011"), 2) == b"aa"
+    assert decode(bits_from01("011000011"), 2) == b"aa"
 
 
 def test_repetitive_message_compresses():
@@ -82,10 +83,10 @@ def test_encoder_decoder_trees_stay_synchronized(rng):
         enc_tree = AdaptiveHuffmanTree()
         dec_tree = AdaptiveHuffmanTree()
         for byte in data:
-            if enc_tree.contains(byte):
-                bits = enc_tree.code_for(byte)
+            if contains(enc_tree, byte):
+                bits = code_for(enc_tree, byte)
             else:
-                bits = enc_tree.nyt_code() + [
+                bits = nyt_code(enc_tree) + [
                     (byte >> shift) & 1 for shift in range(7, -1, -1)
                 ]
             # walk the decoder tree over those bits
@@ -132,4 +133,4 @@ def test_decode_rejects_wrong_symbol_count():
 
 def test_decode_rejects_bit_starvation_on_literal():
     with pytest.raises(CorruptStreamError):
-        decode(BitString.from01("0110"), 1)
+        decode(bits_from01("0110"), 1)

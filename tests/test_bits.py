@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from gchw.bits import BitString
 from gchw.errors import CorruptionError, CorruptStreamError, ParameterError
+from helpers import append_uint, bits_from01
 
 
 def reference_pack(bits) -> bytes:
@@ -25,28 +26,28 @@ def test_append_and_to01():
     bs = BitString()
     bs.append(1)
     bs.append(0)
-    bs.append_uint(0b101, 3)
+    append_uint(bs, 0b101, 3)
     assert bs.to01() == "10101"
     assert len(bs) == 5
     assert bs[0] == 1 and bs[1] == 0
 
 
 def test_from01_roundtrip():
-    assert BitString.from01("0110").to01() == "0110"
+    assert bits_from01("0110").to01() == "0110"
     with pytest.raises(ParameterError):
-        BitString.from01("01x0")
+        bits_from01("01x0")
 
 
 def test_extend():
-    bs = BitString.from01("10")
-    bs.extend(BitString.from01("01"))
+    bs = bits_from01("10")
+    bs.extend(bits_from01("01"))
     bs.extend([1, 1])
     assert bs.to01() == "100111"
 
 
 def test_pack_is_msb_first():
-    assert BitString.from01("10000001").pack() == b"\x81"
-    assert BitString.from01("101").pack() == b"\xa0"
+    assert bits_from01("10000001").pack() == b"\x81"
+    assert bits_from01("101").pack() == b"\xa0"
     assert BitString().pack() == b""
 
 
@@ -65,7 +66,7 @@ def test_pack_unpack_roundtrip(bits):
 
 def test_append_uint_msb_first():
     bs = BitString()
-    bs.append_uint(0x61, 8)
+    append_uint(bs, 0x61, 8)
     assert bs.to01() == "01100001"
 
 
