@@ -219,20 +219,20 @@ def decrypt_message(body: bytes, kp: KeyMatrixPair, byte_count: int) -> bytes:
         chunk = entries[start : start + step]
         ones = ones_max >> (8 * width * (rows_max - len(chunk) // z))
         data_count = max(0, min(byte_count - start, len(chunk)))
-        plain = _decrypt_pass(chunk, kp, ones, width, data_count)
-        if isinstance(plain, int):
+        part = _decrypt_pass(chunk, kp, ones, width, data_count)
+        if isinstance(part, int):
             # the pass returned its first faulty row, and has freed its
             # big integers before the per-block route raises
-            first = (start + plain * z) // cells
+            first = (start + part * z) // cells
             decrypt_block(block.unpack_from(body, first * block.size), kp)
             # that block decrypts, so the padding is misplaced: unpartition names it
             return decrypt_blocks(block.iter_unpack(body), kp, byte_count)
-        parts.append(plain)
+        parts.append(part)
     return b"".join(parts)
 
 
 def _decrypt_pass(chunk, kp: KeyMatrixPair, ones: int, width: int, data_count: int):
-    """The first ``data_count`` plaintext bytes of one pass, or the index of its first faulty row."""
+    """The first ``data_count`` plaintext bytes of one pass, or the index of its first bad row."""
     z = kp.z
     rows = len(chunk) // z
     words, slot_bits = width // 8, 8 * width

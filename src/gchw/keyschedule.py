@@ -151,9 +151,8 @@ class KeyMatrixPair:
             return None
         inv = pow(self.det_scaled, -1, MODULUS)
         half = MODULUS // 2
-        return tuple(
-            tuple((a * inv + half) % MODULUS - half for a in col) for col in self.adjugate_scaled_cols
-        )
+        cols = self.adjugate_scaled_cols
+        return tuple(tuple((a * inv + half) % MODULUS - half for a in col) for col in cols)
 
     @cached_property
     def entry_bound(self) -> int:

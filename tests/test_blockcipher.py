@@ -12,6 +12,8 @@ from conftest import make_key
 from gchw import blockcipher
 from gchw.blockcipher import (
     CHUNK_BLOCKS,
+    INT64_MAX,
+    INT64_MIN,
     PAD,
     OpCounter,
     _product,
@@ -262,6 +264,8 @@ def test_wide_slots_match_per_block_near_the_int64_limit(data, n):
         (1 << 63, b"\x01", False),  # 2**63 is one past INT64_MAX
         ((1 << 63) - 1, b"\x01\x00", True),  # exactly INT64_MAX
         ((1 << 63) - 1, b"\x02", False),
+        (1 << 120, bytes([0, 5, 0, 7]), True),  # 192-bit decryption slots
+        (1 << 120, b"\x01", False),
     ],
 )
 def test_int64_limits_are_exact(top_left, data, fits):
@@ -339,12 +343,64 @@ def test_decrypt_message_fails_like_the_per_block_route(level):
     cases = [(blocks, n) for n in range(len(data) - cells, 3 * cells + 2)]
     for b in range(3):
         for i in range(cells):
-            for delta in (1, -1, 1 << 40, MODULUS):
+            for value in (1, -1, 1 << 40, MODULUS, INT64_MIN, INT64_MAX):
                 tampered = [list(x) for x in blocks]
-                tampered[b][i] += delta
+                tampered[b][i] = value if abs(value) > 1 << 62 else tampered[b][i] + value
                 cases.append((tampered, len(data)))
     for tampered, byte_count in cases:
         wire = b"".join(entry.pack(*x) for x in tampered)
         assert outcome(decrypt_message, wire, kp, byte_count) == outcome(
             reference, tampered, byte_count
         )
+
+
+@pytest.mark.parametrize("value", [None, INT64_MIN, INT64_MAX])
+def test_only_the_first_bad_block_takes_the_per_block_route(monkeypatch, value):
+    kp = level_pair(3)
+    cells = kp.z * kp.z
+    entry = struct.Struct(f">{cells}q")
+    data = random.Random(9).randbytes(5 * cells)
+    blocks = [list(b) for b in entry.iter_unpack(encrypt_message(data, kp))]
+    blocks[2][7] = blocks[2][7] + 1 if value is None else value
+    blocks[4][0] += 1
+    calls = []
+
+    def recording_decrypt_block(cipher, kp, counter=None):
+        calls.append(cipher)
+        return decrypt_block(cipher, kp, counter)
+
+    monkeypatch.setattr(blockcipher, "decrypt_block", recording_decrypt_block)
+    wire = b"".join(entry.pack(*b) for b in blocks)
+    with pytest.raises(CorruptionError):
+        decrypt_message(wire, kp, len(data))
+    assert calls == [tuple(blocks[2])]
+
+
+def test_wide_decryption_slots_name_the_first_bad_block(monkeypatch):
+    # column 0 must hold zeros to fit the wire; 2**120 + 1 has a large
+    # inverse mod p, so a nudged column-0 entry gives a huge re-encryption
+    kp = diagonal_pair((1 << 120) + 1)
+    entry = struct.Struct(">4q")
+    data = bytes([0, 5, 0, 7, 0, 9, 0, 250, 0, 0, 0, 1])
+    blocks = [list(b) for b in entry.iter_unpack(encrypt_message(data, kp))]
+    calls = []
+
+    def recording_decrypt_block(cipher, kp, counter=None):
+        calls.append(cipher)
+        return decrypt_block(cipher, kp, counter)
+
+    monkeypatch.setattr(blockcipher, "decrypt_block", recording_decrypt_block)
+    for b in range(3):
+        for i in range(4):
+            for delta in (1, -1, 1 << 62):
+                tampered = [list(x) for x in blocks]
+                tampered[b][i] = max(INT64_MIN, min(INT64_MAX, tampered[b][i] + delta))
+                if tampered == blocks:
+                    continue
+                expected = outcome(lambda: unpartition([decrypt_block(x, kp) for x in tampered], 12))
+                del calls[:]
+                wire = b"".join(entry.pack(*x) for x in tampered)
+                assert outcome(decrypt_message, wire, kp, len(data)) == expected
+                # a nudged column-1 entry can be another valid ciphertext, or
+                # one with -1 in the data region that unpartition must name
+                assert calls[:1] == ([] if isinstance(expected, bytes) else [tuple(tampered[b])])
