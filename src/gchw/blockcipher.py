@@ -155,7 +155,8 @@ def encrypt_message(data: bytes, kp: KeyMatrixPair) -> bytes:
     """
     z = kp.z
     bits = kp.entry_bound.bit_length()
-    words = 1 if bits < 64 else (bits + 65) // 64  # 64-bit words per slot
+    # 64-bit words per slot: one exactly when entry_bound < 2**63, so every entry fits int64
+    words = 1 if bits < 64 else (bits + 65) // 64
     width, slot_bits = 8 * words, 64 * words
     step = CHUNK_BLOCKS * z * z
     rows_max = -(-min(len(data), step) // (z * z)) * z
