@@ -41,7 +41,7 @@ from .keyschedule import MODULUS, KeyMatrixPair
 PAD = -1
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
-CHUNK_BLOCKS = 256  # blocks per packed pass; bounds the big-integer working set
+CHUNK_ENTRIES = 1 << 14  # entries per packed pass; bounds the big-integer working set
 _OVERFLOW = "scaled ciphertext entry exceeds the signed 64-bit wire range; use a smaller n or level"
 
 
@@ -151,14 +151,15 @@ def encrypt_message(data: bytes, kp: KeyMatrixPair) -> bytes:
 
     Column k of the tall plaintext matrix (all block rows stacked) is one
     integer with a fixed-width slot per row, so each ciphertext column is
-    Z big-integer multiply-adds per pass of up to ``CHUNK_BLOCKS`` blocks.
+    Z big-integer multiply-adds per pass of whole blocks, at most
+    ``CHUNK_ENTRIES`` entries unless one block holds more.
     """
     z = kp.z
     bits = kp.entry_bound.bit_length()
     # 64-bit words per slot: one exactly when entry_bound < 2**63, so every entry fits int64
     words = 1 if bits < 64 else (bits + 65) // 64
     width, slot_bits = 8 * words, 64 * words
-    step = CHUNK_BLOCKS * z * z
+    step = max(1, CHUNK_ENTRIES // (z * z)) * z * z
     rows_max = -(-min(len(data), step) // (z * z)) * z
     ones_max = _ones(width, rows_max)
     parts = []
@@ -211,7 +212,7 @@ def decrypt_message(body: bytes, kp: KeyMatrixPair, byte_count: int) -> bytes:
         return decrypt_blocks(block.iter_unpack(body), kp, byte_count)
     # wide enough that a re-encrypted slot, even of a faulty entry, never borrows
     width = 8 * max(2, (kp.entry_bound.bit_length() + 90) // 64)
-    step = CHUNK_BLOCKS * cells
+    step = max(1, CHUNK_ENTRIES // cells) * cells
     rows_max = min(total, step) // z
     ones_max = _ones(width, rows_max)
     entries = memoryview(body).cast("Q")

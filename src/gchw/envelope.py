@@ -10,7 +10,11 @@ Wire layout, big-endian throughout::
 
     "GCHW" | version u8 | z u16 | scale_exp u8 | plain_byte_count u64 |
     compressed_symbol_count u64 | compressed_bit_count u64 | block_count u32 |
-    blocks (z*z signed i64 scaled entries each, row-major) | tag (32 bytes)
+    body (z*z signed i64 scaled entries per block, row-major) | tag (32 bytes)
+
+:attr:`CipherEnvelope.body` holds that body exactly as
+:func:`~gchw.blockcipher.encrypt_message` returns it and as it crosses the
+wire; :attr:`CipherEnvelope.blocks` is a decoded view of it.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from dataclasses import dataclass
 
 from . import ahuffman, auth
 from .bits import BitString
-from .blockcipher import decrypt_blocks, decrypt_message, encrypt_message
-from .errors import AuthenticationError, CorruptionError, ParseError, WireOverflowError
+from .blockcipher import decrypt_message, encrypt_message
+from .errors import AuthenticationError, CorruptionError, ParseError
 from .keyschedule import MAX_LEVEL, CipherKey
 
 MAGIC = b"GCHW"
@@ -41,8 +45,13 @@ class CipherEnvelope:
     plain_byte_count: int
     compressed_bit_count: int
     compressed_symbol_count: int
-    blocks: tuple[tuple[int, ...], ...]  # scaled entries, z*z per block, row-major
+    body: bytes  # the wire body: z*z scaled entries per block, big-endian int64, row-major
     tag: bytes
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The body decoded into one tuple of z*z scaled entries per block."""
+        return tuple(struct.Struct(f">{self.z * self.z}q").iter_unpack(self.body))
 
 
 def _expected_block_count(bit_count: int, z: int) -> int:
@@ -55,8 +64,6 @@ def seal(message: bytes, key: CipherKey) -> CipherEnvelope:
     compressed = bits.pack()
     tag = auth.mac(key.mac_key, compressed)
     kp = key.matrix_pair
-    body = encrypt_message(compressed, kp)
-    blocks = tuple(struct.Struct(f">{kp.z * kp.z}q").iter_unpack(body))
     return CipherEnvelope(
         version=VERSION,
         z=kp.z,
@@ -64,7 +71,7 @@ def seal(message: bytes, key: CipherKey) -> CipherEnvelope:
         plain_byte_count=len(message),
         compressed_bit_count=len(bits),
         compressed_symbol_count=len(message),
-        blocks=blocks,
+        body=encrypt_message(compressed, kp),
         tag=tag,
     )
 
@@ -76,14 +83,7 @@ def open(env: CipherEnvelope, key: CipherKey) -> bytes:  # noqa: A001 - mirrors 
     kp = key.matrix_pair
     if env.z != kp.z or env.scale_exp != kp.scale_exp:
         raise CorruptionError("envelope was sealed under different key parameters")
-    byte_count = (env.compressed_bit_count + 7) // 8
-    entry_struct = struct.Struct(f">{kp.z * kp.z}q")
-    try:
-        body = b"".join([entry_struct.pack(*block) for block in env.blocks])
-    except struct.error:  # a block of the wrong length or an entry beyond int64
-        compressed = decrypt_blocks(env.blocks, kp, byte_count)
-    else:
-        compressed = decrypt_message(body, kp, byte_count)
+    compressed = decrypt_message(env.body, kp, (env.compressed_bit_count + 7) // 8)
     if not auth.verify(key.mac_key, compressed, env.tag):
         raise AuthenticationError("MAC tag mismatch: data attack or wrong key")
     bits = BitString.unpack(compressed, env.compressed_bit_count)
@@ -94,30 +94,23 @@ def open(env: CipherEnvelope, key: CipherKey) -> bytes:  # noqa: A001 - mirrors 
 
 
 def serialize(env: CipherEnvelope) -> bytes:
-    """Render the exact wire bytes for an envelope."""
-    parts = [
-        _HEADER.pack(
-            MAGIC,
-            env.version,
-            env.z,
-            env.scale_exp,
-            env.plain_byte_count,
-            env.compressed_symbol_count,
-            env.compressed_bit_count,
-            len(env.blocks),
+    """Render the exact wire bytes for an envelope: header, body, tag."""
+    block_size = 8 * env.z * env.z
+    if len(env.body) % block_size:
+        raise CorruptionError(
+            f"body of {len(env.body)} bytes is not whole blocks of order {env.z}"
         )
-    ]
-    cells = env.z * env.z
-    entry_struct = struct.Struct(f">{cells}q")
-    for block in env.blocks:
-        if len(block) != cells:
-            raise CorruptionError("block length disagrees with the envelope header")
-        try:
-            parts.append(entry_struct.pack(*block))
-        except struct.error as exc:
-            raise WireOverflowError(f"scaled entry does not fit the wire: {exc}") from exc
-    parts.append(env.tag)
-    return b"".join(parts)
+    header = _HEADER.pack(
+        MAGIC,
+        env.version,
+        env.z,
+        env.scale_exp,
+        env.plain_byte_count,
+        env.compressed_symbol_count,
+        env.compressed_bit_count,
+        len(env.body) // block_size,
+    )
+    return b"".join((header, env.body, env.tag))
 
 
 def deserialize(data: bytes) -> CipherEnvelope:
@@ -137,12 +130,9 @@ def deserialize(data: bytes) -> CipherEnvelope:
         raise ParseError(f"invalid scale exponent {scale_exp}")
     if block_count != _expected_block_count(bit_count, z):
         raise ParseError("block count disagrees with the compressed bit count")
-    cells = z * z
-    expected = _HEADER.size + block_count * cells * 8 + _TAG_SIZE
+    expected = _HEADER.size + block_count * z * z * 8 + _TAG_SIZE
     if len(data) != expected:
         raise ParseError(f"envelope length {len(data)} != expected {expected}")
-    body = memoryview(data)[_HEADER.size : -_TAG_SIZE]
-    blocks = tuple(struct.Struct(f">{cells}q").iter_unpack(body))
     return CipherEnvelope(
         version=version,
         z=z,
@@ -150,6 +140,6 @@ def deserialize(data: bytes) -> CipherEnvelope:
         plain_byte_count=plain_count,
         compressed_bit_count=bit_count,
         compressed_symbol_count=symbol_count,
-        blocks=blocks,
-        tag=data[-_TAG_SIZE:],
+        body=bytes(data[_HEADER.size : -_TAG_SIZE]),
+        tag=bytes(data[-_TAG_SIZE:]),
     )

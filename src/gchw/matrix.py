@@ -30,10 +30,6 @@ class SquareMatrix:
     def identity(cls, order: int) -> "SquareMatrix":
         return cls([[1 if i == j else 0 for j in range(order)] for i in range(order)])
 
-    @classmethod
-    def zeros(cls, order: int) -> "SquareMatrix":
-        return cls([[0] * order for _ in range(order)])
-
     def __eq__(self, other):
         if not isinstance(other, SquareMatrix):
             return NotImplemented
@@ -41,9 +37,6 @@ class SquareMatrix:
 
     def __repr__(self):
         return f"SquareMatrix({[list(row) for row in self.rows]!r})"
-
-    def __rmul__(self, scalar) -> "SquareMatrix":
-        return SquareMatrix([[scalar * x for x in row] for row in self.rows])
 
     def __matmul__(self, other: "SquareMatrix") -> "SquareMatrix":
         if self.order != other.order:

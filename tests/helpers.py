@@ -1,4 +1,4 @@
-"""Test-only helpers over library objects: FGK code paths, 0/1 bit strings, matrix sums."""
+"""Test-only helpers over library objects: FGK code paths, 0/1 bit strings, matrix arithmetic."""
 
 from gchw.bits import BitString
 from gchw.errors import ParameterError, ShapeError
@@ -61,3 +61,12 @@ def matrix_add(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
     if a.order != b.order:
         raise ShapeError("orders differ")
     return SquareMatrix([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)])
+
+
+def zeros(order: int) -> SquareMatrix:
+    return SquareMatrix([[0] * order for _ in range(order)])
+
+
+def scale(k, m: SquareMatrix) -> SquareMatrix:
+    """The scalar multiple k * m."""
+    return SquareMatrix([[k * x for x in row] for row in m.rows])

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_key
 from gchw import blockcipher
 from gchw.blockcipher import (
-    CHUNK_BLOCKS,
+    CHUNK_ENTRIES,
     INT64_MAX,
     INT64_MIN,
     PAD,
@@ -229,7 +229,8 @@ def test_encrypt_message_matches_the_per_block_route(level):
     kp = level_pair(level)
     cells = kp.z * kp.z
     rng = random.Random(level)
-    for length in (0, 1, cells - 1, cells, cells + 1, CHUNK_BLOCKS * cells + 1):
+    first_pass = CHUNK_ENTRIES // cells * cells  # one more byte starts a second pass
+    for length in (0, 1, cells - 1, cells, cells + 1, first_pass + 1):
         data = rng.randbytes(length)
         body = encrypt_message(data, kp)
         assert body == per_block_body(data, kp), length
@@ -318,6 +319,25 @@ def test_key_with_det_zero_mod_p_uses_the_per_block_route(monkeypatch):
     del products[:]
     assert decrypt_message(body, kp, len(data)) == data
     assert products and all(cols == kp.adjugate_scaled_cols for cols in products)
+
+
+def test_a_pass_holds_at_most_2_to_the_14_entries(monkeypatch):
+    # at Z = 32 a pass is 16 blocks, so 40 blocks take three passes
+    kp = level_pair(5)
+    assert kp.z == 32
+    data = random.Random(5).randbytes(40 * 1024 - 100)
+    body = encrypt_message(data, kp)
+    sizes = []
+    real_pass = blockcipher._decrypt_pass
+
+    def recording_pass(chunk, *args):
+        sizes.append(len(chunk))
+        return real_pass(chunk, *args)
+
+    monkeypatch.setattr(blockcipher, "_decrypt_pass", recording_pass)
+    assert decrypt_message(body, kp, len(data)) == data
+    assert sizes == [1 << 14, 1 << 14, 8 * 1024]
+    assert body == per_block_body(data, kp)
 
 
 def test_decrypt_message_rejects_a_partial_block():

@@ -1,6 +1,7 @@
 """Seal/open pipeline, the wire format, and tamper behaviour."""
 
 import dataclasses
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from gchw.errors import (
     CorruptionError,
     GchwError,
     ParseError,
+    ShapeError,
 )
 from gchw.keyschedule import MAX_LEVEL
 from gchw.recurrence import RecurrenceKind
@@ -119,9 +121,34 @@ def test_invalid_block_order_is_parse_error(key, z):
 
 def test_serialize_rejects_block_of_wrong_length(key):
     env = envelope.seal(MESSAGE, key)
-    short = dataclasses.replace(env, blocks=(env.blocks[0][:-1],) + env.blocks[1:])
-    with pytest.raises(CorruptionError, match="block length"):
+    short = dataclasses.replace(env, body=env.body[:-8])  # the last block is one entry short
+    with pytest.raises(CorruptionError, match="not whole blocks"):
         envelope.serialize(short)
+
+
+@pytest.mark.parametrize("cut", [-1, 1, 8])
+def test_body_that_is_not_whole_blocks_is_a_typed_error(key, cut):
+    env = envelope.seal(MESSAGE, key)
+    body = env.body[:cut] if cut < 0 else env.body + bytes(cut)
+    forged = dataclasses.replace(env, body=body)
+    with pytest.raises(ShapeError, match="not whole blocks"):
+        envelope.open(forged, key)
+    with pytest.raises(CorruptionError, match="not whole blocks"):
+        envelope.serialize(forged)
+
+
+@pytest.mark.parametrize("message", [b"", MESSAGE_1, MESSAGE])
+def test_serialize_embeds_the_body_verbatim(key, message):
+    env = envelope.seal(message, key)
+    wire = envelope.serialize(env)
+    header = envelope._HEADER
+    assert wire == wire[: header.size] + env.body + env.tag
+    assert len(env.blocks) == header.unpack_from(wire)[-1]
+    assert all(len(block) == env.z * env.z for block in env.blocks)
+    for data in (wire, bytearray(wire), memoryview(wire)):
+        parsed = envelope.deserialize(data)
+        assert type(parsed.body) is bytes and type(parsed.tag) is bytes
+        assert parsed == env and hash(parsed) == hash(env)
 
 
 def test_scale_mismatch_is_corruption(key):
@@ -244,23 +271,19 @@ def test_every_bit_flip_fails_like_the_per_block_route(level):
     }
 
 
-def _replace_entry(blocks, b, i, value):
-    blocks = [list(x) for x in blocks]
-    blocks[b][i] = value
-    return tuple(map(tuple, blocks))
+def _nudge(body, entry, delta):
+    """``body`` with its int64 entry number ``entry`` moved by ``delta``."""
+    out = bytearray(body)
+    (value,) = struct.unpack_from(">q", out, 8 * entry)
+    struct.pack_into(">q", out, 8 * entry, value + delta)
+    return bytes(out)
 
 
+# each maps (body, bytes per block) to a tampered body of whole blocks
 IN_MEMORY_TAMPERS = {
-    "entry above int64": lambda bl: _replace_entry(bl, 1, 3, 1 << 63),
-    "entry below int64": lambda bl: _replace_entry(bl, 0, 0, -(1 << 63) - 1),
-    "entry above int64 after a corrupt block": lambda bl: _replace_entry(
-        _replace_entry(bl, 0, 1, bl[0][1] + 1), 2, 0, 1 << 64
-    ),
-    "short block": lambda bl: bl[:1] + (bl[1][:-1],) + bl[2:],
-    "long block": lambda bl: bl[:1] + (bl[1] + (0,),) + bl[2:],
-    "missing block": lambda bl: bl[:-1],
-    "extra block": lambda bl: bl + bl[:1],
-    "no blocks": lambda bl: (),
+    "missing block": lambda body, size: body[:-size],
+    "extra block": lambda body, size: body + body[:size],
+    "no blocks": lambda body, size: b"",
 }
 
 
@@ -268,7 +291,8 @@ IN_MEMORY_TAMPERS = {
 def test_in_memory_tampering_fails_like_the_per_block_route(name, key):
     env = envelope.seal(MESSAGE, key)
     assert len(env.blocks) >= 3
-    forged = dataclasses.replace(env, blocks=IN_MEMORY_TAMPERS[name](env.blocks))
+    body = IN_MEMORY_TAMPERS[name](env.body, 8 * env.z * env.z)
+    forged = dataclasses.replace(env, body=body)
     expected = open_outcome(reference_open, forged, key)
     assert isinstance(expected, tuple)
     assert open_outcome(envelope.open, forged, key) == expected
@@ -279,11 +303,11 @@ def test_moved_padding_with_a_later_corrupt_block_names_the_block(key, bit_delta
     # the count change misplaces the padding in the last block, but the
     # per-block route decrypts every block first, so the corrupt one wins
     env = envelope.seal(MESSAGE, key)
-    blocks = _replace_entry(env.blocks, len(env.blocks) - 1, 2, env.blocks[-1][2] + 1)
+    body = _nudge(env.body, len(env.body) // 8 - env.z * env.z + 2, 1)  # the last block's entry 2
     for forged in (
         dataclasses.replace(env, compressed_bit_count=env.compressed_bit_count + bit_delta),
         dataclasses.replace(
-            env, compressed_bit_count=env.compressed_bit_count + bit_delta, blocks=blocks
+            env, compressed_bit_count=env.compressed_bit_count + bit_delta, body=body
         ),
     ):
         expected = open_outcome(reference_open, forged, key)

@@ -19,7 +19,7 @@ from gchw.keyschedule import (
 )
 from gchw.matrix import SquareMatrix
 from gchw.recurrence import RecurrenceKind
-from helpers import dyadic_exponent
+from helpers import dyadic_exponent, scale
 
 LEVEL1_KEY_MATRIX = SquareMatrix([[F(1, 4), F(-1, 2)], [F(-1, 2), 1]])
 
@@ -27,10 +27,10 @@ LEVEL1_KEY_MATRIX = SquareMatrix([[F(1, 4), F(-1, 2)], [F(-1, 2), 1]])
 def assert_exact_adjugate(kp):
     """E_scaled = e * 2^s is nonsingular and (e * 2^s) @ adj = det * I."""
     scaled = SquareMatrix(kp.e_scaled)
-    assert scaled == (1 << kp.scale_exp) * kp.e
+    assert scaled == scale(1 << kp.scale_exp, kp.e)
     assert kp.det_scaled != 0
     adj = SquareMatrix(kp.adjugate_scaled)
-    assert scaled @ adj == kp.det_scaled * SquareMatrix.identity(kp.z)
+    assert scaled @ adj == scale(kp.det_scaled, SquareMatrix.identity(kp.z))
 
 
 def test_golden_base_examples():

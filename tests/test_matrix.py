@@ -7,7 +7,7 @@ import pytest
 
 from gchw.errors import ShapeError
 from gchw.matrix import SquareMatrix, det_adjugate
-from helpers import dyadic_exponent, matrix_add
+from helpers import dyadic_exponent, matrix_add, scale, zeros
 
 
 def permutation_det(m):
@@ -39,7 +39,7 @@ def test_identity_and_equality():
     eye = SquareMatrix.identity(3)
     assert eye == SquareMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert eye.rows[0][0] == Fraction(1)
-    assert SquareMatrix.zeros(2) == SquareMatrix([[0, 0], [0, 0]])
+    assert zeros(2) == SquareMatrix([[0, 0], [0, 0]])
 
 
 def test_det_matches_permutation_expansion(rng):
@@ -71,7 +71,7 @@ def test_det_adjugate_matches_oracle(rng):
             assert adj is None
             singular += 1
         else:
-            scaled_identity = det * SquareMatrix.identity(m.order)
+            scaled_identity = scale(det, SquareMatrix.identity(m.order))
             assert m @ SquareMatrix(adj) == scaled_identity
             assert SquareMatrix(adj) @ m == scaled_identity
     assert 0 < singular < len(cases)
@@ -100,4 +100,4 @@ def test_add_and_scalar_multiply():
     a = SquareMatrix([[1, 2], [3, 4]])
     b = SquareMatrix([[10, 0], [0, 10]])
     assert matrix_add(a, b) == SquareMatrix([[11, 2], [3, 14]])
-    assert 2 * a == SquareMatrix([[2, 4], [6, 8]])
+    assert scale(2, a) == SquareMatrix([[2, 4], [6, 8]])

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from gchw.errors import ShapeError
 from gchw.matrix import SquareMatrix
 from gchw.wavelet import haar2d_forward, haar2d_inverse, lift_forward_1d, lift_inverse_1d
-from helpers import dyadic_exponent, matrix_add
+from helpers import dyadic_exponent, matrix_add, scale, zeros
 
 # known answers: the transforms of a padded unit matrix at levels 1 and 2
 LEVEL1_KEY = SquareMatrix([[F(1, 4), F(-1, 2)], [F(-1, 2), 1]])
@@ -67,7 +67,7 @@ def test_haar2d_level2_key_matrix():
 
 
 def test_haar2d_zero_fixed_point():
-    zero = SquareMatrix.zeros(8)
+    zero = zeros(8)
     for levels in (1, 2, 3):
         assert haar2d_forward(zero, levels) == zero
         assert haar2d_inverse(zero, levels) == zero
@@ -113,8 +113,8 @@ def test_haar2d_linearity(a, seed):
     r = random.Random(seed)
     m1 = SquareMatrix([[r.randint(-50, 50) for _ in range(4)] for _ in range(4)])
     m2 = SquareMatrix([[r.randint(-50, 50) for _ in range(4)] for _ in range(4)])
-    lhs = haar2d_forward(matrix_add(a * m1, m2), 2)
-    rhs = matrix_add(a * haar2d_forward(m1, 2), haar2d_forward(m2, 2))
+    lhs = haar2d_forward(matrix_add(scale(a, m1), m2), 2)
+    rhs = matrix_add(scale(a, haar2d_forward(m1, 2)), haar2d_forward(m2, 2))
     assert lhs == rhs
 
 
