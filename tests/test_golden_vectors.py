@@ -49,6 +49,13 @@ def english_like(size: int, seed: int) -> bytes:
     return bytes(out[:size])
 
 
+def shuffled_byte_values(seed: int) -> bytes:
+    """Every byte value once, in a seeded order: 256 literals and NYT spawns."""
+    values = list(range(256))
+    random.Random(seed).shuffle(values)
+    return bytes(values)
+
+
 # (payload, compressed bit count, SHA-256 of the packed stream)
 BULK_VECTORS = {
     "text-64KiB": (
@@ -60,6 +67,16 @@ BULK_VECTORS = {
         lambda: random.Random(2015).randbytes(8192),
         68158,
         "0fa163bed209bb0bfa2207ca489089580a27729c20f84f27fbf42df55ad07550",
+    ),
+    "all-bytes-shuffled": (
+        lambda: shuffled_byte_values(2015),
+        4088,
+        "195ef54e6164c23e894a5cb8f596fbfb6608d9d3d7287c77d3ad9187e4c95d7f",
+    ),
+    "random-300B": (
+        lambda: random.Random(2015).randbytes(300),
+        3589,
+        "ae54162b0c8344ee0e9638e588845a15c768bf694001b19b304da1e48bc47614",
     ),
 }
 
