@@ -9,14 +9,19 @@ same update procedure, so encoder and decoder trees never diverge.
 The update walks from the symbol's leaf to the root.  At each node it first
 swaps the node with the highest-numbered node of equal weight (the block
 leader, never the node's own parent), then increments the node's weight.
-Keeping same-weight nodes on consecutive numbers is exactly the sibling
-property, so the leader can be found by scanning upward from the node's
-own number.
+The sibling property keeps weights non-decreasing by number, so weights are
+stored by number (``weight_at``) and the leader is found by bisecting that
+array for the first number of a larger weight.  A node whose next number
+holds a larger weight leads its own block and needs no search; on text that
+is almost every node.
 """
 
 from __future__ import annotations
 
-from .bits import BitString
+from bisect import bisect_left
+from math import inf
+
+from .bits import _FROM_ASCII, _TO_ASCII, BitString
 from .errors import CorruptStreamError
 
 ALPHABET_SIZE = 256
@@ -30,12 +35,14 @@ class AdaptiveHuffmanTree:
     """Mutable FGK tree state, identical on the encoding and decoding side.
 
     Nodes live in parallel arrays indexed by allocation order; ``node_at``
-    maps a sibling-property number back to its node.  The NYT leaf is the
-    node whose id equals ``nyt``.
+    maps a sibling-property number back to its node and ``weight_at`` holds
+    the weight at each number.  Numbers below the NYT's hold -1 and one
+    infinite sentinel sits above the root, so ``weight_at`` is sorted end to
+    end.  The NYT leaf is the node whose id equals ``nyt``.
     """
 
     __slots__ = (
-        "weight",
+        "weight_at",
         "parent",
         "left",
         "right",
@@ -48,7 +55,7 @@ class AdaptiveHuffmanTree:
     )
 
     def __init__(self):
-        self.weight = [0]
+        self.weight_at = [-1] * _TOP_NUMBER + [0, inf]
         self.parent = [-1]
         self.left = [-1]
         self.right = [-1]
@@ -68,9 +75,9 @@ class AdaptiveHuffmanTree:
         """
         old = self.nyt
         base = self.number[old]
-        nyt = len(self.weight)
+        nyt = len(self.parent)
         leaf = nyt + 1
-        self.weight.extend((0, 0))
+        self.weight_at[base - 2] = self.weight_at[base - 1] = 0
         self.parent.extend((old, old))
         self.left.extend((-1, -1))
         self.right.extend((-1, -1))
@@ -90,60 +97,57 @@ class AdaptiveHuffmanTree:
         if node == -1:
             node = self._spawn(byte)
         # hottest loop in the codec: arrays bound to locals, swap inlined
-        weight = self.weight
+        weight_at = self.weight_at
         parent = self.parent
         left = self.left
         right = self.right
         number = self.number
         node_at = self.node_at
-        top = _TOP_NUMBER
         while node != -1:
-            w = weight[node]
             q = number[node]
-            while q < top:
-                above = node_at[q + 1]
-                if above == -1 or weight[above] != w:
-                    break
-                q += 1
-            leader = node_at[q]
+            w = weight_at[q]
             parent_node = parent[node]
-            if leader == parent_node:
-                # the parent is never a swap target; take the next candidate
-                leader = node_at[q - 1]
-            if leader != node:
-                pb = parent[leader]
-                if left[parent_node] == node:
-                    left[parent_node] = leader
-                else:
-                    right[parent_node] = leader
-                if left[pb] == leader:
-                    left[pb] = node
-                else:
-                    right[pb] = node
-                parent[node] = pb
-                parent[leader] = parent_node
-                na = number[node]
-                nb = number[leader]
-                number[node] = nb
-                number[leader] = na
-                node_at[na] = leader
-                node_at[nb] = node
-                weight[node] = w + 1
-                node = pb
-            else:
-                weight[node] = w + 1
-                node = parent_node
+            if weight_at[q + 1] == w:
+                # the block leader holds the last number of weight w
+                lead = bisect_left(weight_at, w + 1, q + 2) - 1
+                leader = node_at[lead]
+                if leader == parent_node:
+                    # the parent is never a swap target; take the next candidate
+                    lead -= 1
+                    leader = node_at[lead]
+                if leader != node:
+                    pb = parent[leader]
+                    if left[parent_node] == node:
+                        left[parent_node] = leader
+                    else:
+                        right[parent_node] = leader
+                    if left[pb] == leader:
+                        left[pb] = node
+                    else:
+                        right[pb] = node
+                    parent[leader] = parent_node
+                    parent[node] = pb
+                    number[leader] = q
+                    number[node] = lead
+                    node_at[q] = leader
+                    node_at[lead] = node
+                    parent_node = pb
+                    q = lead
+            # the swap moved an equal weight, so w still sits at q
+            weight_at[q] = w + 1
+            node = parent_node
 
     def snapshot(self):
         """Canonical nested-tuple rendering, for structural comparison."""
 
         def walk(node):
+            q = self.number[node]
             if self.left[node] == -1:
                 label = "NYT" if node == self.nyt else self.symbol[node]
-                return (self.number[node], self.weight[node], label)
+                return (q, self.weight_at[q], label)
             return (
-                self.number[node],
-                self.weight[node],
+                q,
+                self.weight_at[q],
                 walk(self.left[node]),
                 walk(self.right[node]),
             )
@@ -155,30 +159,32 @@ def check_sibling_property(tree: AdaptiveHuffmanTree) -> bool:
     """True iff the tree satisfies the FGK structural invariants.
 
     Checks: exactly one zero-weight NYT leaf, internal weights equal the sum
-    of their children, child numbers below parent numbers, and weights
-    non-decreasing when nodes are listed by increasing number.
+    of their children, child numbers below parent numbers, ``weight_at``
+    non-decreasing over the allocated numbers, and -1 below the NYT's.
     """
-    n = len(tree.weight)
-    if tree.left[tree.nyt] != -1 or tree.weight[tree.nyt] != 0:
+    weight = [tree.weight_at[q] for q in tree.number]
+    if tree.left[tree.nyt] != -1 or weight[tree.nyt] != 0:
         return False
-    for i in range(n):
+    for i in range(len(weight)):
         is_leaf = tree.left[i] == -1
         if is_leaf != (tree.right[i] == -1):
             return False
         if is_leaf:
-            if i != tree.nyt and tree.weight[i] == 0:
+            if i != tree.nyt and weight[i] == 0:
                 return False
         else:
-            if tree.weight[i] != tree.weight[tree.left[i]] + tree.weight[tree.right[i]]:
+            if weight[i] != weight[tree.left[i]] + weight[tree.right[i]]:
                 return False
             if (
                 tree.number[tree.left[i]] >= tree.number[i]
                 or tree.number[tree.right[i]] >= tree.number[i]
             ):
                 return False
-    by_number = sorted(range(n), key=lambda i: tree.number[i])
-    weights = [tree.weight[i] for i in by_number]
-    return all(a <= b for a, b in zip(weights, weights[1:]))
+    low = tree.number[tree.nyt]
+    if any(w != -1 for w in tree.weight_at[:low]):
+        return False
+    allocated = tree.weight_at[low : _TOP_NUMBER + 1]
+    return all(a <= b for a, b in zip(allocated, allocated[1:]))
 
 
 def encode(data: bytes) -> BitString:
@@ -207,7 +213,7 @@ def encode(data: bytes) -> BitString:
         emit(path)
         path.clear()
         if leaf == -1:
-            emit((byte >> shift) & 1 for shift in range(7, -1, -1))
+            emit(format(byte, "08b").encode().translate(_FROM_ASCII))
         update(byte)
     return out
 
@@ -226,18 +232,17 @@ def decode(bits: BitString, symbol_count: int) -> bytes:
     pos = 0
     for _ in range(symbol_count):
         node = root
-        while left[node] != -1:
-            if pos >= total:
-                raise CorruptStreamError("bit stream ended mid-code")
-            node = right[node] if stream[pos] else left[node]
-            pos += 1
+        try:
+            while left[node] != -1:
+                node = right[node] if stream[pos] else left[node]
+                pos += 1
+        except IndexError:
+            raise CorruptStreamError("bit stream ended mid-code") from None
         if node == tree.nyt:
             if pos + 8 > total:
                 raise CorruptStreamError("bit stream ended mid-literal")
-            byte = 0
-            for _ in range(8):
-                byte = (byte << 1) | stream[pos]
-                pos += 1
+            byte = int(stream[pos : pos + 8].translate(_TO_ASCII), 2)
+            pos += 8
         else:
             byte = symbol[node]
         out.append(byte)

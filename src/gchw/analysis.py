@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import struct
 from dataclasses import dataclass, replace
 
 from . import auth
@@ -160,7 +159,7 @@ def _regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 def cipher_series(env: CipherEnvelope) -> list[float]:
     """The body's ciphertext entries, in wire order, as reals (scaled ints / 2**scale_exp)."""
     scale = float(1 << env.scale_exp)
-    return [v / scale for v in struct.unpack(f">{len(env.body) // 8}q", env.body)]
+    return [v / scale for block in env.blocks for v in block]
 
 
 def seed_variant(key: CipherKey, index: int) -> CipherKey:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from . import ahuffman, auth
 from .bits import BitString
 from .blockcipher import decrypt_message, encrypt_message
-from .errors import AuthenticationError, CorruptionError, ParseError
+from .errors import AuthenticationError, CorruptionError, ParseError, ShapeError
 from .keyschedule import MAX_LEVEL, CipherKey
 
 MAGIC = b"GCHW"
@@ -51,7 +51,10 @@ class CipherEnvelope:
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """The body decoded into one tuple of z*z scaled entries per block."""
-        return tuple(struct.Struct(f">{self.z * self.z}q").iter_unpack(self.body))
+        block = struct.Struct(f">{self.z * self.z}q")
+        if len(self.body) % block.size:
+            raise ShapeError(f"body of {len(self.body)} bytes is not whole blocks of order {self.z}")
+        return tuple(block.iter_unpack(self.body))
 
 
 def _expected_block_count(bit_count: int, z: int) -> int:

@@ -1,5 +1,6 @@
-"""Test-only helpers over library objects: FGK code paths, 0/1 bit strings, matrix arithmetic."""
+"""Test-only helpers over library objects: FGK code paths and reference update, 0/1 bit strings, matrix arithmetic."""
 
+from gchw.ahuffman import ALPHABET_SIZE
 from gchw.bits import BitString
 from gchw.errors import ParameterError, ShapeError
 from gchw.matrix import SquareMatrix
@@ -28,6 +29,113 @@ def code_for(tree, byte: int) -> list[int]:
 
 def nyt_code(tree) -> list[int]:
     return path(tree, tree.nyt)
+
+
+_TOP_NUMBER = 2 * (ALPHABET_SIZE + 1) - 1
+
+
+class ReferenceTree:
+    """FGK tree with per-node weights, for :func:`reference_update`.
+
+    It keeps the library tree's numbering and its ``snapshot`` format, so
+    the two trees can be compared after every symbol.
+    """
+
+    def __init__(self):
+        self.weight = [0]
+        self.parent = [-1]
+        self.left = [-1]
+        self.right = [-1]
+        self.symbol = [-1]
+        self.number = [_TOP_NUMBER]
+        self.node_at = [-1] * (_TOP_NUMBER + 1)
+        self.node_at[_TOP_NUMBER] = 0
+        self.leaf_of = [-1] * ALPHABET_SIZE
+        self.root = 0
+        self.nyt = 0
+
+    def snapshot(self):
+        def walk(node):
+            if self.left[node] == -1:
+                label = "NYT" if node == self.nyt else self.symbol[node]
+                return (self.number[node], self.weight[node], label)
+            return (
+                self.number[node],
+                self.weight[node],
+                walk(self.left[node]),
+                walk(self.right[node]),
+            )
+
+        return walk(self.root)
+
+
+def reference_update(tree: ReferenceTree, byte: int) -> None:
+    """The FGK update that finds each block leader by scanning upward.
+
+    An independent oracle for ``AdaptiveHuffmanTree.update``: one number
+    at a time, it walks up while the next number holds the same weight.
+    """
+    node = tree.leaf_of[byte]
+    if node == -1:
+        # NYT gives birth: new NYT on the left, the symbol leaf on the right
+        old = tree.nyt
+        base = tree.number[old]
+        nyt = len(tree.weight)
+        node = nyt + 1
+        tree.weight.extend((0, 0))
+        tree.parent.extend((old, old))
+        tree.left.extend((-1, -1))
+        tree.right.extend((-1, -1))
+        tree.symbol.extend((-1, byte))
+        tree.number.extend((base - 2, base - 1))
+        tree.node_at[base - 2] = nyt
+        tree.node_at[base - 1] = node
+        tree.left[old] = nyt
+        tree.right[old] = node
+        tree.nyt = nyt
+        tree.leaf_of[byte] = node
+    weight = tree.weight
+    parent = tree.parent
+    left = tree.left
+    right = tree.right
+    number = tree.number
+    node_at = tree.node_at
+    while node != -1:
+        w = weight[node]
+        q = number[node]
+        while q < _TOP_NUMBER:
+            above = node_at[q + 1]
+            if above == -1 or weight[above] != w:
+                break
+            q += 1
+        leader = node_at[q]
+        parent_node = parent[node]
+        if leader == parent_node:
+            # the parent is never a swap target; take the next candidate
+            leader = node_at[q - 1]
+        if leader != node:
+            pb = parent[leader]
+            if left[parent_node] == node:
+                left[parent_node] = leader
+            else:
+                right[parent_node] = leader
+            if left[pb] == leader:
+                left[pb] = node
+            else:
+                right[pb] = node
+            parent[node] = pb
+            parent[leader] = parent_node
+            na = number[node]
+            nb = number[leader]
+            number[node] = nb
+            number[leader] = na
+            node_at[na] = leader
+            node_at[nb] = node
+            weight[node] = w + 1
+            node = pb
+        else:
+            weight[node] = w + 1
+            node = parent_node
 
 
 def bits_from01(text: str) -> BitString:

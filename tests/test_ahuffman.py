@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from gchw.ahuffman import AdaptiveHuffmanTree, check_sibling_property, decode, encode
 from gchw.bits import BitString
 from gchw.errors import CorruptStreamError
-from helpers import bits_from01, code_for, contains, nyt_code
+from helpers import ReferenceTree, bits_from01, code_for, contains, nyt_code, reference_update
+from test_golden_vectors import english_like
 
 
 def test_encode_empty():
@@ -72,7 +73,75 @@ def test_sibling_property_detects_corruption():
     for byte in b"abcabc":
         tree.update(byte)
     assert check_sibling_property(tree)
-    tree.weight[tree.leaf_of[ord("a")]] += 3
+    tree.weight_at[tree.number[tree.leaf_of[ord("a")]]] += 3
+    assert not check_sibling_property(tree)
+
+
+def assert_matches_reference(data: bytes) -> None:
+    """Bisecting and scanning updates build the same tree after every symbol."""
+    tree = AdaptiveHuffmanTree()
+    reference = ReferenceTree()
+    for byte in data:
+        tree.update(byte)
+        reference_update(reference, byte)
+        assert tree.snapshot() == reference.snapshot()
+
+
+def parent_tops_block(reference: ReferenceTree, byte: int) -> bool:
+    """True when the seen ``byte``'s parent leads the leaf's weight block."""
+    leaf = reference.leaf_of[byte]
+    weight = reference.weight[leaf]
+    parent = reference.parent[leaf]
+    above = reference.number[parent] + 1
+    return reference.weight[parent] == weight and (
+        above == len(reference.node_at) or reference.weight[reference.node_at[above]] != weight
+    )
+
+
+def test_update_matches_scanning_reference_on_random_bytes(rng):
+    for size in (1, 40, 300, 1500):
+        assert_matches_reference(rng.randbytes(size))
+
+
+def test_update_matches_scanning_reference_on_skewed_bytes(rng):
+    for alphabet in (2, 3, 7, 16, 61, 256):
+        weights = [1 / (rank + 1) ** 1.2 for rank in range(alphabet)]
+        symbols = rng.sample(range(256), alphabet)
+        assert_matches_reference(bytes(rng.choices(symbols, weights, k=600)))
+
+
+def test_update_matches_scanning_reference_on_text():
+    assert_matches_reference(english_like(3000, 8))
+
+
+def test_update_matches_scanning_reference_when_parent_tops_block():
+    # after "a" the root's children are NYT (0) and a (1): the root ties
+    # with a and leads their block, so the second "a" skips the parent
+    reference = ReferenceTree()
+    reference_update(reference, ord("a"))
+    assert parent_tops_block(reference, ord("a"))
+    assert_matches_reference(b"aabbbcab" * 3)
+
+
+def test_sibling_property_checks_weight_at_layout():
+    tree = AdaptiveHuffmanTree()
+    for byte in b"aaab":
+        tree.update(byte)
+    assert check_sibling_property(tree)
+    # renumber the root's children (weights 1 and 3) against their order:
+    # every parent still outnumbers its children, but weight_at is unsorted
+    low, high = tree.left[tree.root], tree.right[tree.root]
+    q_low, q_high = tree.number[low], tree.number[high]
+    tree.number[low], tree.number[high] = q_high, q_low
+    tree.node_at[q_low], tree.node_at[q_high] = high, low
+    tree.weight_at[q_low], tree.weight_at[q_high] = tree.weight_at[q_high], tree.weight_at[q_low]
+    assert tree.weight_at[q_low] > tree.weight_at[q_high]
+    assert not check_sibling_property(tree)
+
+    tree = AdaptiveHuffmanTree()
+    for byte in b"aaab":
+        tree.update(byte)
+    tree.weight_at[tree.number[tree.nyt] - 1] = 0  # below the NYT must hold -1
     assert not check_sibling_property(tree)
 
 
@@ -110,27 +179,37 @@ def test_encoder_decoder_trees_stay_synchronized(rng):
 
 
 def test_decode_rejects_truncation():
-    bits = encode(b"adaptive")
-    truncated = BitString(bits.bits[:-1])
-    with pytest.raises(CorruptStreamError):
-        decode(truncated, 8)
+    bits = encode(b"adaptive")  # ends with the NYT code and the literal "e"
+    for cut in (1, 5, 8):
+        truncated = BitString(bits.bits[:-cut])
+        with pytest.raises(CorruptStreamError, match="^bit stream ended mid-literal$"):
+            decode(truncated, 8)
+
+
+def test_decode_names_a_stream_that_ends_mid_code():
+    data = b"abcabc"
+    start = len(encode(data[:-1]))
+    bits = encode(data)
+    assert len(bits) - start >= 2  # the last "c" is a code of two bits or more
+    with pytest.raises(CorruptStreamError, match="^bit stream ended mid-code$"):
+        decode(BitString(bits.bits[: start + 1]), len(data))
 
 
 def test_decode_rejects_trailing_bits():
     bits = encode(b"adaptive")
     bits.append(0)
-    with pytest.raises(CorruptStreamError):
+    with pytest.raises(CorruptStreamError, match="^trailing bits after the final symbol$"):
         decode(bits, 8)
 
 
 def test_decode_rejects_wrong_symbol_count():
     bits = encode(b"adaptive")
-    with pytest.raises(CorruptStreamError):
+    with pytest.raises(CorruptStreamError, match="^trailing bits after the final symbol$"):
         decode(bits, 7)
-    with pytest.raises(CorruptStreamError):
+    with pytest.raises(CorruptStreamError, match="^bit stream ended mid-code$"):
         decode(bits, 9)
 
 
 def test_decode_rejects_bit_starvation_on_literal():
-    with pytest.raises(CorruptStreamError):
+    with pytest.raises(CorruptStreamError, match="^bit stream ended mid-literal$"):
         decode(bits_from01("0110"), 1)

@@ -1,6 +1,8 @@
 """Statistics against quadrature oracles, plus the replication properties."""
 
+import dataclasses
 import math
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +20,7 @@ from gchw.analysis import (
     student_t_p_two_sided,
     unpaired_t,
 )
-from gchw.errors import StatisticsError
+from gchw.errors import ShapeError, StatisticsError
 
 MESSAGE = b"Cryptographist is the science of overt secret writing"
 MESSAGE_2 = b"meet me after party"
@@ -162,6 +164,22 @@ def test_repeated_characters_disperse(key):
 def test_contrast_csv_empty(key):
     env = envelope.seal(b"", key)
     assert contrast_csv(b"", env) == "index,plain_value,cipher_value\n"
+
+
+def test_cipher_series_is_the_body_in_wire_order(key):
+    env = envelope.seal(MESSAGE, key)
+    entries = struct.unpack(f">{len(env.body) // 8}q", env.body)
+    assert cipher_series(env) == [v / (1 << env.scale_exp) for v in entries]
+
+
+@pytest.mark.parametrize("cut", [-1, -8])
+def test_cipher_series_of_a_body_that_is_not_whole_blocks_is_a_typed_error(key, cut):
+    sealed = envelope.seal(MESSAGE, key)
+    env = dataclasses.replace(sealed, body=sealed.body[:cut])
+    with pytest.raises(ShapeError, match="not whole blocks"):
+        cipher_series(env)
+    with pytest.raises(ShapeError, match="not whole blocks"):
+        contrast_csv(MESSAGE, env)
 
 
 def test_contrast_csv_row_counts(key):

@@ -135,6 +135,8 @@ def test_body_that_is_not_whole_blocks_is_a_typed_error(key, cut):
         envelope.open(forged, key)
     with pytest.raises(CorruptionError, match="not whole blocks"):
         envelope.serialize(forged)
+    with pytest.raises(ShapeError, match="not whole blocks"):
+        forged.blocks
 
 
 @pytest.mark.parametrize("message", [b"", MESSAGE_1, MESSAGE])
