@@ -1,6 +1,6 @@
 """Test-only helpers over library objects: FGK code paths and reference update, 0/1 bit strings, matrix arithmetic."""
 
-from gchw.ahuffman import ALPHABET_SIZE
+from gchw.ahuffman import _TOP_NUMBER, ALPHABET_SIZE
 from gchw.bits import BitString
 from gchw.errors import ParameterError, ShapeError
 from gchw.matrix import SquareMatrix
@@ -29,9 +29,6 @@ def code_for(tree, byte: int) -> list[int]:
 
 def nyt_code(tree) -> list[int]:
     return path(tree, tree.nyt)
-
-
-_TOP_NUMBER = 2 * (ALPHABET_SIZE + 1) - 1
 
 
 class ReferenceTree:
