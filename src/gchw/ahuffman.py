@@ -1,19 +1,20 @@
 """One-pass adaptive Huffman (FGK) codec over the byte alphabet.
 
 The tree starts as a single zero-weight NYT leaf standing for every symbol
-not yet transmitted.  A known symbol emits its current code (left edge = 0,
-right edge = 1); an unseen symbol emits the current NYT code followed by
-the raw 8-bit literal, MSB first.  After each symbol both sides run the
-same update procedure, so encoder and decoder trees never diverge.
+not yet transmitted.  A known symbol emits its current code; an unseen
+symbol emits the current NYT code followed by the raw 8-bit literal, MSB
+first.  After each symbol both sides run the same update, so encoder and
+decoder trees never diverge.
 
-The update walks from the symbol's leaf to the root.  At each node it first
-swaps the node with the highest-numbered node of equal weight (the block
-leader, never the node's own parent), then increments the node's weight.
-The sibling property keeps weights non-decreasing by number, so weights are
-stored by number (``weight_at``) and the leader is found by bisecting that
-array for the first number of a larger weight.  A node whose next number
-holds a larger weight leads its own block and needs no search; on text that
-is almost every node.
+The tree is stored by sibling-property number alone (Knuth 1985; Vitter,
+ACM TOMS 15(2), 1989): the root is at 512 and siblings sit at {2k, 2k+1}.
+The update walks from the symbol's leaf to the root.  At each number it
+first swaps contents (subtree or symbol, and the equal weight) with the
+highest number of equal weight (the block leader, never the parent), then
+increments the weight.  When the two are siblings, the parent's 0-child
+becomes the leader's number, where the moved node now sits.  Weights are
+non-decreasing by number, so the leader is found by bisecting
+``weight_at``, and only when the next number holds the same weight.
 """
 
 from __future__ import annotations
@@ -25,165 +26,125 @@ from .bits import _FROM_ASCII, _TO_ASCII, BitString
 from .errors import CorruptStreamError
 
 ALPHABET_SIZE = 256
-# The byte alphabet plus NYT gives at most 257 leaves, hence 2*257 - 1
-# nodes.  The root keeps the top number; each NYT spawn claims the two
-# numbers directly below the old NYT's.
-_TOP_NUMBER = 2 * (ALPHABET_SIZE + 1) - 1
+NYT = ALPHABET_SIZE  # the symbol of the not-yet-transmitted leaf
+# At most 257 leaves, hence 2*257 - 1 numbers.  The root keeps the top one;
+# each NYT spawn claims the two numbers directly below the old NYT's.
+_TOP_NUMBER = 2 * ALPHABET_SIZE
 
 
 class AdaptiveHuffmanTree:
     """Mutable FGK tree state, identical on the encoding and decoding side.
 
-    Nodes live in parallel arrays indexed by allocation order; ``node_at``
-    maps a sibling-property number back to its node and ``weight_at`` holds
-    the weight at each number.  Numbers below the NYT's hold -1 and one
-    infinite sentinel sits above the root, so ``weight_at`` is sorted end to
-    end.  The NYT leaf is the node whose id equals ``nyt``.
+    Four arrays indexed by number: ``weight_at[q]`` is the weight, ``up[q]``
+    the parent's number (-1 at the root), ``kid[q]`` the 0-child's number
+    (the 1-child is at ``kid[q] ^ 1``) or ``~symbol`` at a leaf, and
+    ``leaf_at[s]`` the number of symbol ``s``'s leaf (-1 while unseen; the
+    NYT is at ``leaf_at[NYT]``).  Numbers below the NYT's hold weight -1 and
+    an infinite sentinel sits above the root, so ``weight_at`` is sorted.
     """
 
-    __slots__ = (
-        "weight_at",
-        "parent",
-        "left",
-        "right",
-        "symbol",
-        "number",
-        "node_at",
-        "leaf_of",
-        "root",
-        "nyt",
-    )
+    __slots__ = ("weight_at", "up", "kid", "leaf_at")
 
     def __init__(self):
         self.weight_at = [-1] * _TOP_NUMBER + [0, inf]
-        self.parent = [-1]
-        self.left = [-1]
-        self.right = [-1]
-        self.symbol = [-1]
-        self.number = [_TOP_NUMBER]
-        self.node_at = [-1] * (_TOP_NUMBER + 1)
-        self.node_at[_TOP_NUMBER] = 0
-        self.leaf_of = [-1] * ALPHABET_SIZE
-        self.root = 0
-        self.nyt = 0
+        self.up = [-1] * (_TOP_NUMBER + 1)
+        self.kid = [0] * _TOP_NUMBER + [~NYT]
+        self.leaf_at = [-1] * ALPHABET_SIZE + [_TOP_NUMBER]
 
     def _spawn(self, byte: int) -> int:
-        """NYT gives birth: new NYT on the left, the symbol leaf on the right.
-
-        The new NYT takes the lower of the two freed numbers; the old NYT
-        becomes an internal node and keeps its own number.
-        """
-        old = self.nyt
-        base = self.number[old]
-        nyt = len(self.parent)
-        leaf = nyt + 1
-        self.weight_at[base - 2] = self.weight_at[base - 1] = 0
-        self.parent.extend((old, old))
-        self.left.extend((-1, -1))
-        self.right.extend((-1, -1))
-        self.symbol.extend((-1, byte))
-        self.number.extend((base - 2, base - 1))
-        self.node_at[base - 2] = nyt
-        self.node_at[base - 1] = leaf
-        self.left[old] = nyt
-        self.right[old] = leaf
-        self.nyt = nyt
-        self.leaf_of[byte] = leaf
-        return leaf
+        """The NYT becomes the parent of a new NYT (0-child) and the byte's leaf."""
+        old = self.leaf_at[NYT]
+        nyt = old - 2
+        self.weight_at[nyt:old] = (0, 0)
+        self.up[nyt:old] = (old, old)
+        self.kid[nyt : old + 1] = (~NYT, ~byte, nyt)
+        self.leaf_at[NYT] = nyt
+        self.leaf_at[byte] = nyt + 1
+        return nyt + 1
 
     def update(self, byte: int) -> None:
         """Account for one occurrence of ``byte``, preserving the sibling property."""
-        node = self.leaf_of[byte]
-        if node == -1:
-            node = self._spawn(byte)
+        q = self.leaf_at[byte]
+        if q == -1:
+            q = self._spawn(byte)
         # hottest loop in the codec: arrays bound to locals, swap inlined
         weight_at = self.weight_at
-        parent = self.parent
-        left = self.left
-        right = self.right
-        number = self.number
-        node_at = self.node_at
-        while node != -1:
-            q = number[node]
+        up = self.up
+        kid = self.kid
+        leaf_at = self.leaf_at
+        while q != -1:
             w = weight_at[q]
-            parent_node = parent[node]
             if weight_at[q + 1] == w:
                 # the block leader holds the last number of weight w
                 lead = bisect_left(weight_at, w + 1, q + 2) - 1
-                leader = node_at[lead]
-                if leader == parent_node:
+                p = up[q]
+                if lead == p:
                     # the parent is never a swap target; take the next candidate
                     lead -= 1
-                    leader = node_at[lead]
-                if leader != node:
-                    pb = parent[leader]
-                    if left[parent_node] == node:
-                        left[parent_node] = leader
+                if lead != q:
+                    a, b = kid[q], kid[lead]
+                    kid[q], kid[lead] = b, a
+                    if a < 0:
+                        leaf_at[~a] = lead
                     else:
-                        right[parent_node] = leader
-                    if left[pb] == leader:
-                        left[pb] = node
+                        up[a] = up[a ^ 1] = lead
+                    if b < 0:
+                        leaf_at[~b] = q
                     else:
-                        right[pb] = node
-                    parent[leader] = parent_node
-                    parent[node] = pb
-                    number[leader] = q
-                    number[node] = lead
-                    node_at[q] = leader
-                    node_at[lead] = node
-                    parent_node = pb
+                        up[b] = up[b ^ 1] = q
+                    if up[lead] == p:
+                        # siblings: the moved node is the 0-child
+                        kid[p] = lead
                     q = lead
             # the swap moved an equal weight, so w still sits at q
             weight_at[q] = w + 1
-            node = parent_node
+            q = up[q]
 
     def snapshot(self):
         """Canonical nested-tuple rendering, for structural comparison."""
 
-        def walk(node):
-            q = self.number[node]
-            if self.left[node] == -1:
-                label = "NYT" if node == self.nyt else self.symbol[node]
-                return (q, self.weight_at[q], label)
-            return (
-                q,
-                self.weight_at[q],
-                walk(self.left[node]),
-                walk(self.right[node]),
-            )
+        def walk(q):
+            k = self.kid[q]
+            if k < 0:
+                return (q, self.weight_at[q], "NYT" if k == ~NYT else ~k)
+            return (q, self.weight_at[q], walk(k), walk(k ^ 1))
 
-        return walk(self.root)
+        return walk(_TOP_NUMBER)
 
 
 def check_sibling_property(tree: AdaptiveHuffmanTree) -> bool:
     """True iff the tree satisfies the FGK structural invariants.
 
-    Checks: exactly one zero-weight NYT leaf, internal weights equal the sum
-    of their children, child numbers below parent numbers, ``weight_at``
-    non-decreasing over the allocated numbers, and -1 below the NYT's.
+    Checks: exactly one zero-weight NYT leaf, nonzero weight at every other
+    leaf, internal weights equal the sum of their children, children below
+    their parent, ``up`` and ``leaf_at`` agreeing with ``kid``, every
+    number but the root's having a parent, ``weight_at`` non-decreasing
+    over the allocated numbers, and -1 below the NYT's.
     """
-    weight = [tree.weight_at[q] for q in tree.number]
-    if tree.left[tree.nyt] != -1 or weight[tree.nyt] != 0:
+    weight_at, up, kid, leaf_at = tree.weight_at, tree.up, tree.kid, tree.leaf_at
+    low = leaf_at[NYT]
+    if not 0 <= low <= _TOP_NUMBER or kid[low] != ~NYT or weight_at[low] != 0:
         return False
-    for i in range(len(weight)):
-        is_leaf = tree.left[i] == -1
-        if is_leaf != (tree.right[i] == -1):
+    leaves = 0
+    for q in range(low, _TOP_NUMBER + 1):
+        k = kid[q]
+        if k < 0:
+            leaves += 1
+            if k < ~NYT or leaf_at[~k] != q or (k != ~NYT and weight_at[q] == 0):
+                return False
+        elif k | 1 >= q or up[k] != q or up[k ^ 1] != q:
             return False
-        if is_leaf:
-            if i != tree.nyt and weight[i] == 0:
-                return False
-        else:
-            if weight[i] != weight[tree.left[i]] + weight[tree.right[i]]:
-                return False
-            if (
-                tree.number[tree.left[i]] >= tree.number[i]
-                or tree.number[tree.right[i]] >= tree.number[i]
-            ):
-                return False
-    low = tree.number[tree.nyt]
-    if any(w != -1 for w in tree.weight_at[:low]):
+        elif weight_at[q] != weight_at[k] + weight_at[k ^ 1]:
+            return False
+    # each internal number claims its own pair below it, so with one leaf
+    # more than internal numbers every number but the root's has a parent;
+    # with as many leaf_at entries set as leaves, none points elsewhere
+    internal = _TOP_NUMBER + 1 - low - leaves
+    if up[_TOP_NUMBER] != -1 or leaves != internal + 1:
         return False
-    allocated = tree.weight_at[low : _TOP_NUMBER + 1]
+    if leaves != len(leaf_at) - leaf_at.count(-1) or any(w != -1 for w in weight_at[:low]):
+        return False
+    allocated = weight_at[low : _TOP_NUMBER + 1]
     return all(a <= b for a, b in zip(allocated, allocated[1:]))
 
 
@@ -195,20 +156,20 @@ def encode(data: bytes) -> BitString:
     # arrays bound to locals (they are only ever mutated in place); each
     # code is walked leaf-to-root inline and reversed into one reused
     # buffer, so no per-symbol object outlives its symbol
-    parent = tree.parent
-    left = tree.left
-    leaf_of = tree.leaf_of
+    up = tree.up
+    kid = tree.kid
+    leaf_at = tree.leaf_at
     update = tree.update
     path = bytearray()
     step = path.append
     for byte in data:
-        leaf = leaf_of[byte]
-        node = tree.nyt if leaf == -1 else leaf
-        p = parent[node]
+        leaf = leaf_at[byte]
+        q = leaf_at[NYT] if leaf == -1 else leaf
+        p = up[q]
         while p != -1:
-            step(left[p] != node)
-            node = p
-            p = parent[node]
+            step(q ^ kid[p])
+            q = p
+            p = up[q]
         path.reverse()
         emit(path)
         path.clear()
@@ -221,30 +182,29 @@ def encode(data: bytes) -> BitString:
 def decode(bits: BitString, symbol_count: int) -> bytes:
     """Exact inverse of :func:`encode`; consumes every bit of ``bits``."""
     tree = AdaptiveHuffmanTree()
-    left = tree.left
-    right = tree.right
-    symbol = tree.symbol
+    kid = tree.kid
+    leaf_at = tree.leaf_at
     update = tree.update
-    root = tree.root
     out = bytearray()
     stream = bits.bits
     total = len(stream)
     pos = 0
     for _ in range(symbol_count):
-        node = root
+        k = kid[_TOP_NUMBER]
         try:
-            while left[node] != -1:
-                node = right[node] if stream[pos] else left[node]
+            while k >= 0:
+                k = kid[k ^ stream[pos]]
                 pos += 1
         except IndexError:
             raise CorruptStreamError("bit stream ended mid-code") from None
-        if node == tree.nyt:
+        byte = ~k
+        if byte == NYT:
             if pos + 8 > total:
                 raise CorruptStreamError("bit stream ended mid-literal")
             byte = int(stream[pos : pos + 8].translate(_TO_ASCII), 2)
             pos += 8
-        else:
-            byte = symbol[node]
+            if leaf_at[byte] != -1:
+                raise CorruptStreamError("literal of a byte that already has a code")
         out.append(byte)
         update(byte)
     if pos != total:

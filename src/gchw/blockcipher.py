@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import reduce
 from operator import mul
 
 from .errors import CorruptionError, ParameterError, ShapeError, WireOverflowError
@@ -51,6 +52,18 @@ class OpCounter:
 
     mults: int = 0
     adds: int = 0
+
+    def mul(self, a: int, b: int) -> int:
+        self.mults += 1
+        return a * b
+
+    def add(self, a: int, b: int) -> int:
+        self.adds += 1
+        return a + b
+
+    def total(self, terms) -> int:
+        """Sum of ``terms`` by :meth:`add`."""
+        return reduce(self.add, terms)
 
 
 def partition(data: bytes, z: int) -> list[tuple[int, ...]]:
@@ -79,37 +92,22 @@ def unpartition(blocks, byte_count: int) -> bytes:
     return bytes(data)
 
 
-def _product(flat, cols, z: int) -> list[int]:
-    """flat (row-major z x z) times the matrix given by its columns."""
+def _product(flat, cols, z: int, counter: OpCounter | None = None) -> list[int]:
+    """flat (row-major z x z) times the matrix given by its columns.
+
+    With a ``counter``, each entry multiplication and addition is tallied
+    as it is performed.
+    """
+    times, total = (mul, sum) if counter is None else (counter.mul, counter.total)
     rows = [flat[base : base + z] for base in range(0, z * z, z)]
-    return [sum(map(mul, row, col)) for row in rows for col in cols]
-
-
-def _product_counted(flat, cols, z: int, counter: OpCounter) -> list[int]:
-    """Same as :func:`_product`, tallying each entry operation."""
-    out = []
-    for base in range(0, z * z, z):
-        row = flat[base : base + z]
-        for col in cols:
-            acc = row[0] * col[0]
-            counter.mults += 1
-            for k in range(1, z):
-                acc += row[k] * col[k]
-                counter.mults += 1
-                counter.adds += 1
-            out.append(acc)
-    return out
+    return [total(map(times, row, col)) for row in rows for col in cols]
 
 
 def encrypt_block(block, kp: KeyMatrixPair, counter: OpCounter | None = None) -> tuple[int, ...]:
     """Exact product block @ E, returned as scaled entries (entry * 2**scale_exp)."""
     if len(block) != kp.z * kp.z:
         raise ShapeError(f"block of {len(block)} entries does not match key order {kp.z}")
-    cols = kp.e_scaled_cols
-    if counter is None:
-        scaled = _product(block, cols, kp.z)
-    else:
-        scaled = _product_counted(block, cols, kp.z, counter)
+    scaled = _product(block, kp.e_scaled_cols, kp.z, counter)
     if min(scaled) < INT64_MIN or max(scaled) > INT64_MAX:
         raise WireOverflowError(_OVERFLOW)
     return tuple(scaled)
@@ -119,11 +117,7 @@ def decrypt_block(cipher, kp: KeyMatrixPair, counter: OpCounter | None = None) -
     """Exact product cipher @ E^-1; rejects non-integer or non-byte entries."""
     if len(cipher) != kp.z * kp.z:
         raise ShapeError(f"block of {len(cipher)} entries does not match key order {kp.z}")
-    cols = kp.adjugate_scaled_cols
-    if counter is None:
-        raw = _product(cipher, cols, kp.z)
-    else:
-        raw = _product_counted(cipher, cols, kp.z, counter)
+    raw = _product(cipher, kp.adjugate_scaled_cols, kp.z, counter)
     entries = tuple(map(kp.plain_of.get, raw))
     if None in entries:
         # some entry is not det_scaled * q for a valid q: name the first fault

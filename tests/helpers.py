@@ -1,34 +1,34 @@
 """Test-only helpers over library objects: FGK code paths and reference update, 0/1 bit strings, matrix arithmetic."""
 
-from gchw.ahuffman import _TOP_NUMBER, ALPHABET_SIZE
+from gchw.ahuffman import _TOP_NUMBER, ALPHABET_SIZE, NYT
 from gchw.bits import BitString
 from gchw.errors import ParameterError, ShapeError
 from gchw.matrix import SquareMatrix
 
 
 def contains(tree, byte: int) -> bool:
-    return tree.leaf_of[byte] != -1
+    return tree.leaf_at[byte] != -1
 
 
-def path(tree, node: int) -> list[int]:
-    """Root-to-node bits of an FGK tree node (0 = left child, 1 = right)."""
+def path(tree, q: int) -> list[int]:
+    """Root-to-position bits of an FGK tree position (0 = the 0-child, 1 = its sibling)."""
     bits = []
-    parent = tree.parent[node]
+    parent = tree.up[q]
     while parent != -1:
-        bits.append(0 if tree.left[parent] == node else 1)
-        node = parent
-        parent = tree.parent[node]
+        bits.append(q ^ tree.kid[parent])
+        q = parent
+        parent = tree.up[q]
     bits.reverse()
     return bits
 
 
 def code_for(tree, byte: int) -> list[int]:
     """Current code of a previously seen symbol."""
-    return path(tree, tree.leaf_of[byte])
+    return path(tree, tree.leaf_at[byte])
 
 
 def nyt_code(tree) -> list[int]:
-    return path(tree, tree.nyt)
+    return path(tree, tree.leaf_at[NYT])
 
 
 class ReferenceTree:

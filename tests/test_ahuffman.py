@@ -3,7 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gchw.ahuffman import AdaptiveHuffmanTree, check_sibling_property, decode, encode
+from gchw.ahuffman import (
+    _TOP_NUMBER,
+    NYT,
+    AdaptiveHuffmanTree,
+    check_sibling_property,
+    decode,
+    encode,
+)
 from gchw.bits import BitString
 from gchw.errors import CorruptStreamError
 from helpers import ReferenceTree, bits_from01, code_for, contains, nyt_code, reference_update
@@ -68,12 +75,85 @@ def test_sibling_property_after_every_update(rng):
             assert check_sibling_property(tree)
 
 
-def test_sibling_property_detects_corruption():
+def abcabc_tree() -> AdaptiveHuffmanTree:
     tree = AdaptiveHuffmanTree()
     for byte in b"abcabc":
         tree.update(byte)
     assert check_sibling_property(tree)
-    tree.weight_at[tree.number[tree.leaf_of[ord("a")]]] += 3
+    return tree
+
+
+def test_sibling_property_detects_corruption():
+    tree = abcabc_tree()
+    tree.weight_at[tree.leaf_at[ord("a")]] += 3
+    assert not check_sibling_property(tree)
+
+
+def test_sibling_property_checks_up():
+    tree = abcabc_tree()
+    nyt = tree.leaf_at[NYT]
+    assert tree.up[nyt] != _TOP_NUMBER
+    tree.up[nyt] = _TOP_NUMBER  # the NYT's parent still lists it as a child
+    assert not check_sibling_property(tree)
+
+    # the leaf "a" turned into a second parent of the NYT's pair, whose
+    # first parent still claims it: weights and every count still add up
+    tree = abcabc_tree()
+    a = ord("a")
+    nyt = tree.leaf_at[NYT]
+    assert tree.weight_at[tree.leaf_at[a]] == tree.weight_at[nyt] + tree.weight_at[nyt + 1]
+    tree.kid[tree.leaf_at[a]] = nyt
+    tree.leaf_at[a] = -1
+    assert not check_sibling_property(tree)
+
+    tree = abcabc_tree()
+    tree.up[_TOP_NUMBER] = tree.kid[_TOP_NUMBER]  # the root gets a parent
+    assert not check_sibling_property(tree)
+
+
+def test_sibling_property_checks_leaf_at():
+    tree = abcabc_tree()
+    a, b = ord("a"), ord("b")
+    tree.leaf_at[a], tree.leaf_at[b] = tree.leaf_at[b], tree.leaf_at[a]
+    assert not check_sibling_property(tree)
+
+    tree = abcabc_tree()
+    tree.leaf_at[ord("z")] = tree.leaf_at[ord("a")]  # an unseen byte claims a leaf
+    assert not check_sibling_property(tree)
+
+    tree = abcabc_tree()
+    b, c = ord("b"), ord("c")
+    tree.kid[tree.leaf_at[c]] = ~b  # two leaves hold "b"
+    tree.leaf_at[c] = -1
+    assert not check_sibling_property(tree)
+
+
+def test_sibling_property_checks_kid_range():
+    tree = abcabc_tree()
+    tree.kid[_TOP_NUMBER] = 4 * _TOP_NUMBER  # past the arrays: False, not IndexError
+    assert not check_sibling_property(tree)
+
+    tree = abcabc_tree()
+    tree.kid[_TOP_NUMBER] = tree.leaf_at[NYT] - 2  # below the allocated numbers
+    assert not check_sibling_property(tree)
+
+    tree = abcabc_tree()
+    q = tree.up[tree.leaf_at[ord("b")]]
+    tree.kid[q] = q ^ 1  # a child pair that holds the node itself
+    assert not check_sibling_property(tree)
+
+    tree = abcabc_tree()
+    tree.kid[tree.leaf_at[ord("a")]] = ~(NYT + 1)  # a symbol past leaf_at
+    assert not check_sibling_property(tree)
+
+
+def test_sibling_property_checks_every_position_has_a_parent():
+    tree = abcabc_tree()
+    nyt = tree.leaf_at[NYT]
+    parent = tree.up[nyt]
+    assert tree.weight_at[parent] > 0
+    tree.kid[parent] = ~ord("d")  # the NYT's parent becomes a leaf, orphaning its pair
+    tree.leaf_at[ord("d")] = parent
     assert not check_sibling_property(tree)
 
 
@@ -130,10 +210,15 @@ def test_sibling_property_checks_weight_at_layout():
     assert check_sibling_property(tree)
     # renumber the root's children (weights 1 and 3) against their order:
     # every parent still outnumbers its children, but weight_at is unsorted
-    low, high = tree.left[tree.root], tree.right[tree.root]
-    q_low, q_high = tree.number[low], tree.number[high]
-    tree.number[low], tree.number[high] = q_high, q_low
-    tree.node_at[q_low], tree.node_at[q_high] = high, low
+    q_low, q_high = sorted((tree.kid[_TOP_NUMBER], tree.kid[_TOP_NUMBER] ^ 1))
+    low, high = tree.kid[q_low], tree.kid[q_high]
+    tree.kid[q_low], tree.kid[q_high] = high, low
+    for moved, q in ((low, q_high), (high, q_low)):
+        if moved < 0:
+            tree.leaf_at[~moved] = q
+        else:
+            tree.up[moved] = tree.up[moved ^ 1] = q
+    tree.kid[_TOP_NUMBER] ^= 1  # each child keeps its code
     tree.weight_at[q_low], tree.weight_at[q_high] = tree.weight_at[q_high], tree.weight_at[q_low]
     assert tree.weight_at[q_low] > tree.weight_at[q_high]
     assert not check_sibling_property(tree)
@@ -141,7 +226,7 @@ def test_sibling_property_checks_weight_at_layout():
     tree = AdaptiveHuffmanTree()
     for byte in b"aaab":
         tree.update(byte)
-    tree.weight_at[tree.number[tree.nyt] - 1] = 0  # below the NYT must hold -1
+    tree.weight_at[tree.leaf_at[NYT] - 1] = 0  # below the NYT must hold -1
     assert not check_sibling_property(tree)
 
 
@@ -159,18 +244,18 @@ def test_encoder_decoder_trees_stay_synchronized(rng):
                     (byte >> shift) & 1 for shift in range(7, -1, -1)
                 ]
             # walk the decoder tree over those bits
-            node = dec_tree.root
+            k = dec_tree.kid[_TOP_NUMBER]
             pos = 0
-            while dec_tree.left[node] != -1:
-                node = dec_tree.right[node] if bits[pos] else dec_tree.left[node]
+            while k >= 0:
+                k = dec_tree.kid[k ^ bits[pos]]
                 pos += 1
-            if node == dec_tree.nyt:
+            if ~k == NYT:
                 value = 0
                 for _ in range(8):
                     value = (value << 1) | bits[pos]
                     pos += 1
             else:
-                value = dec_tree.symbol[node]
+                value = ~k
             assert pos == len(bits)
             assert value == byte
             enc_tree.update(byte)
@@ -213,3 +298,10 @@ def test_decode_rejects_wrong_symbol_count():
 def test_decode_rejects_bit_starvation_on_literal():
     with pytest.raises(CorruptStreamError, match="^bit stream ended mid-literal$"):
         decode(bits_from01("0110"), 1)
+
+
+def test_decode_rejects_a_literal_of_a_seen_byte():
+    # "aa" encodes as 011000011; spelling the second "a" as the NYT code
+    # plus its literal again is not a stream the encoder writes
+    with pytest.raises(CorruptStreamError, match="^literal of a byte that already has a code$"):
+        decode(bits_from01("01100001" "0" "01100001"), 2)
