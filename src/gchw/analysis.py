@@ -13,9 +13,12 @@ import csv
 import io
 import math
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
+from operator import truediv
 
-from . import auth
-from .envelope import CipherEnvelope, seal
+from . import ahuffman, auth
+from .blockcipher import body_blocks
+from .envelope import CipherEnvelope, _seal_packed
 from .errors import StatisticsError
 from .keyschedule import CipherKey
 
@@ -158,8 +161,8 @@ def _regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 
 def cipher_series(env: CipherEnvelope) -> list[float]:
     """The body's ciphertext entries, in wire order, as reals (scaled ints / 2**scale_exp)."""
-    scale = float(1 << env.scale_exp)
-    return [v / scale for block in env.blocks for v in block]
+    entries = chain.from_iterable(body_blocks(env.body, env.z, env.entry_bytes))
+    return list(map(truediv, entries, repeat(float(1 << env.scale_exp))))
 
 
 def seed_variant(key: CipherKey, index: int) -> CipherKey:
@@ -174,14 +177,17 @@ def analyze_message(message: bytes, key: CipherKey, seeds: int = 1) -> list[Anal
 
     Each variant's cipher series is compared pairwise against the plaintext
     bytes (correlation and paired t) and, unpaired, against variant 0's
-    cipher series.
+    cipher series.  The variants differ only in the seed, so the message is
+    compressed once and each variant runs the keyed half of ``seal``.
     """
     if seeds < 1:
         raise StatisticsError("need at least one seed")
+    bits = ahuffman.encode(message)
+    compressed = bits.pack()
     reports = []
     baseline = None
     for index in range(seeds):
-        env = seal(message, seed_variant(key, index))
+        env = _seal_packed(compressed, len(bits), len(message), seed_variant(key, index))
         series = cipher_series(env)
         n = min(len(message), len(series))
         plain = [float(b) for b in message[:n]]

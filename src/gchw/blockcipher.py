@@ -8,11 +8,14 @@ product block @ E (block on the left); since E = (E * 2^s) / 2^s with an
 integer scaled form, the wire-ready scaled ciphertext is just the integer
 product block @ E_scaled.
 
-Messages take the packed route.  Stacking the rows of all blocks gives a
-tall plaintext matrix; :func:`encrypt_message` stores each of its columns
-in one integer, one fixed-width slot per row, so a ciphertext column is
-Z big-integer multiply-adds with entries of E_scaled (Kronecker
-substitution).  :func:`decrypt_message` multiplies the received columns by
+Messages take the packed route, and its wire body stores each entry as a
+signed big-endian integer of ``kp.entry_bytes`` bytes, the narrowest
+width that holds every entry the key can produce (at most 8).  Stacking
+the rows of all blocks gives a tall plaintext matrix; :func:`encrypt_message`
+stores each of its columns in one integer, one slot of that width per
+row, so a ciphertext column is Z big-integer multiply-adds with entries
+of E_scaled (Kronecker substitution).  :func:`decrypt_message` reads the
+compact entries into wider slots and multiplies the received columns by
 E_scaled^-1 modulo the Mersenne prime p = 2^31 - 1, folds every slot back
 below p, and reads a candidate entry from each.  It accepts the candidates
 only if each is a byte in the data region and -1 after it, and their exact
@@ -140,19 +143,57 @@ def _ones(width: int, rows: int) -> int:
     return int.from_bytes((1).to_bytes(width, "big") * rows, "big")
 
 
+def _copy_unit(w: int, width: int) -> tuple[int, str]:
+    """The widest of 1, 2, 4 or 8 bytes that divides w and width, and its memoryview format.
+
+    Moving w-byte entries between w-byte and width-byte slots in that unit
+    takes w // unit slice assignments per column, one for w = 2, 4 or 8.
+    """
+    unit = (w | width | 8) & -(w | width | 8)
+    return unit, {1: "B", 2: "H", 4: "I", 8: "Q"}[unit]
+
+
+# the byte that sign-extends an entry whose top byte is the index
+_SIGN_FILL = bytes(0xFF if b & 0x80 else 0 for b in range(256))
+
+
+def _widen(body: bytes, entry_bytes: int) -> bytes:
+    """``body``'s ``entry_bytes``-wide signed big-endian entries as big-endian int64."""
+    if entry_bytes == 8:
+        return bytes(body)
+    pad = 8 - entry_bytes
+    out = bytearray(8 * (len(body) // entry_bytes))
+    fill = body[::entry_bytes].translate(_SIGN_FILL)
+    for k in range(pad):
+        out[k::8] = fill
+    for b in range(entry_bytes):
+        out[pad + b :: 8] = body[b::entry_bytes]
+    return bytes(out)
+
+
+def body_blocks(body: bytes, z: int, entry_bytes: int):
+    """The blocks of a wire body: an iterator of tuples of z*z scaled entries."""
+    block = struct.Struct(f">{z * z}q")
+    if len(body) % (z * z * entry_bytes):
+        raise ShapeError(f"body of {len(body)} bytes is not whole blocks of order {z}")
+    return block.iter_unpack(_widen(body, entry_bytes))
+
+
 def encrypt_message(data: bytes, kp: KeyMatrixPair) -> bytes:
-    """The wire body of ``data``: every block's :func:`encrypt_block` entries as big-endian int64.
+    """``data``'s wire body: each block's :func:`encrypt_block` entries, ``kp.entry_bytes`` wide.
 
     Column k of the tall plaintext matrix (all block rows stacked) is one
     integer with a fixed-width slot per row, so each ciphertext column is
     Z big-integer multiply-adds per pass of whole blocks, at most
     ``CHUNK_ENTRIES`` entries unless one block holds more.
     """
-    z = kp.z
+    z, w = kp.z, kp.entry_bytes
     bits = kp.entry_bound.bit_length()
-    # 64-bit words per slot: one exactly when entry_bound < 2**63, so every entry fits int64
-    words = 1 if bits < 64 else (bits + 65) // 64
-    width, slot_bits = 8 * words, 64 * words
+    # a w-byte slot holds every entry, unless the key needs more than 8
+    # bytes: then the slot is wide enough to see whether an entry fits int64
+    width = w if bits < 8 * w else (bits + 9) // 8
+    slot_bits = 8 * width
+    unit, fmt = _copy_unit(w, width)
     step = max(1, CHUNK_ENTRIES // (z * z)) * z * z
     rows_max = -(-min(len(data), step) // (z * z)) * z
     ones_max = _ones(width, rows_max)
@@ -168,20 +209,23 @@ def encrypt_message(data: bytes, kp: KeyMatrixPair) -> bytes:
             buf[width - 1 : len(column) * width : width] = column
             # the -1 padding fills the last, least significant slots
             plain.append(int.from_bytes(buf, "big") - (ones >> (slot_bits * len(column))))
-        # entry + 2**63 is the int64 entry with its sign bit flipped; a wider
-        # slot also carries 2**(slot_bits - 1), and if the entry fits int64
-        # that is all its bits above the low 64 hold
-        flip = ones << 63
-        wide = 0 if words == 1 else ones << (slot_bits - 1)
-        high = (ones << slot_bits) - (ones << 64)
-        out = bytearray(rows * z * 8)
-        out_q = memoryview(out).cast("Q")
+        # entry + 2**(8w - 1) is the w-byte entry with its sign bit flipped; a
+        # wider slot also carries 2**(slot_bits - 1), and if the entry fits
+        # w bytes that is all its bits above the low 8w hold
+        flip = ones << (8 * w - 1)
+        wide = 0 if width == w else ones << (slot_bits - 1)
+        high = (ones << slot_bits) - (ones << 8 * w)
+        out = bytearray(rows * z * w)
+        out_units = memoryview(out).cast(fmt)
         for j, col in enumerate(kp.e_scaled_cols):
             acc = sum(map(mul, col, plain)) + flip + wide
             if acc & high != wide:
                 raise WireOverflowError(_OVERFLOW)
-            slots = memoryview((acc ^ flip).to_bytes(rows * width, "big")).cast("Q")
-            out_q[j::z] = slots[words - 1 :: words]
+            slots = memoryview((acc ^ flip).to_bytes(rows * width, "big")).cast(fmt)
+            for b in range(0, w, unit):
+                # the low w bytes of each slot into entry j of each row
+                entry, slot = (j * w + b) // unit, (width - w + b) // unit
+                out_units[entry :: z * w // unit] = slots[slot :: width // unit]
         parts.append(out)
     return b"".join(parts)
 
@@ -196,58 +240,66 @@ def decrypt_message(body: bytes, kp: KeyMatrixPair, byte_count: int) -> bytes:
     per-block route runs only to name the first faulty block, and for a key
     whose det_scaled is 0 mod p.
     """
-    z = kp.z
+    z, w = kp.z, kp.entry_bytes
     cells = z * z
-    block = struct.Struct(f">{cells}q")
-    if len(body) % block.size:
+    if len(body) % (cells * w):
         raise ShapeError(f"body of {len(body)} bytes is not whole blocks of key order {z}")
-    total = len(body) // 8
+    total = len(body) // w
     if kp.inverse_cols_mod_p is None or byte_count > total:
-        return decrypt_blocks(block.iter_unpack(body), kp, byte_count)
-    # wide enough that a re-encrypted slot, even of a faulty entry, never borrows
-    width = 8 * max(2, (kp.entry_bound.bit_length() + 90) // 64)
+        return decrypt_blocks(body_blocks(body, z, w), kp, byte_count)
+    # wide enough for the lifted modular sums and that a re-encrypted slot,
+    # even of a faulty entry, never borrows (bounds in _decrypt_pass)
+    bits = max(64, 8 * w + 31 + z.bit_length(), kp.entry_bound.bit_length() + 26)
+    width = -(-bits // 8)
     step = max(1, CHUNK_ENTRIES // cells) * cells
     rows_max = min(total, step) // z
     ones_max = _ones(width, rows_max)
-    entries = memoryview(body).cast("Q")
     parts = []
     for start in range(0, total, step):
-        chunk = entries[start : start + step]
-        ones = ones_max >> (8 * width * (rows_max - len(chunk) // z))
-        data_count = max(0, min(byte_count - start, len(chunk)))
+        chunk = body[start * w : (start + step) * w]
+        ones = ones_max >> (8 * width * (rows_max - len(chunk) // (z * w)))
+        data_count = max(0, min(byte_count - start, len(chunk) // w))
         part = _decrypt_pass(chunk, kp, ones, width, data_count)
         if isinstance(part, int):
             # the pass returned its first faulty row, and has freed its
             # big integers before the per-block route raises
             first = (start + part * z) // cells
-            decrypt_block(block.unpack_from(body, first * block.size), kp)
+            (block,) = body_blocks(body[first * cells * w : (first + 1) * cells * w], z, w)
+            decrypt_block(block, kp)
             # that block decrypts, so the padding is misplaced: unpartition names it
-            return decrypt_blocks(block.iter_unpack(body), kp, byte_count)
+            return decrypt_blocks(body_blocks(body, z, w), kp, byte_count)
         parts.append(part)
     return b"".join(parts)
 
 
-def _decrypt_pass(chunk, kp: KeyMatrixPair, ones: int, width: int, data_count: int):
+def _decrypt_pass(chunk: bytes, kp: KeyMatrixPair, ones: int, width: int, data_count: int):
     """The first ``data_count`` plaintext bytes of one pass, or the index of its first bad row."""
-    z = kp.z
-    rows = len(chunk) // z
-    words, slot_bits = width // 8, 8 * width
-    sign = ones << 63
+    z, w = kp.z, kp.entry_bytes
+    rows = len(chunk) // (z * w)
+    slot_bits = 8 * width
+    sign = ones << (8 * w - 1)
+    unit, fmt = _copy_unit(w, width)
+    entries = memoryview(chunk).cast(fmt)
     received = []  # signed entries, one slot per row
     for j in range(z):
         buf = bytearray(rows * width)
-        memoryview(buf).cast("Q")[words - 1 :: words] = chunk[j::z]
+        slots = memoryview(buf).cast(fmt)
+        for b in range(0, w, unit):
+            # entry j of each row into the low w bytes of its slot
+            entry, slot = (j * w + b) // unit, (width - w + b) // unit
+            slots[slot :: width // unit] = entries[entry :: z * w // unit]
         received.append((int.from_bytes(buf, "big") ^ sign) - sign)
-    # |sum| < z * 2**93 per slot; lift adds p * 2**e (0 mod p) to keep
-    # every slot positive, and 256 so a slot ends as 256 + q
-    e = 63 + z.bit_length()
+    # |sum| < z * 2**(8w + 29) per slot; lift adds p * 2**e (0 mod p) to
+    # keep every slot positive, and 256 so a slot ends as 256 + q
+    e = 8 * w - 1 + z.bit_length()
     lift = (ones << (e + 31)) - (ones << e) + (ones << 8)
     low62, rest62 = (ones << 62) - ones, (ones << (slot_bits - 62)) - ones
     low31, rest31 = (ones << 31) - ones, (ones << (slot_bits - 31)) - ones
     plain = []
     for col in kp.inverse_cols_mod_p:
-        # slot bounds for z <= 64: 2**102, then 2**62 + 2**40 (2**62 is 1
-        # mod p), 2**32 + 2**9 and 2**31 + 3, so a residue 255..511 is exact
+        # slot bounds for w <= 8 and z <= 64: 2**(8w + 31 + z.bit_length())
+        # <= 2**102, then 2**62 + 2**40 (2**62 is 1 mod p), 2**32 + 2**9 and
+        # 2**31 + 3, so a residue 255..511 is exact
         v = sum(map(mul, col, received)) + lift
         v = (v & low62) + ((v >> 62) & rest62)
         v = (v & low31) + ((v >> 31) & rest31)
@@ -263,7 +315,8 @@ def _decrypt_pass(chunk, kp: KeyMatrixPair, ones: int, width: int, data_count: i
             masks[n] = ((ones << slot_bits) - ((ones - pad) << 8) - pad, (ones << 8) - pad)
         mask, expect = masks[n]
         top = max(top, (t & mask ^ expect).bit_length())
-    # exact re-encryption; both sides carry 2**(slot_bits - 2) so no slot borrows
+    # exact re-encryption: |again| < entry_bound * 2**24 per slot, so with
+    # 2**(slot_bits - 2) on both sides no slot borrows
     slack = ones << (slot_bits - 2)
     for col, c in zip(kp.e_scaled_cols, received):
         again = sum(map(mul, col, plain)) + slack

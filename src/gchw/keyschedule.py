@@ -159,6 +159,15 @@ class KeyMatrixPair:
         """256 * the largest column sum of |E_scaled|: bounds every entry of block @ E_scaled."""
         return 256 * max(sum(map(abs, col)) for col in self.e_scaled_cols)
 
+    @cached_property
+    def entry_bytes(self) -> int:
+        """Bytes per wire entry: the signed big-endian width that holds ``entry_bound``, at most 8.
+
+        A key whose bound needs more than 8 bytes still writes int64
+        entries; sealing raises ``WireOverflowError`` on one that does not fit.
+        """
+        return min(8, (self.entry_bound.bit_length() + 8) // 8)
+
 
 def golden_base(key: CipherKey) -> SquareMatrix:
     """The integer golden matrix selected by the key."""

@@ -2,15 +2,15 @@
 
 import dataclasses
 import math
-import struct
 
 import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate
 
 from conftest import make_key
-from gchw import envelope
+from gchw import ahuffman, envelope
 from gchw.analysis import (
+    AnalysisReport,
     analyze_message,
     cipher_series,
     contrast_csv,
@@ -168,8 +168,13 @@ def test_contrast_csv_empty(key):
 
 def test_cipher_series_is_the_body_in_wire_order(key):
     env = envelope.seal(MESSAGE, key)
-    entries = struct.unpack(f">{len(env.body) // 8}q", env.body)
+    width = env.entry_bytes
+    entries = [
+        int.from_bytes(env.body[i : i + width], "big", signed=True)
+        for i in range(0, len(env.body), width)
+    ]
     assert cipher_series(env) == [v / (1 << env.scale_exp) for v in entries]
+    assert min(entries) < 0 < max(entries)
 
 
 @pytest.mark.parametrize("cut", [-1, -8])
@@ -190,6 +195,38 @@ def test_contrast_csv_row_counts(key):
     distribution = [line for line in lines if line.startswith("e,")]
     assert len(distribution) == 6
     assert len(lines) == 1 + max(len(MESSAGE), series_len) + len(distribution)
+
+
+def test_analyze_message_compresses_once(monkeypatch, key):
+    encoded = []
+    real_encode = ahuffman.encode
+
+    def counting_encode(message):
+        encoded.append(message)
+        return real_encode(message)
+
+    monkeypatch.setattr(ahuffman, "encode", counting_encode)
+    for seeds in (1, 4):
+        del encoded[:]
+        analyze_message(MESSAGE, key, seeds=seeds)
+        assert encoded == [MESSAGE]
+
+
+@pytest.mark.parametrize("message", [MESSAGE, MESSAGE_2])
+def test_analyze_message_matches_one_seal_per_variant(key, message):
+    # the reports analyze_message gave when it sealed each variant in full
+    reports = []
+    baseline = None
+    for index in range(4):
+        series = cipher_series(envelope.seal(message, seed_variant(key, index)))
+        n = min(len(message), len(series))
+        plain = [float(b) for b in message[:n]]
+        corr = correlation(plain, series[:n])
+        t, p = paired_t(plain, series[:n])
+        baseline = series if baseline is None else baseline
+        ut, up = unpaired_t(series, baseline)
+        reports.append(AnalysisReport(corr, t, p, ut, up, n))
+    assert analyze_message(message, key, seeds=4) == reports
 
 
 def test_analyze_message_rejects_zero_seeds(key):

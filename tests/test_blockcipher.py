@@ -17,6 +17,7 @@ from gchw.blockcipher import (
     PAD,
     OpCounter,
     _product,
+    body_blocks,
     decrypt_block,
     decrypt_message,
     encrypt_block,
@@ -205,10 +206,18 @@ def level_pair(level: int, n: int = 5) -> KeyMatrixPair:
     return derive(make_key(n=n, level=level))
 
 
+def pack_blocks(blocks, width: int) -> bytes:
+    """Blocks of scaled entries as a wire body: signed big-endian, ``width`` bytes each."""
+    return b"".join(v.to_bytes(width, "big", signed=True) for block in blocks for v in block)
+
+
 def per_block_body(data: bytes, kp: KeyMatrixPair) -> bytes:
     """The wire body built block by block, the oracle for :func:`encrypt_message`."""
-    entry = struct.Struct(f">{kp.z * kp.z}q")
-    return b"".join(entry.pack(*encrypt_block(b, kp)) for b in partition(data, kp.z))
+    return pack_blocks((encrypt_block(b, kp) for b in partition(data, kp.z)), kp.entry_bytes)
+
+
+def width_limits(width: int) -> tuple[int, int]:
+    return -(1 << (8 * width - 1)), (1 << (8 * width - 1)) - 1
 
 
 def outcome(f, *args):
@@ -282,8 +291,32 @@ def test_int64_limits_are_exact(top_left, data, fits):
 
 
 def test_large_n_key_still_overflows_in_seal():
+    key = make_key(n=90, level=1)
+    assert key.matrix_pair.entry_bytes == 8
     with pytest.raises(WireOverflowError):
-        seal(b"\xff" * 64, make_key(n=90, level=1))
+        seal(b"\xff" * 64, key)
+
+
+@pytest.mark.parametrize("width", range(2, 8))
+def test_entry_width_steps_at_the_sign_bit(width):
+    # entry_bound is 256 * top_left: just below 2**(8w - 1) the entries fit
+    # w bytes, and at 2**(8w - 1) they need w + 1
+    top = 1 << (8 * width - 9)
+    below, at = diagonal_pair(top - 1), diagonal_pair(top)
+    assert below.entry_bound == (1 << (8 * width - 1)) - 256
+    assert at.entry_bound == 1 << (8 * width - 1)
+    assert (below.entry_bytes, at.entry_bytes) == (width, width + 1)
+    data = bytes([255, 0, 0, 255, 0, 7])  # entries reach +-255 * top_left and the -1 padding
+    for kp in (below, at):
+        body = encrypt_message(data, kp)
+        assert body == per_block_body(data, kp)
+        assert len(body) == 8 * kp.entry_bytes
+        assert decrypt_message(body, kp, len(data)) == data
+
+
+def test_entry_width_is_at_most_eight_bytes():
+    assert diagonal_pair(1 << 55).entry_bytes == 8
+    assert diagonal_pair(1 << 120).entry_bytes == 8
 
 
 def test_round_trips_never_take_the_per_block_route(monkeypatch):
@@ -330,7 +363,7 @@ def test_a_pass_holds_at_most_2_to_the_14_entries(monkeypatch):
     real_pass = blockcipher._decrypt_pass
 
     def recording_pass(chunk, *args):
-        sizes.append(len(chunk))
+        sizes.append(len(chunk) // kp.entry_bytes)
         return real_pass(chunk, *args)
 
     monkeypatch.setattr(blockcipher, "_decrypt_pass", recording_pass)
@@ -342,19 +375,21 @@ def test_a_pass_holds_at_most_2_to_the_14_entries(monkeypatch):
 def test_decrypt_message_rejects_a_partial_block():
     kp = level_pair(2)
     body = encrypt_message(b"abc", kp)
-    with pytest.raises(ShapeError):
-        decrypt_message(body[:-8], kp, 3)
+    for cut in (1, kp.entry_bytes):
+        with pytest.raises(ShapeError):
+            decrypt_message(body[:-cut], kp, 3)
 
 
 @pytest.mark.parametrize("level", [2, 3])
 def test_decrypt_message_fails_like_the_per_block_route(level):
-    # every entry of a three-block body nudged, then each region boundary moved
+    # every entry of a three-block body nudged, then each region boundary
+    # moved; a nudge past the entry width is clamped to its limits
     kp = level_pair(level)
     cells = kp.z * kp.z
-    entry = struct.Struct(f">{cells}q")
+    low, high = width_limits(kp.entry_bytes)
     data = random.Random(level).randbytes(2 * cells + 5)
     body = encrypt_message(data, kp)
-    blocks = [list(b) for b in entry.iter_unpack(body)]
+    blocks = [list(b) for b in body_blocks(body, kp.z, kp.entry_bytes)]
 
     def reference(blocks, byte_count):
         return unpartition([decrypt_block(b, kp) for b in blocks], byte_count)
@@ -362,12 +397,13 @@ def test_decrypt_message_fails_like_the_per_block_route(level):
     cases = [(blocks, n) for n in range(len(data) - cells, 3 * cells + 2)]
     for b in range(3):
         for i in range(cells):
-            for value in (1, -1, 1 << 40, MODULUS, INT64_MIN, INT64_MAX):
+            for value in (1, -1, 1 << 40, MODULUS, low, high):
                 tampered = [list(x) for x in blocks]
-                tampered[b][i] = value if abs(value) > 1 << 62 else tampered[b][i] + value
+                moved = tampered[b][i] + value
+                tampered[b][i] = value if value in (low, high) else max(low, min(high, moved))
                 cases.append((tampered, len(data)))
     for tampered, byte_count in cases:
-        wire = b"".join(entry.pack(*x) for x in tampered)
+        wire = pack_blocks(tampered, kp.entry_bytes)
         assert outcome(decrypt_message, wire, kp, byte_count) == outcome(
             reference, tampered, byte_count
         )
@@ -375,12 +411,14 @@ def test_decrypt_message_fails_like_the_per_block_route(level):
 
 @pytest.mark.parametrize("value", [None, INT64_MIN, INT64_MAX])
 def test_only_the_first_bad_block_takes_the_per_block_route(monkeypatch, value):
+    # an int64 limit shifted down to the entry width is that width's limit
     kp = level_pair(3)
     cells = kp.z * kp.z
-    entry = struct.Struct(f">{cells}q")
     data = random.Random(9).randbytes(5 * cells)
-    blocks = [list(b) for b in entry.iter_unpack(encrypt_message(data, kp))]
-    blocks[2][7] = blocks[2][7] + 1 if value is None else value
+    body = encrypt_message(data, kp)
+    blocks = [list(b) for b in body_blocks(body, kp.z, kp.entry_bytes)]
+    blocks[2][7] = blocks[2][7] + 1 if value is None else value >> (64 - 8 * kp.entry_bytes)
+    assert value is None or blocks[2][7] in width_limits(kp.entry_bytes)
     blocks[4][0] += 1
     calls = []
 
@@ -389,7 +427,7 @@ def test_only_the_first_bad_block_takes_the_per_block_route(monkeypatch, value):
         return decrypt_block(cipher, kp, counter)
 
     monkeypatch.setattr(blockcipher, "decrypt_block", recording_decrypt_block)
-    wire = b"".join(entry.pack(*b) for b in blocks)
+    wire = pack_blocks(blocks, kp.entry_bytes)
     with pytest.raises(CorruptionError):
         decrypt_message(wire, kp, len(data))
     assert calls == [tuple(blocks[2])]

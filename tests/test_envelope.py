@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_key
-from gchw import ahuffman, auth, envelope, keyschedule
+from gchw import blockcipher, envelope, keyschedule
 from gchw.analysis import analyze_message, seed_variant
-from gchw.bits import BitString
-from gchw.blockcipher import decrypt_block, unpartition
+from gchw.blockcipher import body_blocks, decrypt_block, decrypt_message, unpartition
 from gchw.errors import (
     AuthenticationError,
     CorruptionError,
@@ -43,8 +42,8 @@ def test_empty_message(key):
 def test_compression_is_recorded(key):
     env = envelope.seal(MESSAGE_1, key)
     assert env.compressed_bit_count < 72
-    assert env.compressed_symbol_count == len(MESSAGE_1)
     assert env.plain_byte_count == len(MESSAGE_1)
+    assert env.entry_bytes == key.matrix_pair.entry_bytes
 
 
 @settings(max_examples=30)
@@ -103,6 +102,33 @@ def test_bad_magic_and_version(key):
         envelope.deserialize(bytes(wire))
 
 
+def test_version_1_envelope_is_a_parse_error(key):
+    # a version-1 wire: 36-byte header with a symbol count, int64 entries,
+    # and the tag over the compressed bytes
+    env = envelope.seal(MESSAGE_2, key)
+    header = struct.pack(
+        ">4sBHBQQQI", b"GCHW", 1, env.z, env.scale_exp, env.plain_byte_count,
+        env.plain_byte_count, env.compressed_bit_count, len(env.blocks),
+    )
+    body = b"".join(struct.pack(f">{env.z * env.z}q", *block) for block in env.blocks)
+    with pytest.raises(ParseError, match="unknown version 1"):
+        envelope.deserialize(header + body + bytes(32))
+
+
+@pytest.mark.parametrize("width", [0, 9, 255])
+def test_invalid_entry_width_is_parse_error(key, width):
+    wire = bytearray(envelope.serialize(envelope.seal(b"x", key)))
+    wire[8] = width  # after magic (4), version (1), z (2) and scale_exp (1)
+    with pytest.raises(ParseError, match="entry width"):
+        envelope.deserialize(bytes(wire))
+
+
+def test_entry_width_mismatch_is_corruption(key):
+    env = envelope.seal(MESSAGE, key)
+    with pytest.raises(CorruptionError, match="different key parameters"):
+        envelope.open(dataclasses.replace(env, entry_bytes=env.entry_bytes + 1), key)
+
+
 @pytest.mark.parametrize("scale_exp", [0, 3, 2 * MAX_LEVEL + 2])
 def test_invalid_scale_exponent_is_parse_error(key, scale_exp):
     wire = bytearray(envelope.serialize(envelope.seal(b"x", key)))
@@ -121,7 +147,8 @@ def test_invalid_block_order_is_parse_error(key, z):
 
 def test_serialize_rejects_block_of_wrong_length(key):
     env = envelope.seal(MESSAGE, key)
-    short = dataclasses.replace(env, body=env.body[:-8])  # the last block is one entry short
+    # the last block is one entry short
+    short = dataclasses.replace(env, body=env.body[: -env.entry_bytes])
     with pytest.raises(CorruptionError, match="not whole blocks"):
         envelope.serialize(short)
 
@@ -190,8 +217,9 @@ def test_single_bit_flips_always_error(rng, key):
 def test_flipping_count_fields_is_detected(key):
     env = envelope.seal(MESSAGE_2, key)
     wire = envelope.serialize(env)
-    # plain_byte_count occupies bytes 8..16, symbol count 16..24, bit count 24..32
-    for offset in (15, 23, 31):
+    # entry_bytes is byte 8, plain_byte_count bytes 9..17, bit count 17..25
+    # and block count 25..29
+    for offset in (8, 16, 24, 28):
         tampered = bytearray(wire)
         tampered[offset] ^= 0x01
         with pytest.raises(GchwError):
@@ -225,33 +253,52 @@ def test_seed_variants_derive_their_own_pairs(key):
     assert seed_variant(key, 0).matrix_pair is key.matrix_pair
 
 
-def reference_open(env, key):
-    """``open`` on the per-block route: decrypt_block, unpartition, then the MAC."""
-    kp = key.matrix_pair
-    if env.version != envelope.VERSION:
-        raise ParseError(f"unsupported envelope version {env.version}")
-    if env.z != kp.z or env.scale_exp != kp.scale_exp:
-        raise CorruptionError("envelope was sealed under different key parameters")
-    plain_blocks = [decrypt_block(b, kp) for b in env.blocks]
-    compressed = unpartition(plain_blocks, (env.compressed_bit_count + 7) // 8)
-    if not auth.verify(key.mac_key, compressed, env.tag):
-        raise AuthenticationError("MAC tag mismatch: data attack or wrong key")
-    bits = BitString.unpack(compressed, env.compressed_bit_count)
-    message = ahuffman.decode(bits, env.compressed_symbol_count)
-    if len(message) != env.plain_byte_count:
-        raise CorruptionError("decoded length does not match the recorded byte count")
-    return message
+def per_block_decrypt(body, kp, byte_count):
+    """``decrypt_message`` on the per-block route: decrypt_block on each block, then unpartition."""
+    blocks = body_blocks(body, kp.z, kp.entry_bytes)
+    return unpartition([decrypt_block(b, kp) for b in blocks], byte_count)
 
 
-def open_outcome(open_fn, env, key):
+def decrypt_outcome(decrypt, env, key):
+    """``decrypt`` of the envelope's body and byte count: bytes, or (error type, message)."""
     try:
-        return open_fn(env, key)
+        return decrypt(env.body, key.matrix_pair, (env.compressed_bit_count + 7) // 8)
     except GchwError as exc:
         return type(exc), str(exc)
 
 
+@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("message", [b"", MESSAGE_1, MESSAGE_2], ids=["empty", "M1", "M2"])
+def test_no_forged_envelope_reaches_decrypt(monkeypatch, level, message):
+    # the header and tag are checked first, so every single-bit flip is
+    # rejected before any block is decrypted
+    key = make_key(level=level)
+    wire = envelope.serialize(envelope.seal(message, key))
+    calls = []
+    real_decrypt = blockcipher.decrypt_message
+
+    def counting_decrypt(*args):
+        calls.append(args)
+        return real_decrypt(*args)
+
+    monkeypatch.setattr(blockcipher, "decrypt_message", counting_decrypt)
+    assert envelope.open(envelope.deserialize(wire), key) == message
+    assert len(calls) == 1
+    errors = set()
+    for position in range(8 * len(wire)):
+        tampered = bytearray(wire)
+        tampered[position // 8] ^= 0x80 >> (position % 8)
+        with pytest.raises(GchwError) as info:
+            envelope.open(envelope.deserialize(bytes(tampered)), key)
+        errors.add(type(info.value))
+    assert len(calls) == 1
+    assert errors == {AuthenticationError, CorruptionError, ParseError}
+
+
 @pytest.mark.parametrize("level", [2, 3])
 def test_every_bit_flip_fails_like_the_per_block_route(level):
+    # decrypt_message on each flipped envelope's body and byte count,
+    # against the per-block route; open itself rejects all of them at the tag
     key = make_key(level=level)
     wire = envelope.serialize(envelope.seal(MESSAGE_2, key))
     seen = set()
@@ -262,22 +309,22 @@ def test_every_bit_flip_fails_like_the_per_block_route(level):
             env = envelope.deserialize(bytes(tampered))
         except ParseError:
             continue
-        expected = open_outcome(reference_open, env, key)
-        assert open_outcome(envelope.open, env, key) == expected, position
+        expected = decrypt_outcome(per_block_decrypt, env, key)
+        assert decrypt_outcome(decrypt_message, env, key) == expected, position
         seen.add(expected)
-    # the flips reach the decrypt, padding and MAC checks
-    assert {message for _, message in seen} >= {
+    # the flips reach the decrypt and padding checks
+    assert {outcome[1] for outcome in seen if isinstance(outcome, tuple)} >= {
         "decrypted entry is not an integer",
         "padding marker inside the data region",
-        "MAC tag mismatch: data attack or wrong key",
     }
 
 
-def _nudge(body, entry, delta):
-    """``body`` with its int64 entry number ``entry`` moved by ``delta``."""
+def _nudge(body, width, entry, delta):
+    """``body`` with its ``width``-byte entry number ``entry`` moved by ``delta``."""
     out = bytearray(body)
-    (value,) = struct.unpack_from(">q", out, 8 * entry)
-    struct.pack_into(">q", out, 8 * entry, value + delta)
+    at = slice(width * entry, width * (entry + 1))
+    value = int.from_bytes(out[at], "big", signed=True) + delta
+    out[at] = value.to_bytes(width, "big", signed=True)
     return bytes(out)
 
 
@@ -293,11 +340,13 @@ IN_MEMORY_TAMPERS = {
 def test_in_memory_tampering_fails_like_the_per_block_route(name, key):
     env = envelope.seal(MESSAGE, key)
     assert len(env.blocks) >= 3
-    body = IN_MEMORY_TAMPERS[name](env.body, 8 * env.z * env.z)
+    body = IN_MEMORY_TAMPERS[name](env.body, env.entry_bytes * env.z * env.z)
     forged = dataclasses.replace(env, body=body)
-    expected = open_outcome(reference_open, forged, key)
+    expected = decrypt_outcome(per_block_decrypt, forged, key)
     assert isinstance(expected, tuple)
-    assert open_outcome(envelope.open, forged, key) == expected
+    assert decrypt_outcome(decrypt_message, forged, key) == expected
+    with pytest.raises(AuthenticationError):
+        envelope.open(forged, key)
 
 
 @pytest.mark.parametrize("bit_delta", [-8, -1, 1, 8])
@@ -305,13 +354,17 @@ def test_moved_padding_with_a_later_corrupt_block_names_the_block(key, bit_delta
     # the count change misplaces the padding in the last block, but the
     # per-block route decrypts every block first, so the corrupt one wins
     env = envelope.seal(MESSAGE, key)
-    body = _nudge(env.body, len(env.body) // 8 - env.z * env.z + 2, 1)  # the last block's entry 2
+    last_entry_2 = len(env.body) // env.entry_bytes - env.z * env.z + 2
+    body = _nudge(env.body, env.entry_bytes, last_entry_2, 1)
     for forged in (
         dataclasses.replace(env, compressed_bit_count=env.compressed_bit_count + bit_delta),
         dataclasses.replace(
             env, compressed_bit_count=env.compressed_bit_count + bit_delta, body=body
         ),
     ):
-        expected = open_outcome(reference_open, forged, key)
-        assert isinstance(expected, tuple)
-        assert open_outcome(envelope.open, forged, key) == expected
+        expected = decrypt_outcome(per_block_decrypt, forged, key)
+        # a one-bit move may keep the byte count, and then the body decrypts
+        assert isinstance(expected, tuple) or forged.body == env.body
+        assert decrypt_outcome(decrypt_message, forged, key) == expected
+        with pytest.raises(AuthenticationError):
+            envelope.open(forged, key)

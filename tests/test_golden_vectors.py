@@ -8,11 +8,14 @@ from the code under test.
 
 import hashlib
 import random
+import struct
 
 import pytest
 
+from gchw import auth
 from gchw.ahuffman import decode, encode
 from gchw.bits import BitString
+from gchw.blockcipher import encrypt_block, partition
 from gchw.envelope import deserialize, seal, serialize
 from gchw.envelope import open as open_envelope
 from gchw.keyschedule import parse_key
@@ -104,7 +107,11 @@ def test_bulk_stream_digests(name):
 # Wire vectors: SHA-256 of ``serialize(seal(message, key))`` for fixed key
 # files, levels 1-4 of each kind plus one level-6 key, so block-layer
 # rewrites stay byte-exact.  Each seed is two bytes (level, kind index)
-# repeated to 32 bytes.
+# repeated to 32 bytes.  WIRE_DIGESTS pin the version-2 format and came
+# from a per-block writer (partition, encrypt_block, entries at the key's
+# width, HMAC over header || body).  V1_WIRE_DIGESTS pin the version-1
+# wire of the same envelopes, which ``v1_wire`` rebuilds, so the
+# ciphertext integers stay those of every earlier release.
 WIRE_KINDS = {"fibonacci": (5, 1), "lucas": (5, 1), "elc": (3, 1)}
 
 
@@ -121,7 +128,7 @@ WIRE_MESSAGES = {
     "random-4KiB": random.Random(6).randbytes(4096),
 }
 
-WIRE_DIGESTS = {
+V1_WIRE_DIGESTS = {
     ("fibonacci", 1): {
         "empty": "3ae11582dbd16c18dc99814e761cfa84e2cbc57dd416fb07eae3dd387ea1f109",
         "demo0": "32c9c924cb1a17f94dab21a0da5920191a09b0863c4232934f80cec3b8183ad1",
@@ -229,10 +236,164 @@ WIRE_DIGESTS = {
 }
 
 
+WIRE_DIGESTS = {
+    ("fibonacci", 1): {
+        "empty": "6bd90f7e7d8df659d90d6a42bc319f176d5bba11021ed36f1b4f21162af02451",
+        "demo0": "0028efb1f5e40253fa085f54c296a377325cf5111bb06873c886a79456bbea27",
+        "demo1": "0a83b70f125257e6e242f69ca871cec4b88578d73c43b99aeb693734364dbce7",
+        "demo2": "3a1744bb2c79d1d5e36c5634151ee86dd0a8026661906b2c961d1b9747c6d404",
+        "text-4KiB": "616b4b485c35549f4c7c2d02a4035e56bc3969b094cbbf632ca4c037eaac2ae7",
+        "random-4KiB": "bf7e7c28c6c0afe8def68fdf5f2ea4fa3984e7d8d36f6d10fc54d70c2c89355c",
+    },
+    ("lucas", 1): {
+        "empty": "6bd90f7e7d8df659d90d6a42bc319f176d5bba11021ed36f1b4f21162af02451",
+        "demo0": "a6c288848b19415b0fda18ec5394d5f4254d825a9292b736178e6e1f342105a8",
+        "demo1": "0e575a368ea19a42ed8322c16c599dc2067dc4eb1910a6977d11c6f5fd1611b6",
+        "demo2": "76fa08a71d385440b01d0f565cf25fbc812768c20780413407905ab667bd51cc",
+        "text-4KiB": "7898119966f4f0d508c8ffdb3136f528d95fec5957840af4daa60caf884b702a",
+        "random-4KiB": "9720a5543a43b5b1b7684f3215c987a8e5b32f5398a41153a2fb3e86854d2b6d",
+    },
+    ("elc", 1): {
+        "empty": "1d335e0f7e1a94d77b2ddc4cc7333a27f1aba5af685273c8bfa1ac007bf6b3f8",
+        "demo0": "2dd6173b2d0e0783a2a496513270aa1880a6841edcf8eec7a1c2f3399c346598",
+        "demo1": "62d11b43ec2ca3af5eecd29f1cfa6bdb3c0de87b63f7ae147eb930d0bca1533c",
+        "demo2": "1655d680faa9f972b0ece9bbab95094b3fb0e5ac9cbf80a3bd5028ba2ca09af3",
+        "text-4KiB": "37b9391ec524e2d819ca07fa9cde42838b9ad4152851f66ece4bb376a3091241",
+        "random-4KiB": "b36f28eb5eacb764a86d5b369ded5b7000d3ef4141fab8b0446500978279fec0",
+    },
+    ("fibonacci", 2): {
+        "empty": "a8e2195c994a10bdf78f0d87411d2d59ae828cd9c85c964bafaca76119ef8ee7",
+        "demo0": "a62811ac2f4cb81a68285fbcf0899aa4c22df6a067024a35598bb9bc56a1e986",
+        "demo1": "2766c5e5ab5311ab364491505f1785321a0b7effa6d46fae93aa631a75e41bb4",
+        "demo2": "abf55f14f68d058511781d6f738802506123bfeaea25dbfebddd74b3f29b9a3b",
+        "text-4KiB": "5cbd437fa3175b1845fffd5c7f24b1bf059ceb5b649c606df607bf79f8f51813",
+        "random-4KiB": "ec0a148f87f747514d317e04612696deef45a0e4bbe5738db38ad17084d04835",
+    },
+    ("lucas", 2): {
+        "empty": "a8e2195c994a10bdf78f0d87411d2d59ae828cd9c85c964bafaca76119ef8ee7",
+        "demo0": "d774f7d136d36ff1d964d0096485ce6bfe24ff3c50c9066438dfcd9fcc7ddcad",
+        "demo1": "20bed290ab26f5ea8d43965c8e8debead95c92dc98d66da095b5fad5ec7ea164",
+        "demo2": "5d1c6c3b263e561958efe9d40dee2e3b5864e6f75a513e3a768704a9dd42dd62",
+        "text-4KiB": "e8e566cae76ddb8a258d82ac4058100ef73e4e626a95e62dfd058813788f01bd",
+        "random-4KiB": "519323ee83d56586892be919a2a02a9b910707cc101efdd24c2231b9521f7a69",
+    },
+    ("elc", 2): {
+        "empty": "a8e2195c994a10bdf78f0d87411d2d59ae828cd9c85c964bafaca76119ef8ee7",
+        "demo0": "c1beeb1dadf4da21c14640a9006ca9b06a12e5a542628d15c1f371bd653d2667",
+        "demo1": "8c6e1691d4e0c7026c4ae70e11cd59d38f9ab73554974eb2c9eead7a352425d5",
+        "demo2": "dd21fb77acd02f1d1eec76eab4b58425066543d32493bada3619324ae04d499b",
+        "text-4KiB": "fe58e3fed440de29e6685113d143f32d45a7bc92f03b8854a8963d78cccf644a",
+        "random-4KiB": "c421196fc04c57f4f4321f8cbe5ad7abf99b57d99ef9d8f61d90a9c4b01bc06f",
+    },
+    ("fibonacci", 3): {
+        "empty": "9186b846e90fb8c3ee715e5968a980d3bbeb49459daf21e3254bd73881dc58e2",
+        "demo0": "5e6004b9f567d2318bdb162f8edb3128cecfd4dd8c8690c469ed663b711cee10",
+        "demo1": "c04bbc3d11e55b170178e4e55eab0181f93a48d11123a517fd42c9e61833f1f1",
+        "demo2": "4a0b710f0c7beefd0405f04aeddb33146abec04a0925beca0568a6927da6319b",
+        "text-4KiB": "6cf1a334cb17cf3018319d36ee777d8814fa1236e63571a9166abe4962e7132c",
+        "random-4KiB": "63b2d3e4199dd6f053965310a4cba01c5eec5244c8fe5a7c60741ff05d543e74",
+    },
+    ("lucas", 3): {
+        "empty": "9186b846e90fb8c3ee715e5968a980d3bbeb49459daf21e3254bd73881dc58e2",
+        "demo0": "e933140d744cea9affe10f257bcc50dad95657a9a8dc008c49962df23cf83519",
+        "demo1": "c725eef680e19144f6d705527d01c87b6674fc784e9df395178b900028e828c7",
+        "demo2": "8f649cf9b11eb6303a3cd30e791241b56f0e4c61e16674db2f642a4617d597f0",
+        "text-4KiB": "9a1cb9c192ca38b9bae52aed63ea67a0cc3a1a941d051db8e0359d8ec3324e41",
+        "random-4KiB": "f4201b5f74c140a9baadadd4621bef8300232c7f9e35b44491f6c899f432519f",
+    },
+    ("elc", 3): {
+        "empty": "9186b846e90fb8c3ee715e5968a980d3bbeb49459daf21e3254bd73881dc58e2",
+        "demo0": "e1499f54b9b530180d4a5fb3fc1d07e232f4f3862021ba12ee8f8fb1b1de5a08",
+        "demo1": "aa2cd96a4c744cc756afae37b28368cc1abb3186a5ebcaa8f05b1c16b78a640e",
+        "demo2": "daa304406bd1c5a2b48320c360cbaafee677c03ccbcdf2744b8ec2d31e1bb573",
+        "text-4KiB": "090307678750e0d8e51b57366852a0fe3000c536aa1002d697c60db20dad1432",
+        "random-4KiB": "db929fa3ac899b8c1605360ae8122a66eb380f0f7924e900825c39e105da1deb",
+    },
+    ("fibonacci", 4): {
+        "empty": "fc92b08abcd316011d5f6bc4dd662e65dcb122c0a2b70152d842f632f86a1599",
+        "demo0": "2b477bffdab71107fbe144f4afbd1866dd24a33779532098785ce9ddb5fc9dfd",
+        "demo1": "05e9d3e430121dd171eb336a9bbaf4d433360f01cf43789a5273a10ec0f4a632",
+        "demo2": "39496cdd252ff4158abc51809c4129aaa81e629809fc31d7d46a932d049538ec",
+        "text-4KiB": "5c11a0efb98eb8543d2b91458cc9399f022269572dac3170328e5f165ee1b9eb",
+        "random-4KiB": "464d8fe09d45a06353752a764a05cb0e3e98fcfe03f1bf6a67fa7ef5c7ce9401",
+    },
+    ("lucas", 4): {
+        "empty": "fc92b08abcd316011d5f6bc4dd662e65dcb122c0a2b70152d842f632f86a1599",
+        "demo0": "c515d0829d92e44f1301ce43544b8c536ddd5cc9e413cc06e5ed406dd63145a7",
+        "demo1": "f15f2bdc85cb1118f2c4c1517f5068f718c3b8e43e28a538e966779250ed3a72",
+        "demo2": "345bcd924d25b520533166ff793ccbc548300a755712fdb3be75b39d12e35d19",
+        "text-4KiB": "ae6e675c4f51b516b3ac76b2335a775cd2e7839f2958159d03e6d980391e39e0",
+        "random-4KiB": "bf2285f7f43b9fd17ef2476dd6ec1ff77ef81909405ec2b4fc026399e317c4ce",
+    },
+    ("elc", 4): {
+        "empty": "fc92b08abcd316011d5f6bc4dd662e65dcb122c0a2b70152d842f632f86a1599",
+        "demo0": "cc6b023e253adcb432b80f25d1102baf5d57f036ce12fd49730b6a512d7ba4ed",
+        "demo1": "30c7658033904eaa81ef196e80c8fc4bfdf1d89f158f3cb4a56b15aa6d706f0d",
+        "demo2": "527afb01745d73f7b19a0fda953da279e4e2818639e0fe64811b01b91a762140",
+        "text-4KiB": "109573c1f2e2be931d30fb0fd0004e3f4b45fd059d85af91c8503dfe6b66296e",
+        "random-4KiB": "c362e9a073900fcb5e84335682aed162900c92f05ed82396140fe6418c099e1c",
+    },
+    ("fibonacci", 6): {
+        "empty": "8799d6ce0f6c3faf1d780a1559c522460a7d060ac6de55edb4f8b20be2af13a2",
+        "demo0": "9d152dbc637d3dba13249729cb6a59fb5d6d92e5d608342fac03b2a276d6295c",
+        "demo1": "b7e6547fb06925e60245710ee6f790e2d8af94066b8b984dc598f0e11066acfa",
+        "demo2": "553f32a4c105985b7af50db4ded34521a07f83d8e45fdfc522feea51430cddbe",
+        "text-4KiB": "9304fd4f672190ee2c631cdfb997af0cfd242ab7d66116596dbb03376d8d8323",
+        "random-4KiB": "6aff131903dec4733525021c472c75b1009ac083c44f5d9673edc4ed6cd49bc6",
+    },
+}
+
+_V2_HEADER = struct.Struct(">4sBHBBQQI")
+
+
+def v1_wire(env, message: bytes, key) -> bytes:
+    """``env`` in version 1: its header, int64 entries and the tag over the compressed bytes."""
+    header = struct.pack(
+        ">4sBHBQQQI",
+        b"GCHW",
+        1,
+        env.z,
+        env.scale_exp,
+        env.plain_byte_count,
+        env.plain_byte_count,  # the symbol count v1 carried: one symbol per byte
+        env.compressed_bit_count,
+        len(env.blocks),
+    )
+    body = b"".join(struct.pack(f">{env.z * env.z}q", *block) for block in env.blocks)
+    return header + body + auth.mac(key.mac_key, encode(message).pack())
+
+
+def per_block_v2_wire(message: bytes, key) -> bytes:
+    """The version-2 wire built block by block, independent of the packed route."""
+    kp = key.matrix_pair
+    bits = encode(message)
+    blocks = partition(bits.pack(), kp.z)
+    width = kp.entry_bytes
+    body = b"".join(
+        v.to_bytes(width, "big", signed=True) for block in blocks for v in encrypt_block(block, kp)
+    )
+    header = _V2_HEADER.pack(
+        b"GCHW", 2, kp.z, kp.scale_exp, width, len(message), len(bits), len(blocks)
+    )
+    return header + body + auth.mac(key.mac_key, header + body)
+
+
 @pytest.mark.parametrize("kind, level", sorted(WIRE_DIGESTS))
 def test_wire_digests(kind, level):
     key = parse_key(wire_key_file(kind, level))
     for name, message in WIRE_MESSAGES.items():
-        wire = serialize(seal(message, key))
+        env = seal(message, key)
+        wire = serialize(env)
         assert hashlib.sha256(wire).hexdigest() == WIRE_DIGESTS[kind, level][name], name
+        v1 = v1_wire(env, message, key)
+        assert hashlib.sha256(v1).hexdigest() == V1_WIRE_DIGESTS[kind, level][name], name
         assert open_envelope(deserialize(wire), key) == message, name
+
+
+def test_seal_matches_the_per_block_v2_writer():
+    for kind, level in sorted(WIRE_DIGESTS):
+        key = parse_key(wire_key_file(kind, level))
+        for name, message in WIRE_MESSAGES.items():
+            wire = serialize(seal(message, key))
+            assert wire == per_block_v2_wire(message, key), (kind, level, name)
+
