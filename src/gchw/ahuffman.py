@@ -15,14 +15,22 @@ increments the weight.  When the two are siblings, the parent's 0-child
 becomes the leader's number, where the moved node now sits.  Weights are
 non-decreasing by number, so the leader is found by bisecting
 ``weight_at``, and only when the next number holds the same weight.
+
+Until its first swap the update climbs the code path, so the encoder walks
+each symbol once, reading the code bit, testing for a swap and incrementing
+at each number.  At the first swap nothing above has moved: it reads the
+rest of the code there and hands the leader to ``_swap_and_climb``, the one
+swap of the codec, which finishes the update.  ``decode`` inlines the same
+climb up to the first swap.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import product
 from math import inf
 
-from .bits import _FROM_ASCII, _TO_ASCII, BitString
+from .bits import _TO_ASCII, BitString
 from .errors import CorruptStreamError
 
 ALPHABET_SIZE = 256
@@ -30,6 +38,9 @@ NYT = ALPHABET_SIZE  # the symbol of the not-yet-transmitted leaf
 # At most 257 leaves, hence 2*257 - 1 numbers.  The root keeps the top one;
 # each NYT spawn claims the two numbers directly below the old NYT's.
 _TOP_NUMBER = 2 * ALPHABET_SIZE
+# each byte's 8-bit literal as 0/1 values, least significant bit first
+# (product counts up from 00000000, so the index is the byte)
+_LITERAL_REVERSED = [bytes(bits[::-1]) for bits in product((0, 1), repeat=8)]
 
 
 class AdaptiveHuffmanTree:
@@ -52,64 +63,76 @@ class AdaptiveHuffmanTree:
         self.leaf_at = [-1] * ALPHABET_SIZE + [_TOP_NUMBER]
 
     def _spawn(self, byte: int) -> int:
-        """The NYT becomes the parent of a new NYT (0-child) and the byte's leaf."""
+        """The NYT becomes the parent of a new NYT (0-child) and the byte's leaf.
+
+        The leaf weighs 1 at once, as its increment never swaps (above it sit
+        the old NYT's 0, then weights of at least 1); returns the old NYT's
+        number, where the update goes on.
+        """
         old = self.leaf_at[NYT]
         nyt = old - 2
-        self.weight_at[nyt:old] = (0, 0)
+        self.weight_at[nyt:old] = (0, 1)
         self.up[nyt:old] = (old, old)
         self.kid[nyt : old + 1] = (~NYT, ~byte, nyt)
         self.leaf_at[NYT] = nyt
         self.leaf_at[byte] = nyt + 1
-        return nyt + 1
+        return old
 
     def update(self, byte: int) -> None:
         """Account for one occurrence of ``byte``, preserving the sibling property."""
         q = self.leaf_at[byte]
         if q == -1:
             q = self._spawn(byte)
-        # hottest loop in the codec: arrays bound to locals, swap inlined
+        w = self.weight_at[q]
+        p = self.up[q]
+        lead = q
+        if self.weight_at[q + 1] == w:
+            lead = bisect_left(self.weight_at, w + 1, q + 2) - 1
+            if lead == p:
+                lead -= 1
+        self._swap_and_climb(q, lead, p, w)
+
+    def _swap_and_climb(self, q: int, lead: int, p: int, w: int) -> None:
+        """Swap number ``q`` (weight ``w``, parent ``p``) with the block leader
+        ``lead`` that the caller's swap test found (none if ``lead == q``),
+        then finish the update.
+        """
+        # hottest loop in the codec: arrays bound to locals
         weight_at = self.weight_at
         up = self.up
         kid = self.kid
         leaf_at = self.leaf_at
-        while q != -1:
-            w = weight_at[q]
-            if weight_at[q + 1] == w:
-                # the block leader holds the last number of weight w
-                lead = bisect_left(weight_at, w + 1, q + 2) - 1
-                p = up[q]
-                if lead == p:
-                    # the parent is never a swap target; take the next candidate
-                    lead -= 1
-                if lead != q:
-                    a, b = kid[q], kid[lead]
-                    kid[q], kid[lead] = b, a
-                    if a < 0:
-                        leaf_at[~a] = lead
-                    else:
-                        up[a] = up[a ^ 1] = lead
-                    if b < 0:
-                        leaf_at[~b] = q
-                    else:
-                        up[b] = up[b ^ 1] = q
-                    if up[lead] == p:
-                        # siblings: the moved node is the 0-child
-                        kid[p] = lead
-                    q = lead
-            # the swap moved an equal weight, so w still sits at q
-            weight_at[q] = w + 1
-            q = up[q]
-
-    def snapshot(self):
-        """Canonical nested-tuple rendering, for structural comparison."""
-
-        def walk(q):
-            k = self.kid[q]
-            if k < 0:
-                return (q, self.weight_at[q], "NYT" if k == ~NYT else ~k)
-            return (q, self.weight_at[q], walk(k), walk(k ^ 1))
-
-        return walk(_TOP_NUMBER)
+        while True:
+            if lead != q:
+                a, b = kid[q], kid[lead]
+                kid[q], kid[lead] = b, a
+                if a < 0:
+                    leaf_at[~a] = lead
+                else:
+                    up[a] = up[a ^ 1] = lead
+                if b < 0:
+                    leaf_at[~b] = q
+                else:
+                    up[b] = up[b ^ 1] = q
+                if up[lead] == p:
+                    # siblings: the moved node is the 0-child
+                    kid[p] = lead
+                q = lead
+            # climb to the next swap; a swap moves an equal weight, so w
+            # still sits at q
+            while True:
+                weight_at[q] = w + 1
+                q = up[q]
+                if q == -1:
+                    return
+                w = weight_at[q]
+                if weight_at[q + 1] == w:
+                    p = up[q]
+                    lead = bisect_left(weight_at, w + 1, q + 2) - 1
+                    if lead == p:
+                        lead -= 1
+                    if lead != q:
+                        break
 
 
 def check_sibling_property(tree: AdaptiveHuffmanTree) -> bool:
@@ -154,37 +177,56 @@ def encode(data: bytes) -> BitString:
     out = BitString()
     emit = out.bits.extend
     # arrays bound to locals (they are only ever mutated in place); each
-    # code is walked leaf-to-root inline and reversed into one reused
-    # buffer, so no per-symbol object outlives its symbol
+    # code is collected leaf-to-root into one reused buffer and reversed
+    weight_at = tree.weight_at
     up = tree.up
     kid = tree.kid
     leaf_at = tree.leaf_at
-    update = tree.update
+    climb = tree._swap_and_climb
     path = bytearray()
     step = path.append
     for byte in data:
-        leaf = leaf_at[byte]
-        q = leaf_at[NYT] if leaf == -1 else leaf
-        p = up[q]
-        while p != -1:
-            step(q ^ kid[p])
-            q = p
+        q = leaf_at[byte]
+        if q == -1:
+            # the literal goes in first, reversed, so it follows the code
+            path += _LITERAL_REVERSED[byte]
+            q = tree._spawn(byte)
+        # one walk: each number's code bit, swap test and increment
+        while q != _TOP_NUMBER:
+            w = weight_at[q]
             p = up[q]
+            if weight_at[q + 1] == w:
+                lead = bisect_left(weight_at, w + 1, q + 2) - 1
+                if lead == p:
+                    lead -= 1
+                if lead != q:
+                    # nothing above q has moved yet: finish the code, then swap
+                    r, s = q, p
+                    while s != -1:
+                        step(r ^ kid[s])
+                        r = s
+                        s = up[r]
+                    climb(q, lead, p, w)
+                    break
+            step(q ^ kid[p])
+            weight_at[q] = w + 1
+            q = p
+        else:
+            weight_at[q] += 1
         path.reverse()
         emit(path)
         path.clear()
-        if leaf == -1:
-            emit(format(byte, "08b").encode().translate(_FROM_ASCII))
-        update(byte)
     return out
 
 
 def decode(bits: BitString, symbol_count: int) -> bytes:
     """Exact inverse of :func:`encode`; consumes every bit of ``bits``."""
     tree = AdaptiveHuffmanTree()
+    weight_at = tree.weight_at
+    up = tree.up
     kid = tree.kid
     leaf_at = tree.leaf_at
-    update = tree.update
+    climb = tree._swap_and_climb
     out = bytearray()
     stream = bits.bits
     total = len(stream)
@@ -205,8 +247,23 @@ def decode(bits: BitString, symbol_count: int) -> bytes:
             pos += 8
             if leaf_at[byte] != -1:
                 raise CorruptStreamError("literal of a byte that already has a code")
+            q = tree._spawn(byte)
+        else:
+            q = leaf_at[byte]
         out.append(byte)
-        update(byte)
+        # the update, inlined up to its first swap
+        while q != -1:
+            w = weight_at[q]
+            if weight_at[q + 1] == w:
+                p = up[q]
+                lead = bisect_left(weight_at, w + 1, q + 2) - 1
+                if lead == p:
+                    lead -= 1
+                if lead != q:
+                    climb(q, lead, p, w)
+                    break
+            weight_at[q] = w + 1
+            q = up[q]
     if pos != total:
         raise CorruptStreamError("trailing bits after the final symbol")
     return bytes(out)

@@ -180,12 +180,16 @@ def analyze_message(message: bytes, key: CipherKey, seeds: int = 1) -> list[Anal
     cipher series.  The variants differ only in the seed, so the message is
     compressed once and each variant runs the keyed half of ``seal``.
     """
+    return _analyze(message, key, seeds)[0]
+
+
+def _analyze(message: bytes, key: CipherKey, seeds: int) -> tuple[list[AnalysisReport], CipherEnvelope]:
+    """:func:`analyze_message`, plus variant 0's envelope, which is ``seal(message, key)``."""
     if seeds < 1:
         raise StatisticsError("need at least one seed")
     bits = ahuffman.encode(message)
     compressed = bits.pack()
     reports = []
-    baseline = None
     for index in range(seeds):
         env = _seal_packed(compressed, len(bits), len(message), seed_variant(key, index))
         series = cipher_series(env)
@@ -194,11 +198,11 @@ def analyze_message(message: bytes, key: CipherKey, seeds: int = 1) -> list[Anal
         cipher = series[:n]
         corr = correlation(plain, cipher)
         t, p = paired_t(plain, cipher)
-        if baseline is None:
-            baseline = series
+        if index == 0:
+            first, baseline = env, series
         ut, up = unpaired_t(series, baseline)
         reports.append(AnalysisReport(corr, t, p, ut, up, n))
-    return reports
+    return reports, first
 
 
 def contrast_csv(plain: bytes, env: CipherEnvelope, char: str | None = None) -> str:

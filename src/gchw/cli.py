@@ -172,8 +172,7 @@ def _cmd_analyze(args) -> int:
         message = fh.read()
     if args.char is not None and len(args.char) != 1:
         raise ParameterError("--char takes exactly one character")
-    reports = analysis.analyze_message(message, key, seeds=args.seeds)
-    env = envelope.seal(message, key)
+    reports, env = analysis._analyze(message, key, args.seeds)
     lines = [
         "# cipher series = flattened block entries / 2^scale_exp,"
         " truncated to the plaintext length for paired statistics",

@@ -1,4 +1,4 @@
-"""Test-only helpers over library objects: FGK code paths and reference update, 0/1 bit strings, matrix arithmetic."""
+"""Test-only helpers over library objects: FGK code paths and snapshots, reference update and encoder, 0/1 bit strings, matrix arithmetic."""
 
 from gchw.ahuffman import _TOP_NUMBER, ALPHABET_SIZE, NYT
 from gchw.bits import BitString
@@ -31,10 +31,22 @@ def nyt_code(tree) -> list[int]:
     return path(tree, tree.leaf_at[NYT])
 
 
+def snapshot(tree):
+    """Canonical nested-tuple rendering of an FGK tree, for structural comparison."""
+
+    def walk(q):
+        k = tree.kid[q]
+        if k < 0:
+            return (q, tree.weight_at[q], "NYT" if k == ~NYT else ~k)
+        return (q, tree.weight_at[q], walk(k), walk(k ^ 1))
+
+    return walk(_TOP_NUMBER)
+
+
 class ReferenceTree:
     """FGK tree with per-node weights, for :func:`reference_update`.
 
-    It keeps the library tree's numbering and its ``snapshot`` format, so
+    It keeps the library tree's numbering and the format of :func:`snapshot`, so
     the two trees can be compared after every symbol.
     """
 
@@ -133,6 +145,30 @@ def reference_update(tree: ReferenceTree, byte: int) -> None:
         else:
             weight[node] = w + 1
             node = parent_node
+
+
+def reference_encode(data: bytes) -> BitString:
+    """The two-walk FGK encoder, an oracle for ``ahuffman.encode``.
+
+    For each symbol it reads the whole code from leaf to root (the NYT's
+    code and the 8-bit literal, MSB first, for an unseen byte), and only
+    then runs :func:`reference_update`.
+    """
+    tree = ReferenceTree()
+    out = BitString()
+    for byte in data:
+        node = tree.leaf_of[byte]
+        code = []
+        at = tree.nyt if node == -1 else node
+        while tree.parent[at] != -1:
+            code.append(0 if tree.left[tree.parent[at]] == at else 1)
+            at = tree.parent[at]
+        code.reverse()
+        if node == -1:
+            code += [(byte >> shift) & 1 for shift in range(7, -1, -1)]
+        out.extend(code)
+        reference_update(tree, byte)
+    return out
 
 
 def bits_from01(text: str) -> BitString:

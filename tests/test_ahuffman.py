@@ -1,5 +1,7 @@
 """FGK codec: bit-exact traces, roundtrips, and the sibling property."""
 
+from bisect import bisect_left
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +15,16 @@ from gchw.ahuffman import (
 )
 from gchw.bits import BitString
 from gchw.errors import CorruptStreamError
-from helpers import ReferenceTree, bits_from01, code_for, contains, nyt_code, reference_update
+from helpers import (
+    ReferenceTree,
+    bits_from01,
+    code_for,
+    contains,
+    nyt_code,
+    reference_encode,
+    reference_update,
+    snapshot,
+)
 from test_golden_vectors import english_like
 
 
@@ -164,7 +175,7 @@ def assert_matches_reference(data: bytes) -> None:
     for byte in data:
         tree.update(byte)
         reference_update(reference, byte)
-        assert tree.snapshot() == reference.snapshot()
+        assert snapshot(tree) == reference.snapshot()
 
 
 def parent_tops_block(reference: ReferenceTree, byte: int) -> bool:
@@ -201,6 +212,79 @@ def test_update_matches_scanning_reference_when_parent_tops_block():
     reference_update(reference, ord("a"))
     assert parent_tops_block(reference, ord("a"))
     assert_matches_reference(b"aabbbcab" * 3)
+
+
+def assert_encodes_like_reference(data: bytes) -> None:
+    """The one-walk encoder writes the two-walk encoder's bits, and they decode."""
+    bits = encode(data)
+    assert bits == reference_encode(data)
+    assert decode(bits, len(data)) == data
+
+
+def test_encode_matches_two_walk_reference_on_random_bytes(rng):
+    for size in (1, 40, 300, 1500, 6000):
+        assert_encodes_like_reference(rng.randbytes(size))
+
+
+def test_encode_matches_two_walk_reference_on_skewed_bytes(rng):
+    for alphabet in (2, 3, 5, 20):
+        weights = [1 / (rank + 1) ** 1.2 for rank in range(alphabet)]
+        symbols = rng.sample(range(256), alphabet)
+        assert_encodes_like_reference(bytes(rng.choices(symbols, weights, k=1500)))
+
+
+def test_encode_matches_two_walk_reference_on_text():
+    assert_encodes_like_reference(english_like(6000, 8))
+
+
+def test_encode_matches_two_walk_reference_on_every_literal(rng):
+    every = list(range(256))
+    assert_encodes_like_reference(bytes(every))
+    rng.shuffle(every)
+    assert_encodes_like_reference(bytes(every) * 2)
+
+
+def test_encode_matches_two_walk_reference_when_parent_tops_block():
+    assert_encodes_like_reference(b"aabbbcab" * 3)
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(st.integers(0, 255), min_size=1, max_size=6, unique=True).flatmap(
+        lambda alphabet: st.lists(st.sampled_from(alphabet), max_size=120)
+    )
+)
+def test_encode_matches_two_walk_reference_on_small_alphabets(symbols):
+    assert_encodes_like_reference(bytes(symbols))
+
+
+def test_a_new_leaf_never_swaps(rng):
+    """The invariant the encoder's literal shortcut rests on.
+
+    Right after a spawn the number above the new leaf is the old NYT's, of
+    weight 0, and every allocated number above that weighs at least 1, so
+    the leaf's leader is its parent and hence the leaf itself: the leaf and
+    the old NYT both go from 0 to 1 without a swap.
+    """
+    tree = AdaptiveHuffmanTree()
+    spawns = 0
+    for byte in (rng.randrange(256) for _ in range(1500)):
+        if not contains(tree, byte):
+            spawns += 1
+            spawned = AdaptiveHuffmanTree()
+            for name in AdaptiveHuffmanTree.__slots__:
+                setattr(spawned, name, getattr(tree, name)[:])
+            old = spawned._spawn(byte)
+            assert old == tree.leaf_at[NYT]
+            weight_at = spawned.weight_at
+            leaf = spawned.leaf_at[byte]
+            assert spawned.up[leaf] == leaf + 1 == old
+            assert weight_at[leaf + 1] == 0
+            assert all(weight_at[q] >= 1 for q in range(old + 1, _TOP_NUMBER + 1))
+            # the leader the update would find for the leaf at weight 0
+            assert bisect_left(weight_at, 1, leaf + 2) - 1 == spawned.up[leaf]
+        tree.update(byte)
+    assert spawns > 200
 
 
 def test_sibling_property_checks_weight_at_layout():
@@ -260,7 +344,7 @@ def test_encoder_decoder_trees_stay_synchronized(rng):
             assert value == byte
             enc_tree.update(byte)
             dec_tree.update(byte)
-            assert enc_tree.snapshot() == dec_tree.snapshot()
+            assert snapshot(enc_tree) == snapshot(dec_tree)
 
 
 def test_decode_rejects_truncation():

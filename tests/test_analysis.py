@@ -11,6 +11,7 @@ from conftest import make_key
 from gchw import ahuffman, envelope
 from gchw.analysis import (
     AnalysisReport,
+    _analyze,
     analyze_message,
     cipher_series,
     contrast_csv,
@@ -227,6 +228,13 @@ def test_analyze_message_matches_one_seal_per_variant(key, message):
         ut, up = unpaired_t(series, baseline)
         reports.append(AnalysisReport(corr, t, p, ut, up, n))
     assert analyze_message(message, key, seeds=4) == reports
+
+
+@pytest.mark.parametrize("seeds", [1, 3])
+def test_analyze_returns_the_sealed_envelope_of_variant_0(key, seeds):
+    reports, env = _analyze(MESSAGE, key, seeds)
+    assert reports == analyze_message(MESSAGE, key, seeds=seeds)
+    assert envelope.serialize(env) == envelope.serialize(envelope.seal(MESSAGE, key))
 
 
 def test_analyze_message_rejects_zero_seeds(key):

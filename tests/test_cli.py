@@ -2,6 +2,8 @@
 
 import pytest
 
+from gchw import envelope
+from gchw.analysis import analyze_message, contrast_csv
 from gchw.cli import main
 from gchw.keyschedule import load_key_file
 
@@ -179,6 +181,39 @@ def test_analyze_writes_report(tmp_path, keyfile):
     assert lines[1].startswith("seed_index,correlation,paired_t")
     assert sum(1 for line in lines if line.startswith("e,")) == 4  # 'e' x4 in message
     assert any(line.startswith("index,plain_value,cipher_value") for line in lines)
+
+
+def test_analyze_report_is_the_reports_plus_the_sealed_contrast(tmp_path, keyfile, monkeypatch):
+    message = b"meet me after party, meet me after the party"
+    plain = tmp_path / "m.txt"
+    report = tmp_path / "report.csv"
+    plain.write_bytes(message)
+    key = load_key_file(keyfile)
+    reports = analyze_message(message, key, seeds=3)
+    expected = "".join(
+        [
+            "# cipher series = flattened block entries / 2^scale_exp,"
+            " truncated to the plaintext length for paired statistics\n",
+            "seed_index,correlation,paired_t,paired_p,unpaired_t,unpaired_p,n_pairs\n",
+            *(
+                f"{i},{r.correlation!r},{r.paired_t!r},{r.paired_p!r},"
+                f"{r.unpaired_t!r},{r.unpaired_p!r},{r.n_pairs}\n"
+                for i, r in enumerate(reports)
+            ),
+            contrast_csv(message, envelope.seal(message, key), "e"),
+        ]
+    )
+
+    def no_second_seal(*args):
+        raise AssertionError("analyze sealed the message again")
+
+    monkeypatch.setattr(envelope, "seal", no_second_seal)
+    code = run(
+        "analyze", "--key", str(keyfile), "--in", str(plain),
+        "--seeds", "3", "--char", "e", "--out", str(report),
+    )
+    assert code == 0
+    assert report.read_bytes() == expected.encode("ascii")
 
 
 def test_analyze_rejects_multichar(tmp_path, keyfile):
