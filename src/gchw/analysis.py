@@ -13,8 +13,8 @@ import csv
 import io
 import math
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
-from operator import truediv
+from itertools import chain, repeat, zip_longest
+from operator import mul, pow, sub, truediv
 
 from . import ahuffman, auth
 from .blockcipher import body_blocks
@@ -35,6 +35,15 @@ class AnalysisReport:
     n_pairs: int
 
 
+def _deviations(x, mean: float) -> list[float]:
+    return [a - mean for a in x]
+
+
+def _sum_squares(d) -> float:
+    """Sum of ``v ** 2``, which can round differently from ``v * v``."""
+    return sum(map(pow, d, repeat(2.0)))
+
+
 def correlation(x, y) -> float:
     """Pearson product-moment correlation coefficient."""
     if len(x) != len(y):
@@ -42,14 +51,13 @@ def correlation(x, y) -> float:
     n = len(x)
     if n < 2:
         raise StatisticsError("need at least two pairs")
-    mx = sum(x) / n
-    my = sum(y) / n
-    sxx = sum((a - mx) ** 2 for a in x)
-    syy = sum((b - my) ** 2 for b in y)
+    dx = _deviations(x, sum(x) / n)
+    dy = _deviations(y, sum(y) / n)
+    sxx = _sum_squares(dx)
+    syy = _sum_squares(dy)
     if sxx == 0 or syy == 0:
         raise StatisticsError("zero variance")
-    sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
-    return sxy / math.sqrt(sxx * syy)
+    return sum(map(mul, dx, dy)) / math.sqrt(sxx * syy)
 
 
 def paired_t(x, y) -> tuple[float, float]:
@@ -59,9 +67,9 @@ def paired_t(x, y) -> tuple[float, float]:
     n = len(x)
     if n < 2:
         raise StatisticsError("need at least two pairs")
-    d = [a - b for a, b in zip(x, y)]
+    d = list(map(sub, x, y))
     md = sum(d) / n
-    ss = sum((v - md) ** 2 for v in d)
+    ss = _sum_squares(_deviations(d, md))
     if ss == 0:
         raise StatisticsError("zero variance of differences")
     sd = math.sqrt(ss / (n - 1))
@@ -69,15 +77,24 @@ def paired_t(x, y) -> tuple[float, float]:
     return t, student_t_p_two_sided(t, n - 1)
 
 
+def _moments(x) -> tuple[int, float, float]:
+    """Size, mean and sample variance: one sample's share of :func:`unpaired_t`."""
+    n = len(x)
+    if n < 2:
+        raise StatisticsError("need at least two values per sample")
+    m = sum(x) / n
+    return n, m, _sum_squares(_deviations(x, m)) / (n - 1)
+
+
 def unpaired_t(x, y) -> tuple[float, float]:
     """Welch's two-sample t and two-tailed p (Welch-Satterthwaite df)."""
-    n1, n2 = len(x), len(y)
-    if n1 < 2 or n2 < 2:
-        raise StatisticsError("need at least two values per sample")
-    m1 = sum(x) / n1
-    m2 = sum(y) / n2
-    v1 = sum((a - m1) ** 2 for a in x) / (n1 - 1)
-    v2 = sum((b - m2) ** 2 for b in y) / (n2 - 1)
+    return _welch(_moments(x), _moments(y))
+
+
+def _welch(first, second) -> tuple[float, float]:
+    """:func:`unpaired_t` from the two samples' :func:`_moments`."""
+    n1, m1, v1 = first
+    n2, m2, v2 = second
     se2 = v1 / n1 + v2 / n2
     if se2 == 0:
         raise StatisticsError("both samples have zero variance")
@@ -189,18 +206,21 @@ def _analyze(message: bytes, key: CipherKey, seeds: int) -> tuple[list[AnalysisR
         raise StatisticsError("need at least one seed")
     bits = ahuffman.encode(message)
     compressed = bits.pack()
+    message_values = list(map(float, message))
     reports = []
     for index in range(seeds):
         env = _seal_packed(compressed, len(bits), len(message), seed_variant(key, index))
         series = cipher_series(env)
         n = min(len(message), len(series))
-        plain = [float(b) for b in message[:n]]
+        plain = message_values[:n]
         cipher = series[:n]
         corr = correlation(plain, cipher)
         t, p = paired_t(plain, cipher)
+        moments = _moments(series)
         if index == 0:
-            first, baseline = env, series
-        ut, up = unpaired_t(series, baseline)
+            # every variant's unpaired t compares with variant 0's series
+            first, baseline = env, moments
+        ut, up = _welch(moments, baseline)
         reports.append(AnalysisReport(corr, t, p, ut, up, n))
     return reports, first
 
@@ -211,22 +231,17 @@ def contrast_csv(plain: bytes, env: CipherEnvelope, char: str | None = None) -> 
     When ``char`` is given, one extra row ``char,position,cipher_value`` is
     appended per occurrence of that character in the plaintext.
     """
-    series = cipher_series(env)
+    cipher = list(map(repr, cipher_series(env)))
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["index", "plain_value", "cipher_value"])
-    for i in range(max(len(plain), len(series))):
-        writer.writerow(
-            [
-                i,
-                plain[i] if i < len(plain) else "",
-                repr(series[i]) if i < len(series) else "",
-            ]
-        )
+    rows = max(len(plain), len(cipher))
+    writer.writerows(zip_longest(range(rows), plain, cipher, fillvalue=""))
     if char is not None:
         target = ord(char)
-        for position, byte in enumerate(plain):
-            if byte == target:
-                value = repr(series[position]) if position < len(series) else ""
-                writer.writerow([char, position, value])
+        writer.writerows(
+            (char, position, cipher[position] if position < len(cipher) else "")
+            for position, byte in enumerate(plain)
+            if byte == target
+        )
     return out.getvalue()

@@ -46,6 +46,7 @@ PAD = -1
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
 CHUNK_ENTRIES = 1 << 14  # entries per packed pass; bounds the big-integer working set
+PASS_BLOCKS = 8  # the fewest blocks per pass; only Z = 64 has fewer in CHUNK_ENTRIES
 _OVERFLOW = "scaled ciphertext entry exceeds the signed 64-bit wire range; use a smaller n or level"
 
 
@@ -179,13 +180,17 @@ def body_blocks(body: bytes, z: int, entry_bytes: int):
     return block.iter_unpack(_widen(body, entry_bytes))
 
 
+def _pass_cells(cells: int) -> int:
+    """Entries per packed pass: whole blocks, at most CHUNK_ENTRIES or at least PASS_BLOCKS."""
+    return max(PASS_BLOCKS, CHUNK_ENTRIES // cells) * cells
+
+
 def encrypt_message(data: bytes, kp: KeyMatrixPair) -> bytes:
     """``data``'s wire body: each block's :func:`encrypt_block` entries, ``kp.entry_bytes`` wide.
 
     Column k of the tall plaintext matrix (all block rows stacked) is one
     integer with a fixed-width slot per row, so each ciphertext column is
-    Z big-integer multiply-adds per pass of whole blocks, at most
-    ``CHUNK_ENTRIES`` entries unless one block holds more.
+    Z big-integer multiply-adds per pass of whole blocks (``_pass_cells``).
     """
     z, w = kp.z, kp.entry_bytes
     bits = kp.entry_bound.bit_length()
@@ -194,7 +199,7 @@ def encrypt_message(data: bytes, kp: KeyMatrixPair) -> bytes:
     width = w if bits < 8 * w else (bits + 9) // 8
     slot_bits = 8 * width
     unit, fmt = _copy_unit(w, width)
-    step = max(1, CHUNK_ENTRIES // (z * z)) * z * z
+    step = _pass_cells(z * z)
     rows_max = -(-min(len(data), step) // (z * z)) * z
     ones_max = _ones(width, rows_max)
     parts = []
@@ -251,7 +256,7 @@ def decrypt_message(body: bytes, kp: KeyMatrixPair, byte_count: int) -> bytes:
     # even of a faulty entry, never borrows (bounds in _decrypt_pass)
     bits = max(64, 8 * w + 31 + z.bit_length(), kp.entry_bound.bit_length() + 26)
     width = -(-bits // 8)
-    step = max(1, CHUNK_ENTRIES // cells) * cells
+    step = _pass_cells(cells)
     rows_max = min(total, step) // z
     ones_max = _ones(width, rows_max)
     parts = []

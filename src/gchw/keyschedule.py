@@ -1,4 +1,4 @@
-"""Derivation of the enciphering matrix E and its integer adjugate.
+"""Derivation of the enciphering matrix E and its inverse mod p.
 
 The pipeline is: build the golden base matrix from the shared secret,
 zero-pad it to the power-of-two order Z, run the multi-level 2-D Haar
@@ -11,26 +11,37 @@ without containing any zero at all.
 The additive integers come from HMAC-SHA-256 in counter mode keyed by the
 secret seed, so the receiver reconstructs E bit-for-bit without any
 material crossing the wire.
+
+All of it runs on E_scaled = E * 4**level, which is an integer matrix:
+the Haar lifting works on the golden matrix pre-scaled by 4**level, and
+the additive integers are scaled likewise.  Each attempt is proved
+nonsingular by Gauss-Jordan elimination modulo p = 2^31 - 1, which also
+yields E_scaled^-1 mod p for the packed decryption: a determinant that is
+nonzero mod p is nonzero.  Only an attempt that is singular mod p runs
+the exact Bareiss elimination to decide (Dixon, Numer. Math. 40, 1982,
+for the modular inverse with an exact check).  Either way the first
+nonsingular attempt wins, so the choice of route never changes the key.
+The exact determinant and adjugate are otherwise computed only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
 
 from . import auth
 from .errors import KeyDerivationError, ParameterError, ParseError, SingularMatrixError
-from .matrix import SquareMatrix, det_adjugate
+from .matrix import MODULUS, SquareMatrix, det_adjugate, inverse_mod_p
 from .recurrence import RecurrenceKind, golden_matrix, qp_power
-from .wavelet import haar2d_forward
+from .wavelet import haar2d_forward, haar2d_forward_scaled
 
 MAX_N = 10**4
 MAX_LEVEL = 6
 MAX_P = (1 << MAX_LEVEL) - 1  # the Q_p base has order p + 1, so Z stays <= 2**MAX_LEVEL
 SECRET_BYTES = 32
 MAX_ATTEMPTS = 64
-MODULUS = (1 << 31) - 1  # the Mersenne prime of the packed decryption in ``blockcipher``
 
 
 @dataclass(frozen=True)
@@ -79,19 +90,21 @@ class CipherKey:
 
 @dataclass(frozen=True)
 class KeyMatrixPair:
-    """Enciphering matrix, its integer adjugate, and the wire scaling data.
+    """The scaled enciphering matrix, its inverse mod p, and the wire scaling data.
 
-    With E = e * 2**scale_exp, decryption is the exact product with
-    E^-1 = adjugate_scaled / det_scaled.
+    E = e_scaled / 2**scale_exp.  ``inverse_cols_mod_p`` holds the columns
+    of ``E_scaled^-1 mod MODULUS`` as residues of least magnitude (each
+    below 2**30 in absolute value), or None if det_scaled is 0 mod MODULUS;
+    the packed decryption multiplies by it.  The exact inverse,
+    adjugate_scaled / det_scaled, and the rational ``e`` are computed on
+    first read: only the per-block route, and tests, read them.
     """
 
-    e: SquareMatrix
     z: int
     scale_exp: int
     attempt: int
     e_scaled: tuple[tuple[int, ...], ...]
-    det_scaled: int
-    adjugate_scaled: tuple[tuple[int, ...], ...]
+    inverse_cols_mod_p: tuple[tuple[int, ...], ...] | None
 
     @classmethod
     def from_matrix(cls, e: SquareMatrix, scale_exp: int, attempt: int = 0) -> "KeyMatrixPair":
@@ -109,19 +122,46 @@ class KeyMatrixPair:
                 if v.denominator != 1:
                     raise ParameterError("enciphering matrix is not dyadic at this scale")
                 out.append(int(v))
-            e_scaled.append(tuple(out))
-        det, adj = det_adjugate(e_scaled)
-        if det == 0:
-            raise SingularMatrixError("matrix is singular")
-        return cls(
-            e=e,
-            z=e.order,
+            e_scaled.append(out)
+        return cls.from_scaled(e_scaled, scale_exp, attempt)
+
+    @classmethod
+    def from_scaled(cls, e_scaled, scale_exp: int, attempt: int = 0) -> "KeyMatrixPair":
+        """Build a pair from the integer rows of ``e * 2**scale_exp``.
+
+        The elimination mod p proves ``e_scaled`` nonsingular whenever its
+        determinant is nonzero mod p; only when it is 0 mod p does the exact
+        determinant decide.  Raises :class:`SingularMatrixError` if it is 0.
+        """
+        inverse = inverse_mod_p(e_scaled)
+        kp = cls(
+            z=len(e_scaled),
             scale_exp=scale_exp,
             attempt=attempt,
-            e_scaled=tuple(e_scaled),
-            det_scaled=det,
-            adjugate_scaled=adj,
+            e_scaled=tuple(map(tuple, e_scaled)),
+            inverse_cols_mod_p=None if inverse is None else tuple(zip(*inverse)),
         )
+        if inverse is None and kp.det_scaled == 0:
+            raise SingularMatrixError("matrix is singular")
+        return kp
+
+    @cached_property
+    def e(self) -> SquareMatrix:
+        """E itself, in exact rationals."""
+        scale = 1 << self.scale_exp
+        return SquareMatrix([[Fraction(v, scale) for v in row] for row in self.e_scaled])
+
+    @cached_property
+    def _det_adjugate(self) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
+        return det_adjugate(self.e_scaled)
+
+    @property
+    def det_scaled(self) -> int:
+        return self._det_adjugate[0]
+
+    @property
+    def adjugate_scaled(self) -> tuple[tuple[int, ...], ...]:
+        return self._det_adjugate[1]
 
     @cached_property
     def e_scaled_cols(self) -> tuple[tuple[int, ...], ...]:
@@ -139,20 +179,6 @@ class KeyMatrixPair:
         back as exactly ``det_scaled * q``; any other value is corrupt.
         """
         return {self.det_scaled * q: q for q in range(-1, 256)}
-
-    @cached_property
-    def inverse_cols_mod_p(self) -> tuple[tuple[int, ...], ...] | None:
-        """Columns of ``E_scaled^-1 mod MODULUS``, or None if det_scaled is 0 mod MODULUS.
-
-        Entries are the residues of least magnitude, so each is below 2**30
-        in absolute value.
-        """
-        if not self.det_scaled % MODULUS:
-            return None
-        inv = pow(self.det_scaled, -1, MODULUS)
-        half = MODULUS // 2
-        cols = self.adjugate_scaled_cols
-        return tuple(tuple((a * inv + half) % MODULUS - half for a in col) for col in cols)
 
     @cached_property
     def entry_bound(self) -> int:
@@ -202,24 +228,26 @@ def _randomization_stream(seed: bytes, attempt: int) -> Iterator[int]:
 def derive(key: CipherKey) -> KeyMatrixPair:
     """Derive the enciphering matrix pair; pure and uncached (see ``CipherKey.matrix_pair``).
 
+    Works on E * 4**level throughout, where every entry is an integer.
     Raises :class:`KeyDerivationError` if no attempt in the budget yields a
     nonsingular matrix (a pathological seed; pick another).
     """
-    t = base_transform(key)
-    z = t.order
+    shift = 2 * key.level
+    padded = pad_to_z(golden_base(key), key.level)
+    # base_transform(key) times 4**level, lifted in integers
+    t = haar2d_forward_scaled([[v << shift for v in row] for row in padded.rows], key.level)
+    z = len(t)
     for attempt in range(MAX_ATTEMPTS):
-        rows = [list(row) for row in t.rows]
+        rows = [list(row) for row in t]
         stream = _randomization_stream(key.seed, attempt)
         if attempt == 0:
             positions = [(i, j) for i in range(z) for j in range(z) if rows[i][j] == 0]
         else:
             positions = [(i, j) for i in range(z) for j in range(z)]
         for i, j in positions:
-            rows[i][j] += next(stream) % 255 + 1
+            rows[i][j] += (next(stream) % 255 + 1) << shift
         try:
-            return KeyMatrixPair.from_matrix(
-                SquareMatrix(rows), scale_exp=2 * key.level, attempt=attempt
-            )
+            return KeyMatrixPair.from_scaled(rows, scale_exp=shift, attempt=attempt)
         except SingularMatrixError:
             continue
     raise KeyDerivationError(f"no nonsingular matrix within {MAX_ATTEMPTS} attempts")

@@ -1,16 +1,21 @@
 """Exact square matrices over Python rationals, and integer elimination.
 
 Entries are plain ints or :class:`fractions.Fraction`; every operation is
-exact.  :func:`det_adjugate` is the one elimination: it works on integers
-only, so identities like ``a @ adj == det * identity`` hold bit-for-bit.
+exact.  There are two eliminations on integer matrices:
+:func:`inverse_mod_p` inverts modulo the Mersenne prime 2^31 - 1, and
+:func:`det_adjugate` gives the exact determinant and adjugate, so
+identities like ``a @ adj == det * identity`` hold bit-for-bit.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from math import lcm
 
 from .errors import ShapeError
+
+MODULUS = (1 << 31) - 1  # the Mersenne prime of inverse_mod_p and of the packed decryption
 
 
 class SquareMatrix:
@@ -85,3 +90,45 @@ def det_adjugate(rows) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
                 row[k + 1 :] = [(pk * x - f * y) // prev for x, y in zip(row[k + 1 :], tail)]
         prev = pk
     return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in m)
+
+
+def inverse_mod_p(rows) -> list[tuple[int, ...]] | None:
+    """Rows of ``a^-1 mod MODULUS`` for an integer matrix ``a``, or None if det(a) is 0 mod MODULUS.
+
+    Entries are the residues of least magnitude, below 2**30 in absolute
+    value.  Gauss-Jordan elimination on ``[a | I]``, with each row packed
+    into one integer of 64-bit slots (the Kronecker layout of the packed
+    decryption): eliminating column k is one multiply-add per row, and a
+    Mersenne fold (2**31 = 1 mod p) brings every slot of the result back
+    below 2**33.  Column k sits in the lowest slot and is shifted out once
+    eliminated, so the rows end as the rows of the inverse.
+    """
+    p, n = MODULUS, len(rows)
+    slots = struct.Struct(f"<{n}Q")
+    ones = int.from_bytes(b"\x01".ljust(8, b"\x00") * 2 * n, "little")
+    low, high, lowest = ones * ((1 << 31) - 1), ones * ((1 << 33) - 1), (1 << 64) - 1
+    packed = [
+        int.from_bytes(slots.pack(*[x % p for x in row]), "little") + (1 << 64 * (n + i))
+        for i, row in enumerate(rows)
+    ]
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if (packed[r] & lowest) % p), None)
+        if pivot is None:
+            return None
+        packed[k], packed[pivot] = packed[pivot], packed[k]
+        # scale the pivot row so its lowest slot is 1 mod p; slots < 2**33
+        # times the inverse < 2**31 stay below 2**64, and two folds bring
+        # them below 2**31 + 8
+        t = packed[k] * pow(packed[k] & lowest, -1, p)
+        t = (t & low) + ((t >> 31) & high)
+        t = (t & low) + ((t >> 31) & high)
+        # each slot of row + f * t is below 2**33 + 2**31 * (2**31 + 8) < 2**63,
+        # and its lowest slot is 0 mod p; one fold after the shift
+        packed = [
+            ((v >> 64) & low) + ((v >> 95) & high)
+            for v in [row + (-(row & lowest)) % p * t for row in packed]
+        ]
+        packed[k] = t >> 64
+    half = p // 2
+    rows = (slots.unpack(row.to_bytes(8 * n, "little")) for row in packed)
+    return [tuple((x + half) % p - half for x in row) for row in rows]

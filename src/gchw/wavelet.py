@@ -7,15 +7,43 @@ dyadic rationals keeps every step exactly invertible.
 
 The 2-D transform is square-recursive: each level runs the lifting step
 over the rows and then the columns of the active top-left sub-square, and
-the next level recurses on the top-left quarter.
+the next level recurses on the top-left quarter.  An entry is halved at
+most twice per level, so the forward transform of ``m * 4**levels`` is an
+integer matrix when ``m`` is: :func:`haar2d_forward_scaled` runs the whole
+transform on such pre-scaled integers, where every halving is an exact
+``>> 1``.  The rational forms, :func:`lift_forward_1d` and
+:func:`haar2d_forward`, scale their input to integers, run that one
+integer lifting, and divide back.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .errors import ShapeError
+from .errors import ParameterError, ShapeError
 from .matrix import SquareMatrix
+
+
+def _lift_scaled(signal) -> list[int]:
+    """:func:`lift_forward_1d` on integers, each halving exact: approx, then detail, in one list.
+
+    Raises :class:`ParameterError` if a difference is odd: the signal is
+    then not dyadic at the scale it was given in.
+    """
+    n = len(signal)
+    if n == 0 or n % 2:
+        raise ShapeError(f"signal length must be even and positive, got {n}")
+    even = signal[0::2]
+    detail = [odd - e for e, odd in zip(even, signal[1::2])]
+    if any(d & 1 for d in detail):
+        raise ParameterError("matrix is not dyadic at this scale")
+    return [e + (d >> 1) for e, d in zip(even, detail)] + detail
+
+
+def _scale_of(values) -> int:
+    """The least common denominator of int or Fraction ``values``."""
+    return lcm(*(x.denominator for x in values))
 
 
 def lift_forward_1d(signal) -> tuple[list, list]:
@@ -24,17 +52,9 @@ def lift_forward_1d(signal) -> tuple[list, list]:
     Returns (approx, detail) with detail[n] = s[2n+1] - s[2n] and
     approx[n] = s[2n] + detail[n]/2.
     """
-    n = len(signal)
-    if n == 0 or n % 2:
-        raise ShapeError(f"signal length must be even and positive, got {n}")
-    approx = []
-    detail = []
-    for k in range(0, n, 2):
-        even = signal[k]
-        d = signal[k + 1] - even
-        detail.append(d)
-        approx.append(even + Fraction(d, 2))
-    return approx, detail
+    scale = 2 * _scale_of(signal)
+    lifted = [Fraction(v, scale) for v in _lift_scaled([int(x * scale) for x in signal])]
+    return lifted[: len(signal) // 2], lifted[len(signal) // 2 :]
 
 
 def lift_inverse_1d(approx, detail) -> list:
@@ -58,25 +78,37 @@ def _check_transform_args(order: int, levels: int) -> None:
         raise ShapeError(f"order {order} is too small for {levels} levels")
 
 
-def haar2d_forward(m: SquareMatrix, levels: int) -> SquareMatrix:
-    """Multi-level 2-D Haar transform of a square matrix.
+def haar2d_forward_scaled(rows, levels: int) -> list[list[int]]:
+    """The transform of ``m`` times 4**levels, given the integer rows of ``m * 4**levels``.
 
     Each level transforms the rows of the active sub-square (approx half
     left, detail half right), then its columns (approx top, detail bottom).
+    Raises :class:`ParameterError` if a halving is inexact, which cannot
+    happen when ``m`` itself is an integer matrix.
+    """
+    grid = [list(row) for row in rows]
+    _check_transform_args(len(grid), levels)
+    side = len(grid)
+    for _ in range(levels):
+        # a sub-square row at a time, then its columns as rows of the transpose
+        sub = [_lift_scaled(row[:side]) for row in grid[:side]]
+        sub = [_lift_scaled(col) for col in zip(*sub)]
+        for row, new in zip(grid, zip(*sub)):
+            row[:side] = new
+        side //= 2
+    return grid
+
+
+def haar2d_forward(m: SquareMatrix, levels: int) -> SquareMatrix:
+    """Multi-level 2-D Haar transform of a square matrix, in exact rationals.
+
+    :func:`haar2d_forward_scaled` of ``m`` times its common denominator
+    and 4**levels, divided back.
     """
     _check_transform_args(m.order, levels)
-    grid = [list(row) for row in m.rows]
-    side = m.order
-    for _ in range(levels):
-        for r in range(side):
-            approx, detail = lift_forward_1d(grid[r][:side])
-            grid[r][:side] = approx + detail
-        for c in range(side):
-            approx, detail = lift_forward_1d([grid[r][c] for r in range(side)])
-            for r, value in enumerate(approx + detail):
-                grid[r][c] = value
-        side //= 2
-    return SquareMatrix(grid)
+    scale = _scale_of(x for row in m.rows for x in row) << (2 * levels)
+    lifted = haar2d_forward_scaled([[int(x * scale) for x in row] for row in m.rows], levels)
+    return SquareMatrix([[Fraction(v, scale) for v in row] for row in lifted])
 
 
 def haar2d_inverse(m: SquareMatrix, levels: int) -> SquareMatrix:

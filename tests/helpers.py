@@ -1,9 +1,13 @@
-"""Test-only helpers over library objects: FGK code paths and snapshots, reference update and encoder, 0/1 bit strings, matrix arithmetic."""
+"""Test-only helpers over library objects: FGK code paths and snapshots, reference update and encoder, reference key derivation, 0/1 bit strings, matrix arithmetic."""
+
+from fractions import Fraction
+from types import SimpleNamespace
 
 from gchw.ahuffman import _TOP_NUMBER, ALPHABET_SIZE, NYT
 from gchw.bits import BitString
-from gchw.errors import ParameterError, ShapeError
-from gchw.matrix import SquareMatrix
+from gchw.errors import KeyDerivationError, ParameterError, ShapeError
+from gchw.keyschedule import MAX_ATTEMPTS, MODULUS, _randomization_stream, golden_base, pad_to_z
+from gchw.matrix import SquareMatrix, det_adjugate
 
 
 def contains(tree, byte: int) -> bool:
@@ -211,3 +215,60 @@ def zeros(order: int) -> SquareMatrix:
 def scale(k, m: SquareMatrix) -> SquareMatrix:
     """The scalar multiple k * m."""
     return SquareMatrix([[k * x for x in row] for row in m.rows])
+
+
+def reference_haar2d_forward(m: SquareMatrix, levels: int) -> SquareMatrix:
+    """The 2-D Haar transform by rational lifting, an oracle for ``haar2d_forward``.
+
+    Every halving makes a ``Fraction``; rows of the active sub-square
+    first, then its columns, level by level.
+    """
+    grid = [list(row) for row in m.rows]
+    side = m.order
+    for _ in range(levels):
+        for r in range(side):
+            grid[r][:side] = _reference_lift(grid[r][:side])
+        for c in range(side):
+            for r, value in enumerate(_reference_lift([grid[r][c] for r in range(side)])):
+                grid[r][c] = value
+        side //= 2
+    return SquareMatrix(grid)
+
+
+def _reference_lift(signal) -> list:
+    approx = [even + Fraction(odd - even, 2) for even, odd in zip(signal[0::2], signal[1::2])]
+    return approx + [odd - even for even, odd in zip(signal[0::2], signal[1::2])]
+
+
+def reference_derive(key) -> SimpleNamespace:
+    """Key derivation by rational Haar lifting and exact Bareiss, an oracle for ``derive``.
+
+    Each attempt scales the rational matrix to integers and runs
+    ``det_adjugate``; the first nonzero determinant wins, and the inverse
+    mod p comes from the adjugate.  Returns ``attempt``, ``e_scaled`` and
+    ``inverse_cols_mod_p`` as ``KeyMatrixPair`` has them.
+    """
+    t = reference_haar2d_forward(pad_to_z(golden_base(key), key.level), key.level)
+    z = t.order
+    scale = 1 << (2 * key.level)
+    for attempt in range(MAX_ATTEMPTS):
+        rows = [list(row) for row in t.rows]
+        stream = _randomization_stream(key.seed, attempt)
+        if attempt == 0:
+            positions = [(i, j) for i in range(z) for j in range(z) if rows[i][j] == 0]
+        else:
+            positions = [(i, j) for i in range(z) for j in range(z)]
+        for i, j in positions:
+            rows[i][j] += next(stream) % 255 + 1
+        e_scaled = tuple(tuple(int(x * scale) for x in row) for row in rows)
+        det, adj = det_adjugate(e_scaled)
+        if det == 0:
+            continue
+        inverse = None
+        if det % MODULUS:
+            inv, half = pow(det, -1, MODULUS), MODULUS // 2
+            inverse = tuple(
+                tuple((a * inv + half) % MODULUS - half for a in col) for col in zip(*adj)
+            )
+        return SimpleNamespace(attempt=attempt, e_scaled=e_scaled, inverse_cols_mod_p=inverse)
+    raise KeyDerivationError(f"no nonsingular matrix within {MAX_ATTEMPTS} attempts")

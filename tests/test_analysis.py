@@ -1,6 +1,7 @@
 """Statistics against quadrature oracles, plus the replication properties."""
 
 import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -22,6 +23,7 @@ from gchw.analysis import (
     unpaired_t,
 )
 from gchw.errors import ShapeError, StatisticsError
+from gchw.recurrence import RecurrenceKind
 
 MESSAGE = b"Cryptographist is the science of overt secret writing"
 MESSAGE_2 = b"meet me after party"
@@ -240,3 +242,59 @@ def test_analyze_returns_the_sealed_envelope_of_variant_0(key, seeds):
 def test_analyze_message_rejects_zero_seeds(key):
     with pytest.raises(StatisticsError):
         analyze_message(MESSAGE_2, key, seeds=0)
+
+
+# Reports and CSVs as the generator-expression statistics computed them.
+# Each triple below is one where summing v * v instead of v ** 2 changes
+# the last bit of the result, so the squares must stay powers.
+PINNED_STATISTICS = [
+    (
+        correlation,
+        [249.0, 30.0, 161.0],
+        [-1324.344, 749.632, -612.763],
+        ("-0x1.fedf99c132a0ep-1",),
+    ),
+    (
+        unpaired_t,
+        [229.0, 165.0, 196.0],
+        [-3830.782, 1055.249, 2105.333],
+        ("0x1.d6580c9716131p-3", "0x1.aded647b9924ep-1"),
+    ),
+    (
+        paired_t,
+        [170.0, 61.0, 156.0],
+        [1089.353, 3469.926, 663.753],
+        ("-0x1.c75997ec58237p+0", "0x1.bcf05a3293d16p-3"),
+    ),
+]
+# correlation, paired t and p, unpaired t and p of seed variants 0, 1 and 2
+PINNED_REPORTS = [
+    ("0x1.01da8071ce901p-5", "-0x1.16c7e6b75f898p+6", "0x0.0p+0")
+    + ("0x0.0p+0", "0x1.0000000000000p+0"),
+    ("-0x1.38e84bf08c252p-6", "-0x1.6eb7730a53e16p+6", "0x0.0p+0")
+    + ("0x1.a5accacbdbedfp+0", "0x1.98504a2ebb920p-4"),
+    ("-0x1.37fc634c1de9dp-5", "-0x1.7a67a7fc87047p+6", "0x0.0p+0")
+    + ("-0x1.20911f29b529ap+2", "0x1.d196af5ee1a9fp-18"),
+]
+PINNED_CSV_SHA256 = {
+    None: "9df3a7264c4b012a57828a9b7b1c73d95b647b006f3f5f01b31debb3ac6359cb",
+    "e": "e5c90f41847d4f460cce7f91895daf17079b9835d8a672741954d805ffeaa15f",
+}
+
+
+@pytest.mark.parametrize("statistic, x, y, expected", PINNED_STATISTICS)
+def test_statistics_are_pinned_bit_for_bit(statistic, x, y, expected):
+    result = statistic(x, y)
+    assert tuple(v.hex() for v in (result if isinstance(result, tuple) else (result,))) == expected
+
+
+def test_reports_and_contrast_csv_are_pinned_bit_for_bit():
+    message = b"meet me after party, every evening; " * 60
+    key = make_key(kind=RecurrenceKind.LUCAS, n=4, level=3)
+    reports = analyze_message(message, key, seeds=3)
+    fields = ("correlation", "paired_t", "paired_p", "unpaired_t", "unpaired_p")
+    assert [tuple(getattr(r, f).hex() for f in fields) for r in reports] == PINNED_REPORTS
+    assert [r.n_pairs for r in reports] == [1024] * 3
+    env = envelope.seal(message, key)
+    for char, digest in PINNED_CSV_SHA256.items():
+        assert hashlib.sha256(contrast_csv(message, env, char).encode()).hexdigest() == digest

@@ -372,6 +372,25 @@ def test_a_pass_holds_at_most_2_to_the_14_entries(monkeypatch):
     assert body == per_block_body(data, kp)
 
 
+def test_a_pass_holds_at_least_8_blocks_at_z_64(monkeypatch):
+    # 2**14 entries are four blocks at Z = 64; the floor makes a pass eight
+    kp = level_pair(6)
+    assert kp.z == 64
+    data = random.Random(6).randbytes(20 * 4096 - 100)
+    body = encrypt_message(data, kp)
+    sizes = []
+    real_pass = blockcipher._decrypt_pass
+
+    def recording_pass(chunk, *args):
+        sizes.append(len(chunk) // kp.entry_bytes)
+        return real_pass(chunk, *args)
+
+    monkeypatch.setattr(blockcipher, "_decrypt_pass", recording_pass)
+    assert decrypt_message(body, kp, len(data)) == data
+    assert sizes == [8 * 4096, 8 * 4096, 4 * 4096]
+    assert body == per_block_body(data, kp)
+
+
 def test_decrypt_message_rejects_a_partial_block():
     kp = level_pair(2)
     body = encrypt_message(b"abc", kp)

@@ -5,9 +5,11 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import make_key
+from gchw import keyschedule
 from gchw.errors import ParameterError, ParseError, SingularMatrixError
 from gchw.keyschedule import (
     MAX_LEVEL,
+    MODULUS,
     CipherKey,
     KeyMatrixPair,
     base_transform,
@@ -17,9 +19,10 @@ from gchw.keyschedule import (
     pad_to_z,
     parse_key,
 )
-from gchw.matrix import SquareMatrix
+from gchw.matrix import SquareMatrix, inverse_mod_p
 from gchw.recurrence import RecurrenceKind
-from helpers import dyadic_exponent, scale
+from helpers import dyadic_exponent, reference_derive, scale
+from test_golden_vectors import WIRE_DIGESTS, wire_key_file
 
 LEVEL1_KEY_MATRIX = SquareMatrix([[F(1, 4), F(-1, 2)], [F(-1, 2), 1]])
 
@@ -166,6 +169,81 @@ def test_derive_at_the_largest_p():
     kp = derive(make_key(p=63, level=1))
     assert kp.z == 64
     assert_exact_adjugate(kp)
+
+
+def assert_matches_reference(key):
+    kp, ref = derive(key), reference_derive(key)
+    assert kp.attempt == ref.attempt
+    assert kp.e_scaled == ref.e_scaled
+    assert kp.inverse_cols_mod_p == ref.inverse_cols_mod_p
+
+
+def test_derive_matches_the_rational_bareiss_reference_on_200_random_keys(rng):
+    for _ in range(200):
+        kind = rng.choice(list(RecurrenceKind))
+        assert_matches_reference(
+            make_key(
+                kind=kind,
+                n=rng.randint(1, 30),
+                p=rng.randint(0, 7) if kind is RecurrenceKind.FIBONACCI else 1,
+                level=rng.randint(1, 4),
+                seed=rng.randbytes(32),
+                mac_key=rng.randbytes(32),
+            )
+        )
+
+
+def test_derive_matches_the_rational_bareiss_reference_on_the_golden_keys():
+    for kind, level in sorted(WIRE_DIGESTS):
+        assert_matches_reference(parse_key(wire_key_file(kind, level)))
+
+
+def test_derive_leaves_the_exact_adjugate_until_it_is_read():
+    kp = derive(make_key(level=3))
+    assert kp.inverse_cols_mod_p is not None
+    lazy = ("e", "_det_adjugate", "adjugate_scaled_cols", "plain_of")
+    assert not set(lazy) & set(vars(kp))
+    assert_exact_adjugate(kp)
+    assert {"e", "_det_adjugate"} <= set(vars(kp))
+
+
+def test_from_matrix_with_det_p_falls_back_to_bareiss():
+    # det(e_scaled) = (MODULUS + 1) * 1 - 1 * 1 = MODULUS: 0 mod p, not 0 over Z
+    e = SquareMatrix([[F(MODULUS + 1, 4), F(1, 4)], [F(1, 4), F(1, 4)]])
+    assert inverse_mod_p([[MODULUS + 1, 1], [1, 1]]) is None
+    kp = KeyMatrixPair.from_matrix(e, scale_exp=2)
+    assert kp.inverse_cols_mod_p is None
+    assert kp.det_scaled == MODULUS
+    assert_exact_adjugate(kp)
+
+
+def test_derive_falls_back_to_bareiss_when_attempt_0_is_singular_mod_p(monkeypatch):
+    key = make_key(level=3)
+    expected = derive(key)
+    assert expected.attempt == 0
+    calls = []
+
+    def singular_first(rows):
+        calls.append(rows)
+        return None if len(calls) == 1 else inverse_mod_p(rows)
+
+    monkeypatch.setattr(keyschedule, "inverse_mod_p", singular_first)
+    kp = derive(key)
+    assert len(calls) == 1
+    assert kp.attempt == expected.attempt and kp.e_scaled == expected.e_scaled
+    assert kp.inverse_cols_mod_p is None
+    assert kp.det_scaled == expected.det_scaled != 0
+
+
+def test_derive_escalates_through_the_fallback_alone(monkeypatch):
+    # with every attempt singular mod p, Bareiss alone rejects the singular
+    # attempt 0 of this key and accepts the same attempt as the elimination
+    key = make_key(n=1, p=0, level=1)
+    expected = derive(key)
+    monkeypatch.setattr(keyschedule, "inverse_mod_p", lambda rows: None)
+    kp = derive(key)
+    assert kp.attempt == expected.attempt >= 1
+    assert kp.e_scaled == expected.e_scaled
 
 
 def test_key_matrix_pair_from_singular_matrix():

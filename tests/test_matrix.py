@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gchw.errors import ShapeError
-from gchw.matrix import SquareMatrix, det_adjugate
+from gchw.matrix import MODULUS, SquareMatrix, det_adjugate, inverse_mod_p
 from helpers import dyadic_exponent, matrix_add, scale, zeros
 
 
@@ -81,6 +81,48 @@ def test_det_adjugate_matches_oracle(rng):
 def test_det_adjugate_of_singular_matrix():
     assert det_adjugate([[1, 2], [2, 4]]) == (0, None)
     assert SquareMatrix([[1, 2], [2, 4]]).det() == 0
+
+
+def inverse_mod_p_from_adjugate(rows):
+    """Oracle: adj(a) * det(a)^-1 mod p, as least-magnitude residues."""
+    det, adj = det_adjugate(rows)
+    if det % MODULUS == 0:
+        return None
+    inv, half = pow(det, -1, MODULUS), MODULUS // 2
+    return [tuple((a * inv + half) % MODULUS - half for a in row) for row in adj]
+
+
+def test_inverse_mod_p_matches_the_adjugate(rng):
+    # zero-heavy small entries force row swaps and singular matrices; wide
+    # and negative entries exercise the reduction on entry; p and its
+    # multiples are 0 mod p though not 0
+    big = (MODULUS, -MODULUS, 2 * MODULUS, 1 << 64, -(1 << 70) - 5)
+    cases = [[[MODULUS + 1, 1], [1, 1]], [[0, 1], [1, 0]]]
+    for order in range(1, 10):
+        for _ in range(30):
+            cases.append(
+                [
+                    [rng.choice((0, 0, rng.randint(-9, 9), rng.choice(big), rng.getrandbits(90)))
+                     for _ in range(order)]
+                    for _ in range(order)
+                ]
+            )
+    singular = 0
+    for rows in cases:
+        expected = inverse_mod_p_from_adjugate(rows)
+        assert inverse_mod_p(rows) == expected
+        singular += expected is None
+    assert 0 < singular < len(cases)
+
+
+def test_inverse_mod_p_at_order_64(rng):
+    # a @ inverse = I mod p checks it independently of the (slow) adjugate
+    rows = [[rng.randint(-(1 << 60), 1 << 60) for _ in range(64)] for _ in range(64)]
+    inverse = inverse_mod_p(rows)
+    assert all(abs(x) < 1 << 30 for row in inverse for x in row)
+    for i, row in enumerate(rows):
+        for j, col in enumerate(zip(*inverse)):
+            assert sum(map(lambda a, b: a * b, row, col)) % MODULUS == (i == j)
 
 
 def test_matmul_order_mismatch():

@@ -5,10 +5,16 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gchw.errors import ShapeError
+from gchw.errors import ParameterError, ShapeError
 from gchw.matrix import SquareMatrix
-from gchw.wavelet import haar2d_forward, haar2d_inverse, lift_forward_1d, lift_inverse_1d
-from helpers import dyadic_exponent, matrix_add, scale, zeros
+from gchw.wavelet import (
+    haar2d_forward,
+    haar2d_forward_scaled,
+    haar2d_inverse,
+    lift_forward_1d,
+    lift_inverse_1d,
+)
+from helpers import dyadic_exponent, matrix_add, reference_haar2d_forward, scale, zeros
 
 # known answers: the transforms of a padded unit matrix at levels 1 and 2
 LEVEL1_KEY = SquareMatrix([[F(1, 4), F(-1, 2)], [F(-1, 2), 1]])
@@ -116,6 +122,34 @@ def test_haar2d_linearity(a, seed):
     lhs = haar2d_forward(matrix_add(scale(a, m1), m2), 2)
     rhs = matrix_add(scale(a, haar2d_forward(m1, 2)), haar2d_forward(m2, 2))
     assert lhs == rhs
+
+
+def test_haar2d_forward_matches_the_rational_lifting_reference(rng):
+    for order in (2, 4, 8, 16, 32):
+        for levels in range(1, order.bit_length()):
+            m = SquareMatrix(
+                [[rng.randint(-(1 << 40), 1 << 40) for _ in range(order)] for _ in range(order)]
+            )
+            assert haar2d_forward(m, levels) == reference_haar2d_forward(m, levels)
+    rational = SquareMatrix(
+        [[F(rng.randint(-99, 99), rng.choice((1, 2, 3, 8))) for _ in range(4)] for _ in range(4)]
+    )
+    assert haar2d_forward(rational, 2) == reference_haar2d_forward(rational, 2)
+
+
+def test_haar2d_forward_scaled_is_the_transform_times_4_to_the_levels(rng):
+    for order, levels in ((2, 1), (8, 2), (16, 4), (64, 6)):
+        m = SquareMatrix([[rng.randint(-999, 999) for _ in range(order)] for _ in range(order)])
+        scaled = haar2d_forward_scaled(scale(4**levels, m).rows, levels)
+        assert all(type(v) is int for row in scaled for v in row)
+        assert SquareMatrix(scaled) == scale(4**levels, haar2d_forward(m, levels))
+
+
+def test_haar2d_forward_scaled_rejects_an_inexact_halving():
+    # the unit matrix at scale 2 instead of 4 halves an odd difference
+    with pytest.raises(ParameterError):
+        haar2d_forward_scaled([[2, 0], [0, 0]], 1)
+    assert haar2d_forward_scaled([[4, 0], [0, 0]], 1) == [[1, -2], [-2, 4]]
 
 
 def test_haar2d_shape_errors():
