@@ -20,8 +20,11 @@ Until its first swap the update climbs the code path, so the encoder walks
 each symbol once, reading the code bit, testing for a swap and incrementing
 at each number.  At the first swap nothing above has moved: it reads the
 rest of the code there and hands the leader to ``_swap_and_climb``, the one
-swap of the codec, which finishes the update.  ``decode`` inlines the same
-climb up to the first swap.
+swap of the codec, which finishes the update.  ``decode`` reads every code
+and literal from one iterator over the bits, descending from the root one
+bit at a time to a leaf, and inlines the same climb up to the first swap;
+like the encoder's, the climb stops at the root, which never swaps and only
+has its weight incremented.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from bisect import bisect_left
 from itertools import product
 from math import inf
 
-from .bits import _TO_ASCII, BitString
+from .bits import BitString
 from .errors import CorruptStreamError
 
 ALPHABET_SIZE = 256
@@ -228,31 +231,37 @@ def decode(bits: BitString, symbol_count: int) -> bytes:
     leaf_at = tree.leaf_at
     climb = tree._swap_and_climb
     out = bytearray()
-    stream = bits.bits
-    total = len(stream)
-    pos = 0
+    # one iterator over the bits, shared by every code and literal
+    it = iter(bits.bits)
+    bit_of = next  # bound to a local for the eight reads of a literal
     for _ in range(symbol_count):
         k = kid[_TOP_NUMBER]
-        try:
-            while k >= 0:
-                k = kid[k ^ stream[pos]]
-                pos += 1
-        except IndexError:
-            raise CorruptStreamError("bit stream ended mid-code") from None
+        if k >= 0:  # the root is a leaf only before the first symbol
+            for bit in it:
+                k = kid[k ^ bit]
+                if k < 0:
+                    break
+            else:
+                raise CorruptStreamError("bit stream ended mid-code")
         byte = ~k
         if byte == NYT:
-            if pos + 8 > total:
-                raise CorruptStreamError("bit stream ended mid-literal")
-            byte = int(stream[pos : pos + 8].translate(_TO_ASCII), 2)
-            pos += 8
+            # the 8-bit literal, MSB first; eight calls cost less than
+            # gathering the bits with islice and looking them up
+            try:
+                byte = (
+                    bit_of(it) << 7 | bit_of(it) << 6 | bit_of(it) << 5 | bit_of(it) << 4
+                    | bit_of(it) << 3 | bit_of(it) << 2 | bit_of(it) << 1 | bit_of(it)
+                )
+            except StopIteration:
+                raise CorruptStreamError("bit stream ended mid-literal") from None
             if leaf_at[byte] != -1:
                 raise CorruptStreamError("literal of a byte that already has a code")
             q = tree._spawn(byte)
         else:
             q = leaf_at[byte]
         out.append(byte)
-        # the update, inlined up to its first swap
-        while q != -1:
+        # the update, inlined up to its first swap; the root never swaps
+        while q != _TOP_NUMBER:
             w = weight_at[q]
             if weight_at[q + 1] == w:
                 p = up[q]
@@ -264,6 +273,8 @@ def decode(bits: BitString, symbol_count: int) -> bytes:
                     break
             weight_at[q] = w + 1
             q = up[q]
-    if pos != total:
+        else:
+            weight_at[_TOP_NUMBER] += 1
+    if next(it, None) is not None:
         raise CorruptStreamError("trailing bits after the final symbol")
     return bytes(out)

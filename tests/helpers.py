@@ -1,11 +1,12 @@
-"""Test-only helpers over library objects: FGK code paths and snapshots, reference update and encoder, reference key derivation, 0/1 bit strings, matrix arithmetic."""
+"""Test-only helpers over library objects: FGK code paths and snapshots, reference update, encoder and decoder, reference key derivation, 0/1 bit strings, matrix arithmetic."""
 
+from bisect import bisect_left
 from fractions import Fraction
 from types import SimpleNamespace
 
-from gchw.ahuffman import _TOP_NUMBER, ALPHABET_SIZE, NYT
-from gchw.bits import BitString
-from gchw.errors import KeyDerivationError, ParameterError, ShapeError
+from gchw.ahuffman import _TOP_NUMBER, ALPHABET_SIZE, NYT, AdaptiveHuffmanTree
+from gchw.bits import _TO_ASCII, BitString
+from gchw.errors import CorruptStreamError, KeyDerivationError, ParameterError, ShapeError
 from gchw.keyschedule import MAX_ATTEMPTS, MODULUS, _randomization_stream, golden_base, pad_to_z
 from gchw.matrix import SquareMatrix, det_adjugate
 
@@ -173,6 +174,60 @@ def reference_encode(data: bytes) -> BitString:
         out.extend(code)
         reference_update(tree, byte)
     return out
+
+
+def reference_decode(bits: BitString, symbol_count: int) -> bytes:
+    """The index-based FGK decoder, an oracle for ``ahuffman.decode``.
+
+    It reads each bit as ``stream[pos]`` and each literal as an 8-bit slice,
+    checks the bit count against the position after the last symbol, and
+    climbs through the root in the inlined update.  It raises the same
+    ``CorruptStreamError`` messages as the library decoder.
+    """
+    tree = AdaptiveHuffmanTree()
+    weight_at = tree.weight_at
+    up = tree.up
+    kid = tree.kid
+    leaf_at = tree.leaf_at
+    out = bytearray()
+    stream = bits.bits
+    total = len(stream)
+    pos = 0
+    for _ in range(symbol_count):
+        k = kid[_TOP_NUMBER]
+        try:
+            while k >= 0:
+                k = kid[k ^ stream[pos]]
+                pos += 1
+        except IndexError:
+            raise CorruptStreamError("bit stream ended mid-code") from None
+        byte = ~k
+        if byte == NYT:
+            if pos + 8 > total:
+                raise CorruptStreamError("bit stream ended mid-literal")
+            byte = int(stream[pos : pos + 8].translate(_TO_ASCII), 2)
+            pos += 8
+            if leaf_at[byte] != -1:
+                raise CorruptStreamError("literal of a byte that already has a code")
+            q = tree._spawn(byte)
+        else:
+            q = leaf_at[byte]
+        out.append(byte)
+        while q != -1:
+            w = weight_at[q]
+            if weight_at[q + 1] == w:
+                p = up[q]
+                lead = bisect_left(weight_at, w + 1, q + 2) - 1
+                if lead == p:
+                    lead -= 1
+                if lead != q:
+                    tree._swap_and_climb(q, lead, p, w)
+                    break
+            weight_at[q] = w + 1
+            q = up[q]
+    if pos != total:
+        raise CorruptStreamError("trailing bits after the final symbol")
+    return bytes(out)
 
 
 def bits_from01(text: str) -> BitString:

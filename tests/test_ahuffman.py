@@ -21,6 +21,7 @@ from helpers import (
     code_for,
     contains,
     nyt_code,
+    reference_decode,
     reference_encode,
     reference_update,
     snapshot,
@@ -256,6 +257,78 @@ def test_encode_matches_two_walk_reference_when_parent_tops_block():
 )
 def test_encode_matches_two_walk_reference_on_small_alphabets(symbols):
     assert_encodes_like_reference(bytes(symbols))
+
+
+def decode_outcome(decoder, bits: BitString, symbol_count: int):
+    """The decoded bytes, or the message of the ``CorruptStreamError`` raised."""
+    try:
+        return decoder(bits, symbol_count)
+    except CorruptStreamError as exc:
+        return str(exc)
+
+
+def assert_decodes_like_reference(bits: BitString, symbol_count: int) -> None:
+    """The iterator decoder and the index-based decoder agree, errors included."""
+    assert decode_outcome(decode, bits, symbol_count) == decode_outcome(
+        reference_decode, bits, symbol_count
+    )
+
+
+def test_decode_matches_index_reference_on_random_bytes(rng):
+    for size in (1, 40, 300, 1500, 6000):
+        data = rng.randbytes(size)
+        assert_decodes_like_reference(encode(data), size)
+        assert decode(encode(data), size) == data
+
+
+def test_decode_matches_index_reference_on_skewed_bytes(rng):
+    for alphabet in (2, 3, 5, 20, 61):
+        weights = [1 / (rank + 1) ** 1.2 for rank in range(alphabet)]
+        symbols = rng.sample(range(256), alphabet)
+        data = bytes(rng.choices(symbols, weights, k=1500))
+        assert_decodes_like_reference(encode(data), len(data))
+
+
+def test_decode_matches_index_reference_on_text():
+    data = english_like(6000, 8)
+    bits = encode(data)
+    assert_decodes_like_reference(bits, len(data))
+    assert reference_decode(bits, len(data)) == data
+
+
+def test_decode_matches_index_reference_on_every_literal(rng):
+    every = list(range(256))
+    rng.shuffle(every)
+    data = bytes(every) * 2
+    bits = encode(data)
+    assert_decodes_like_reference(bits, len(data))
+    # cut inside literals and codes, and append a bit, at several counts
+    for cut in (1, 4, 8, 9, 300, len(bits) // 2):
+        assert_decodes_like_reference(BitString(bits.bits[:-cut]), len(data))
+    assert_decodes_like_reference(BitString(bits.bits + b"\x01"), len(data))
+    for count in (0, 1, 255, 256, 257, len(data) - 1, len(data) + 1):
+        assert_decodes_like_reference(bits, count)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(0, 1), max_size=400), st.integers(0, 60))
+def test_decode_matches_index_reference_on_arbitrary_streams(stream, symbol_count):
+    assert_decodes_like_reference(BitString(stream), symbol_count)
+
+
+@settings(max_examples=300)
+@given(
+    st.binary(max_size=200),
+    st.integers(0, 12),
+    st.lists(st.integers(0, 1), max_size=12),
+    st.integers(-2, 2),
+)
+def test_decode_matches_index_reference_on_altered_encodings(data, cut, appended, delta):
+    # the encoding truncated by ``cut`` bits, then ``appended`` added, read
+    # for a symbol count ``delta`` away from the true one
+    stream = encode(data).bits
+    bits = BitString(stream[: len(stream) - cut] + bytes(appended))
+    assert_decodes_like_reference(bits, max(0, len(data) + delta))
 
 
 def test_a_new_leaf_never_swaps(rng):
