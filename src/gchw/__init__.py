@@ -23,7 +23,6 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
     StatisticsError,
-    WireOverflowError,
 )
 from .keyschedule import CipherKey, KeyMatrixPair, derive, load_key_file, save_key_file
 from .recurrence import RecurrenceKind
@@ -48,7 +47,6 @@ __all__ = [
     "ShapeError",
     "SingularMatrixError",
     "StatisticsError",
-    "WireOverflowError",
     "analyze_message",
     "contrast_csv",
     "correlation",

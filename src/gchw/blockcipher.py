@@ -10,7 +10,8 @@ product block @ E_scaled.
 
 Messages take the packed route, and its wire body stores each entry as a
 signed big-endian integer of ``kp.entry_bytes`` bytes, the narrowest
-width that holds every entry the key can produce (at most 8).  Stacking
+width that holds every entry the key can produce (at most 8: the key
+schedule refuses a key whose entries could need more).  Stacking
 the rows of all blocks gives a tall plaintext matrix; :func:`encrypt_message`
 stores each of its columns in one integer, one slot of that width per
 row, so a ciphertext column is Z big-integer multiply-adds with entries
@@ -39,15 +40,12 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import mul
 
-from .errors import CorruptionError, ParameterError, ShapeError, WireOverflowError
+from .errors import CorruptionError, ParameterError, ShapeError
 from .keyschedule import MODULUS, KeyMatrixPair
 
 PAD = -1
-INT64_MIN = -(1 << 63)
-INT64_MAX = (1 << 63) - 1
 CHUNK_ENTRIES = 1 << 14  # entries per packed pass; bounds the big-integer working set
 PASS_BLOCKS = 8  # the fewest blocks per pass; only Z = 64 has fewer in CHUNK_ENTRIES
-_OVERFLOW = "scaled ciphertext entry exceeds the signed 64-bit wire range; use a smaller n or level"
 
 
 @dataclass
@@ -111,10 +109,7 @@ def encrypt_block(block, kp: KeyMatrixPair, counter: OpCounter | None = None) ->
     """Exact product block @ E, returned as scaled entries (entry * 2**scale_exp)."""
     if len(block) != kp.z * kp.z:
         raise ShapeError(f"block of {len(block)} entries does not match key order {kp.z}")
-    scaled = _product(block, kp.e_scaled_cols, kp.z, counter)
-    if min(scaled) < INT64_MIN or max(scaled) > INT64_MAX:
-        raise WireOverflowError(_OVERFLOW)
-    return tuple(scaled)
+    return tuple(_product(block, kp.e_scaled_cols, kp.z, counter))
 
 
 def decrypt_block(cipher, kp: KeyMatrixPair, counter: OpCounter | None = None) -> tuple[int, ...]:
@@ -193,15 +188,11 @@ def encrypt_message(data: bytes, kp: KeyMatrixPair) -> bytes:
     Z big-integer multiply-adds per pass of whole blocks (``_pass_cells``).
     """
     z, w = kp.z, kp.entry_bytes
-    bits = kp.entry_bound.bit_length()
-    # a w-byte slot holds every entry, unless the key needs more than 8
-    # bytes: then the slot is wide enough to see whether an entry fits int64
-    width = w if bits < 8 * w else (bits + 9) // 8
-    slot_bits = 8 * width
-    unit, fmt = _copy_unit(w, width)
+    slot_bits = 8 * w
+    unit, fmt = _copy_unit(w, w)
     step = _pass_cells(z * z)
     rows_max = -(-min(len(data), step) // (z * z)) * z
-    ones_max = _ones(width, rows_max)
+    ones_max = _ones(w, rows_max)
     parts = []
     for start in range(0, len(data), step):
         chunk = data[start : start + step]
@@ -210,27 +201,21 @@ def encrypt_message(data: bytes, kp: KeyMatrixPair) -> bytes:
         plain = []
         for k in range(z):
             column = chunk[k::z]
-            buf = bytearray(rows * width)
-            buf[width - 1 : len(column) * width : width] = column
+            buf = bytearray(rows * w)
+            buf[w - 1 : len(column) * w : w] = column
             # the -1 padding fills the last, least significant slots
             plain.append(int.from_bytes(buf, "big") - (ones >> (slot_bits * len(column))))
-        # entry + 2**(8w - 1) is the w-byte entry with its sign bit flipped; a
-        # wider slot also carries 2**(slot_bits - 1), and if the entry fits
-        # w bytes that is all its bits above the low 8w hold
-        flip = ones << (8 * w - 1)
-        wide = 0 if width == w else ones << (slot_bits - 1)
-        high = (ones << slot_bits) - (ones << 8 * w)
+        # |entry| < entry_bound < 2**(8w - 1), so entry + 2**(8w - 1) fills
+        # its slot without a carry: the w-byte entry with its sign bit flipped
+        flip = ones << (slot_bits - 1)
         out = bytearray(rows * z * w)
         out_units = memoryview(out).cast(fmt)
         for j, col in enumerate(kp.e_scaled_cols):
-            acc = sum(map(mul, col, plain)) + flip + wide
-            if acc & high != wide:
-                raise WireOverflowError(_OVERFLOW)
-            slots = memoryview((acc ^ flip).to_bytes(rows * width, "big")).cast(fmt)
+            acc = sum(map(mul, col, plain)) + flip
+            slots = memoryview((acc ^ flip).to_bytes(rows * w, "big")).cast(fmt)
             for b in range(0, w, unit):
-                # the low w bytes of each slot into entry j of each row
-                entry, slot = (j * w + b) // unit, (width - w + b) // unit
-                out_units[entry :: z * w // unit] = slots[slot :: width // unit]
+                # each row's slot into entry j of that row
+                out_units[(j * w + b) // unit :: z * w // unit] = slots[b // unit :: w // unit]
         parts.append(out)
     return b"".join(parts)
 
@@ -254,7 +239,7 @@ def decrypt_message(body: bytes, kp: KeyMatrixPair, byte_count: int) -> bytes:
         return decrypt_blocks(body_blocks(body, z, w), kp, byte_count)
     # wide enough for the lifted modular sums and that a re-encrypted slot,
     # even of a faulty entry, never borrows (bounds in _decrypt_pass)
-    bits = max(64, 8 * w + 31 + z.bit_length(), kp.entry_bound.bit_length() + 26)
+    bits = max(64, 8 * w + 31 + z.bit_length())
     width = -(-bits // 8)
     step = _pass_cells(cells)
     rows_max = min(total, step) // z
@@ -320,8 +305,8 @@ def _decrypt_pass(chunk: bytes, kp: KeyMatrixPair, ones: int, width: int, data_c
             masks[n] = ((ones << slot_bits) - ((ones - pad) << 8) - pad, (ones << 8) - pad)
         mask, expect = masks[n]
         top = max(top, (t & mask ^ expect).bit_length())
-    # exact re-encryption: |again| < entry_bound * 2**24 per slot, so with
-    # 2**(slot_bits - 2) on both sides no slot borrows
+    # exact re-encryption: |again| < entry_bound * 2**24 < 2**(8w + 23) per
+    # slot, so with 2**(slot_bits - 2) on both sides no slot borrows
     slack = ones << (slot_bits - 2)
     for col, c in zip(kp.e_scaled_cols, received):
         again = sum(map(mul, col, plain)) + slack

@@ -21,7 +21,7 @@ from .errors import (
     ParameterError,
     ParseError,
 )
-from .keyschedule import CipherKey, golden_base, load_key_file, save_key_file
+from .keyschedule import CipherKey, derive, golden_base, load_key_file, save_key_file
 from .recurrence import RecurrenceKind
 
 EXIT_OK = 0
@@ -114,6 +114,7 @@ def _cmd_keygen(args) -> int:
         seed=_parse_secret(args.seed, "--seed"),
         mac_key=_parse_secret(args.mac_key, "--mac-key"),
     )
+    derive(key)  # a key whose entries cannot fit the wire is refused before it is written
     save_key_file(args.out, key)
     if args.dump_golden:
         for row in golden_base(key).rows:

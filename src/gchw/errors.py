@@ -21,10 +21,6 @@ class KeyDerivationError(GchwError):
     """No nonsingular enciphering matrix was found within the attempt budget."""
 
 
-class WireOverflowError(GchwError):
-    """A scaled ciphertext entry does not fit the signed 64-bit wire range."""
-
-
 class CorruptionError(GchwError):
     """Decrypted or deserialized data violates a structural invariant."""
 

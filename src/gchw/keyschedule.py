@@ -22,6 +22,10 @@ the exact Bareiss elimination to decide (Dixon, Numer. Math. 40, 1982,
 for the modular inverse with an exact check).  Either way the first
 nonsingular attempt wins, so the choice of route never changes the key.
 The exact determinant and adjugate are otherwise computed only when read.
+
+A matrix whose ciphertext entries could need more than 8 signed bytes is
+refused before any elimination (:meth:`KeyMatrixPair.from_scaled`), so
+every accepted key seals every message.
 """
 
 from __future__ import annotations
@@ -95,9 +99,10 @@ class KeyMatrixPair:
     E = e_scaled / 2**scale_exp.  ``inverse_cols_mod_p`` holds the columns
     of ``E_scaled^-1 mod MODULUS`` as residues of least magnitude (each
     below 2**30 in absolute value), or None if det_scaled is 0 mod MODULUS;
-    the packed decryption multiplies by it.  The exact inverse,
-    adjugate_scaled / det_scaled, and the rational ``e`` are computed on
-    first read: only the per-block route, and tests, read them.
+    the packed decryption multiplies by it.  ``entry_bound``, 256 times the
+    largest column sum of |E_scaled|, bounds every entry of block @ E_scaled.
+    The exact inverse, adjugate_scaled / det_scaled, and the rational ``e``
+    are computed on first read: only the per-block route, and tests, read them.
     """
 
     z: int
@@ -105,6 +110,7 @@ class KeyMatrixPair:
     attempt: int
     e_scaled: tuple[tuple[int, ...], ...]
     inverse_cols_mod_p: tuple[tuple[int, ...], ...] | None
+    entry_bound: int
 
     @classmethod
     def from_matrix(cls, e: SquareMatrix, scale_exp: int, attempt: int = 0) -> "KeyMatrixPair":
@@ -131,8 +137,16 @@ class KeyMatrixPair:
 
         The elimination mod p proves ``e_scaled`` nonsingular whenever its
         determinant is nonzero mod p; only when it is 0 mod p does the exact
-        determinant decide.  Raises :class:`SingularMatrixError` if it is 0.
+        determinant decide.  Raises :class:`SingularMatrixError` if it is 0,
+        and, before any elimination, :class:`ParameterError` if the entries
+        of ``block @ e_scaled`` could overflow the signed 64-bit wire.
         """
+        bound = 256 * max(map(sum, zip(*(map(abs, row) for row in e_scaled))))
+        if bound.bit_length() > 63:
+            raise ParameterError(
+                f"ciphertext entries are bounded by a {bound.bit_length()}-bit number,"
+                " past the signed 64-bit wire; use a smaller n or level"
+            )
         inverse = inverse_mod_p(e_scaled)
         kp = cls(
             z=len(e_scaled),
@@ -140,6 +154,7 @@ class KeyMatrixPair:
             attempt=attempt,
             e_scaled=tuple(map(tuple, e_scaled)),
             inverse_cols_mod_p=None if inverse is None else tuple(zip(*inverse)),
+            entry_bound=bound,
         )
         if inverse is None and kp.det_scaled == 0:
             raise SingularMatrixError("matrix is singular")
@@ -181,18 +196,13 @@ class KeyMatrixPair:
         return {self.det_scaled * q: q for q in range(-1, 256)}
 
     @cached_property
-    def entry_bound(self) -> int:
-        """256 * the largest column sum of |E_scaled|: bounds every entry of block @ E_scaled."""
-        return 256 * max(sum(map(abs, col)) for col in self.e_scaled_cols)
-
-    @cached_property
     def entry_bytes(self) -> int:
-        """Bytes per wire entry: the signed big-endian width that holds ``entry_bound``, at most 8.
+        """Bytes per wire entry: the narrowest signed big-endian width that holds ``entry_bound``.
 
-        A key whose bound needs more than 8 bytes still writes int64
-        entries; sealing raises ``WireOverflowError`` on one that does not fit.
+        :meth:`from_scaled` refuses a bound of more than 63 bits, so this is
+        never more than 8.
         """
-        return min(8, (self.entry_bound.bit_length() + 8) // 8)
+        return (self.entry_bound.bit_length() + 8) // 8
 
 
 def golden_base(key: CipherKey) -> SquareMatrix:

@@ -12,8 +12,6 @@ from conftest import make_key
 from gchw import blockcipher
 from gchw.blockcipher import (
     CHUNK_ENTRIES,
-    INT64_MAX,
-    INT64_MIN,
     PAD,
     OpCounter,
     _product,
@@ -27,9 +25,12 @@ from gchw.blockcipher import (
 )
 from gchw.envelope import deserialize, seal, serialize
 from gchw.envelope import open as open_envelope
-from gchw.errors import CorruptionError, ParameterError, ShapeError, WireOverflowError
+from gchw.errors import CorruptionError, ParameterError, ShapeError
 from gchw.keyschedule import MODULUS, KeyMatrixPair, derive
 from gchw.matrix import SquareMatrix
+
+INT64_MIN = -(1 << 63)
+INT64_MAX = (1 << 63) - 1
 
 # an arbitrary nonsingular dyadic matrix used by the known-answer product tests
 EXAMPLE_E = SquareMatrix([[F(1, 4), F(-1, 2)], [F(-1, 2), 2]])
@@ -193,17 +194,17 @@ def test_order_mismatch_is_shape_error():
 
 
 def test_wire_overflow_is_rejected():
-    huge = KeyMatrixPair.from_matrix(SquareMatrix([[1 << 62, 0], [0, 1]]), scale_exp=2)
-    with pytest.raises(WireOverflowError):
-        encrypt_block((255, 255, 255, 255), huge)
+    # E_scaled's first column sums to 2**64, so entry_bound is 2**72
+    with pytest.raises(ParameterError, match="73-bit number, past the signed 64-bit wire"):
+        KeyMatrixPair.from_matrix(SquareMatrix([[1 << 62, 0], [0, 1]]), scale_exp=2)
 
 
 # --- the packed message route against the per-block route ---------------------
 
 
 @cache
-def level_pair(level: int, n: int = 5) -> KeyMatrixPair:
-    return derive(make_key(n=n, level=level))
+def level_pair(level: int) -> KeyMatrixPair:
+    return derive(make_key(level=level))
 
 
 def pack_blocks(blocks, width: int) -> bytes:
@@ -223,7 +224,7 @@ def width_limits(width: int) -> tuple[int, int]:
 def outcome(f, *args):
     try:
         return f(*args)
-    except (WireOverflowError, CorruptionError) as exc:
+    except CorruptionError as exc:
         return type(exc), str(exc)
 
 
@@ -254,47 +255,47 @@ def test_packed_route_matches_per_block_on_random_data(data, level):
     assert decrypt_message(body, kp, len(data)) == data
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.binary(min_size=1, max_size=12), st.sampled_from([80, 84, 88, 90]))
-def test_wide_slots_match_per_block_near_the_int64_limit(data, n):
-    # large-n keys need slots wider than 64 bits; some blocks overflow the wire
-    kp = level_pair(1, n)
-    assert kp.entry_bound.bit_length() >= 64
-    body = outcome(encrypt_message, data, kp)
-    assert body == outcome(per_block_body, data, kp)
-    if isinstance(body, bytes):
-        assert decrypt_message(body, kp, len(data)) == data
+def test_keys_past_the_int64_limit_are_rejected_at_derive():
+    # n = 77 is the largest Fibonacci n at level 1 whose entries fit the wire
+    assert derive(make_key(n=77, level=1)).entry_bytes == 8
+    for n in (78, 80, 84, 88, 90):
+        with pytest.raises(ParameterError, match="past the signed 64-bit wire"):
+            derive(make_key(n=n, level=1))
 
 
 @pytest.mark.parametrize(
     "top_left, data, fits",
     [
-        (1 << 63, b"\x00", True),  # the padding row gives exactly INT64_MIN
+        ((1 << 55) - 1, bytes([255, 0, 255, 0]), True),  # entries of 255 * (2**55 - 1)
+        (-((1 << 55) - 1), bytes([255, 0, 0]), True),  # -255 * (2**55 - 1), then padding
+        ((1 << 55) - 1, b"\x00", True),  # the padding row gives -(2**55 - 1)
         (1 << 63, b"\x01", False),  # 2**63 is one past INT64_MAX
-        ((1 << 63) - 1, b"\x01\x00", True),  # exactly INT64_MAX
         ((1 << 63) - 1, b"\x02", False),
-        (1 << 120, bytes([0, 5, 0, 7]), True),  # 192-bit decryption slots
         (1 << 120, b"\x01", False),
     ],
 )
 def test_int64_limits_are_exact(top_left, data, fits):
-    kp = diagonal_pair(top_left)
+    # entry_bound = 256 * |top_left| must stay below 2**63
     if fits:
+        kp = diagonal_pair(top_left)
+        assert kp.entry_bytes == 8
         body = encrypt_message(data, kp)
         assert body == per_block_body(data, kp)
         assert decrypt_message(body, kp, len(data)) == data
     else:
-        with pytest.raises(WireOverflowError):
-            per_block_body(data, kp)
-        with pytest.raises(WireOverflowError):
-            encrypt_message(data, kp)
+        # data @ E_scaled passes int64; the key is refused before any message
+        (block,) = partition(data, 2)
+        assert max(_product(block, ((top_left, 0), (0, 1)), 2)) > INT64_MAX
+        with pytest.raises(ParameterError, match="past the signed 64-bit wire"):
+            diagonal_pair(top_left)
 
 
 def test_large_n_key_still_overflows_in_seal():
+    # derive refuses the key, so not even the empty message seals
     key = make_key(n=90, level=1)
-    assert key.matrix_pair.entry_bytes == 8
-    with pytest.raises(WireOverflowError):
-        seal(b"\xff" * 64, key)
+    for message in (b"", b"\xff" * 64):
+        with pytest.raises(ParameterError, match="past the signed 64-bit wire"):
+            seal(message, key)
 
 
 @pytest.mark.parametrize("width", range(2, 8))
@@ -315,8 +316,13 @@ def test_entry_width_steps_at_the_sign_bit(width):
 
 
 def test_entry_width_is_at_most_eight_bytes():
-    assert diagonal_pair(1 << 55).entry_bytes == 8
-    assert diagonal_pair(1 << 120).entry_bytes == 8
+    # entry_bound = 256 * top_left: 2**63 - 256 fits 8 signed bytes, 2**63 does not
+    kp = diagonal_pair((1 << 55) - 1)
+    assert kp.entry_bound == (1 << 63) - 256
+    assert kp.entry_bytes == 8
+    for top_left in (1 << 55, 1 << 120):
+        with pytest.raises(ParameterError, match="past the signed 64-bit wire"):
+            diagonal_pair(top_left)
 
 
 def test_round_trips_never_take_the_per_block_route(monkeypatch):
@@ -453,11 +459,13 @@ def test_only_the_first_bad_block_takes_the_per_block_route(monkeypatch, value):
 
 
 def test_wide_decryption_slots_name_the_first_bad_block(monkeypatch):
-    # column 0 must hold zeros to fit the wire; 2**120 + 1 has a large
-    # inverse mod p, so a nudged column-0 entry gives a huge re-encryption
-    kp = diagonal_pair((1 << 120) + 1)
+    # column-0 entries of up to 255 * (2**55 - 1) fill the 8-byte wire, and
+    # 2**55 - 1 has a large inverse mod p, so a nudged column-0 entry gives
+    # a huge re-encryption
+    kp = diagonal_pair((1 << 55) - 1)
+    assert kp.entry_bytes == 8
     entry = struct.Struct(">4q")
-    data = bytes([0, 5, 0, 7, 0, 9, 0, 250, 0, 0, 0, 1])
+    data = bytes([255, 5, 0, 7, 128, 9, 1, 250, 0, 0, 255, 1])
     blocks = [list(b) for b in entry.iter_unpack(encrypt_message(data, kp))]
     calls = []
 

@@ -50,6 +50,25 @@ def test_keygen_dump_golden(tmp_path, capsys):
     assert capsys.readouterr().out == "1 1\n1 0\n"
 
 
+def test_keygen_refuses_a_key_whose_entries_cannot_fit_the_wire(tmp_path, capsys):
+    out = tmp_path / "wide.key"
+    code = run("keygen", "--kind", "fibonacci", "--n", "1000", "--level", "1", "--out", str(out))
+    assert code == 5
+    assert "past the signed 64-bit wire" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_keygen_writes_a_key_near_the_wire_limit(tmp_path):
+    path = tmp_path / "n70.key"
+    code = run(
+        "keygen", "--kind", "fibonacci", "--n", "70", "--level", "1",
+        "--seed", SEED, "--mac-key", MAC, "--out", str(path),
+    )
+    assert code == 0
+    key = load_key_file(path)
+    assert key.n == 70 and key.matrix_pair.entry_bytes == 8
+
+
 def test_keygen_rejects_bad_hex(tmp_path):
     code = run(
         "keygen", "--kind", "fibonacci", "--n", "5", "--level", "2",

@@ -1,14 +1,17 @@
 """Key validation, the enciphering-matrix derivation, and the key file format."""
 
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from conftest import make_key
 from gchw import keyschedule
+from gchw.blockcipher import body_blocks, decrypt_message, encrypt_message
 from gchw.errors import ParameterError, ParseError, SingularMatrixError
 from gchw.keyschedule import (
     MAX_LEVEL,
+    MAX_N,
     MODULUS,
     CipherKey,
     KeyMatrixPair,
@@ -254,6 +257,50 @@ def test_key_matrix_pair_from_singular_matrix():
 def test_key_matrix_pair_from_non_dyadic_matrix():
     with pytest.raises(ParameterError):
         KeyMatrixPair.from_matrix(SquareMatrix([[F(1, 3), 0], [0, 1]]), scale_exp=2)
+
+
+# the largest n whose key fits the 8-byte wire, at levels 1..6, for seed 00...
+LARGEST_N = {
+    RecurrenceKind.FIBONACCI: (77, 74, 71, 68, 65, 62),
+    RecurrenceKind.LUCAS: (75, 72, 69, 66, 63, 60),
+    RecurrenceKind.ELC: (70, 68, 65, 62, 59, 56),
+}
+
+
+@pytest.mark.parametrize("kind", list(RecurrenceKind))
+def test_largest_n_that_fits_the_wire(kind, monkeypatch):
+    for level, largest in enumerate(LARGEST_N[kind], start=1):
+        kp = derive(make_key(kind=kind, n=largest, level=level, seed=bytes(32)))
+        assert kp.entry_bytes == 8
+        # entries of block @ E_scaled reach their extremes in the widest
+        # column: 255 wherever that column is positive (or negative), else 0
+        cols = kp.e_scaled_cols
+        j = max(range(kp.z), key=lambda k: sum(map(abs, cols[k])))
+        assert 256 * sum(map(abs, cols[j])) == kp.entry_bound < 1 << 63
+        high = bytes(255 if v > 0 else 0 for v in cols[j])
+        low = bytes(255 if v < 0 else 0 for v in cols[j])
+        data = high * kp.z + low * kp.z
+        body = encrypt_message(data, kp)
+        top, bottom = body_blocks(body, kp.z, kp.entry_bytes)
+        assert top[j] == 255 * sum(v for v in cols[j] if v > 0)
+        assert bottom[j] == 255 * sum(v for v in cols[j] if v < 0)
+        assert decrypt_message(body, kp, len(data)) == data
+
+    def no_elimination(rows):
+        raise AssertionError("an over-wide key reached the elimination")
+
+    monkeypatch.setattr(keyschedule, "inverse_mod_p", no_elimination)
+    for level, largest in enumerate(LARGEST_N[kind], start=1):
+        with pytest.raises(ParameterError, match="64-bit wire; use a smaller n or level"):
+            derive(make_key(kind=kind, n=largest + 1, level=level, seed=bytes(32)))
+
+
+@pytest.mark.parametrize("kind", list(RecurrenceKind))
+def test_the_largest_n_is_rejected_quickly_at_the_top_level(kind):
+    start = time.perf_counter()
+    with pytest.raises(ParameterError, match="past the signed 64-bit wire"):
+        derive(make_key(kind=kind, n=MAX_N, level=MAX_LEVEL))
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize(
