@@ -19,8 +19,13 @@ of E_scaled (Kronecker substitution).  :func:`decrypt_message` reads the
 compact entries into wider slots and multiplies the received columns by
 E_scaled^-1 modulo the Mersenne prime p = 2^31 - 1, folds every slot back
 below p, and reads a candidate entry from each.  It accepts the candidates
-only if each is a byte in the data region and -1 after it, and their exact
-re-encryption equals the received columns.  That check makes the result
+only if each is a byte in the data region and -1 after it, and one more
+check holds.  For a key whose ``entry_bound`` is below 2^30 (n = 5 at
+levels 1-4), every received entry must lie in [-2^30, 2^30): the
+ciphertext minus the candidates' product with E_scaled is then 0 mod p
+and smaller than p in magnitude, so it is 0 (the CRT bound).  Any other
+key (levels 5 and 6, larger n) checks that the exact re-encryption of the
+candidates equals the received columns.  Either check makes the result
 exact: E_scaled is nonsingular, so the true plaintext is the only matrix
 whose product with E_scaled is the ciphertext, and a candidate that passes
 is that plaintext (Dixon's modular solving with an exact check).
@@ -225,10 +230,12 @@ def decrypt_message(body: bytes, kp: KeyMatrixPair, byte_count: int) -> bytes:
 
     Each pass multiplies the received columns by E_scaled^-1 mod p
     (p = ``MODULUS``), reduces by Mersenne folding, and accepts only if every
-    entry is a byte in the data region and -1 after it, and the exact
-    re-encryption of those entries equals the received columns.  The
-    per-block route runs only to name the first faulty block, and for a key
-    whose det_scaled is 0 mod p.
+    entry is a byte in the data region and -1 after it, and, for a key with
+    ``entry_bound < 2**30``, every received entry lies in [-2**30, 2**30),
+    or, for any other key, the exact re-encryption of those entries equals
+    the received columns (``_decrypt_pass`` has the bound).  The per-block
+    route runs only to name the first faulty block, and for a key whose
+    det_scaled is 0 mod p.
     """
     z, w = kp.z, kp.entry_bytes
     cells = z * z
@@ -237,8 +244,10 @@ def decrypt_message(body: bytes, kp: KeyMatrixPair, byte_count: int) -> bytes:
     total = len(body) // w
     if kp.inverse_cols_mod_p is None or byte_count > total:
         return decrypt_blocks(body_blocks(body, z, w), kp, byte_count)
-    # wide enough for the lifted modular sums and that a re-encrypted slot,
-    # even of a faulty entry, never borrows (bounds in _decrypt_pass)
+    # wide enough for the lifted modular sums, and so for an entry plus
+    # 2**30 and for a re-encrypted slot, even of a faulty entry (bounds in
+    # _decrypt_pass); the 64-bit floor is for the folds by 2**62 and 2**31,
+    # which every key runs, not for the re-encryption
     bits = max(64, 8 * w + 31 + z.bit_length())
     width = -(-bits // 8)
     step = _pass_cells(cells)
@@ -263,13 +272,33 @@ def decrypt_message(body: bytes, kp: KeyMatrixPair, byte_count: int) -> bytes:
 
 
 def _decrypt_pass(chunk: bytes, kp: KeyMatrixPair, ones: int, width: int, data_count: int):
-    """The first ``data_count`` plaintext bytes of one pass, or the index of its first bad row."""
+    """The first ``data_count`` plaintext bytes of one pass, or the index of its first bad row.
+
+    The candidate q solves q @ E_scaled = c mod p; once the masks pass,
+    every entry of q is in {-1} | 0..255, so |q @ E_scaled| <= 255/256 *
+    entry_bound.  If entry_bound < 2**30 and every received entry lies in
+    [-2**30, 2**30), the difference c - q @ E_scaled is 0 mod p and below
+    2**31 - 2**22 < p in magnitude, so it is 0 and q is exact; a received
+    entry outside that range cannot equal q @ E_scaled, which is below 2**30
+    in magnitude, so its row is faulty.  Those keys (n = 5 at levels 1-4) check that range
+    instead of re-encrypting.  Keys with entry_bound >= 2**30 (levels 5
+    and 6, and large n) admit no such range and check the exact
+    re-encryption q @ E_scaled == c.  Either way the same rows fail.
+    """
     z, w = kp.z, kp.entry_bytes
     rows = len(chunk) // (z * w)
     slot_bits = 8 * width
     sign = ones << (8 * w - 1)
     unit, fmt = _copy_unit(w, width)
     entries = memoryview(chunk).cast(fmt)
+    # top: the highest bit at which a check differs from what it expects
+    top = 0
+    reencrypt = kp.entry_bound >= 1 << 30
+    # the unsigned w-byte entry u lies in [-2**30, 2**30) iff u + 2**30 has no
+    # bit set in 31..8w-1 (a carry out of 8w bits is a negative entry); it
+    # stays inside its slot, since width > w, and w <= 3 is always in range
+    span = 0 if reencrypt or w <= 3 else (ones << 8 * w) - (ones << 31)
+    offset = ones << 30
     received = []  # signed entries, one slot per row
     for j in range(z):
         buf = bytearray(rows * width)
@@ -278,7 +307,10 @@ def _decrypt_pass(chunk: bytes, kp: KeyMatrixPair, ones: int, width: int, data_c
             # entry j of each row into the low w bytes of its slot
             entry, slot = (j * w + b) // unit, (width - w + b) // unit
             slots[slot :: width // unit] = entries[entry :: z * w // unit]
-        received.append((int.from_bytes(buf, "big") ^ sign) - sign)
+        u = int.from_bytes(buf, "big")
+        if span:
+            top = max(top, (u + offset & span).bit_length())
+        received.append((u ^ sign) - sign)
     # |sum| < z * 2**(8w + 29) per slot; lift adds p * 2**e (0 mod p) to
     # keep every slot positive, and 256 so a slot ends as 256 + q
     e = 8 * w - 1 + z.bit_length()
@@ -294,8 +326,6 @@ def _decrypt_pass(chunk: bytes, kp: KeyMatrixPair, ones: int, width: int, data_c
         v = (v & low62) + ((v >> 62) & rest62)
         v = (v & low31) + ((v >> 31) & rest31)
         plain.append((v & low31) + ((v >> 31) & rest31))
-    # top: the highest bit at which a check differs from what it expects
-    top = 0
     # a data slot must hold 256..511 (a byte), a padding slot exactly 255 (-1)
     masks = {}
     for k, t in enumerate(plain):
@@ -305,12 +335,13 @@ def _decrypt_pass(chunk: bytes, kp: KeyMatrixPair, ones: int, width: int, data_c
             masks[n] = ((ones << slot_bits) - ((ones - pad) << 8) - pad, (ones << 8) - pad)
         mask, expect = masks[n]
         top = max(top, (t & mask ^ expect).bit_length())
-    # exact re-encryption: |again| < entry_bound * 2**24 < 2**(8w + 23) per
-    # slot, so with 2**(slot_bits - 2) on both sides no slot borrows
-    slack = ones << (slot_bits - 2)
-    for col, c in zip(kp.e_scaled_cols, received):
-        again = sum(map(mul, col, plain)) + slack
-        top = max(top, (again ^ c + slack + 256 * sum(col) * ones).bit_length())
+    if reencrypt:
+        # exact re-encryption: |again| < entry_bound * 2**24 < 2**(8w + 23)
+        # per slot, so with 2**(slot_bits - 2) on both sides no slot borrows
+        slack = ones << (slot_bits - 2)
+        for col, c in zip(kp.e_scaled_cols, received):
+            again = sum(map(mul, col, plain)) + slack
+            top = max(top, (again ^ c + slack + 256 * sum(col) * ones).bit_length())
     if top:
         # the highest differing bit lies in the first faulty row's slot
         return rows - 1 - (top - 1) // slot_bits

@@ -28,6 +28,7 @@ from gchw.envelope import open as open_envelope
 from gchw.errors import CorruptionError, ParameterError, ShapeError
 from gchw.keyschedule import MODULUS, KeyMatrixPair, derive
 from gchw.matrix import SquareMatrix
+from gchw.recurrence import RecurrenceKind
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
@@ -405,33 +406,88 @@ def test_decrypt_message_rejects_a_partial_block():
             decrypt_message(body[:-cut], kp, 3)
 
 
-@pytest.mark.parametrize("level", [2, 3])
-def test_decrypt_message_fails_like_the_per_block_route(level):
-    # every entry of a three-block body nudged, then each region boundary
-    # moved; a nudge past the entry width is clamped to its limits
+@pytest.mark.parametrize("level", range(1, 7))
+def test_decrypt_message_fails_like_the_per_block_route(monkeypatch, level):
+    # entries of a three-block body nudged or set, then each region boundary
+    # moved; a value past the entry width is clamped to its limits.  Past
+    # Z = 8 the positions and byte counts are sampled, since the per-block
+    # reference costs Z**3 multiplies per block
     kp = level_pair(level)
     cells = kp.z * kp.z
     low, high = width_limits(kp.entry_bytes)
-    data = random.Random(level).randbytes(2 * cells + 5)
+    rng = random.Random(level)
+    data = rng.randbytes(2 * cells + 5)
     body = encrypt_message(data, kp)
-    blocks = [list(b) for b in body_blocks(body, kp.z, kp.entry_bytes)]
+    blocks = [tuple(b) for b in body_blocks(body, kp.z, kp.entry_bytes)]
+    known = {}
+
+    def decrypt_once(cipher):
+        # decrypt_block is pure, so each distinct block is decrypted once
+        if cipher not in known:
+            try:
+                known[cipher] = decrypt_block(cipher, kp)
+            except CorruptionError as exc:
+                known[cipher] = exc
+        if isinstance(known[cipher], CorruptionError):
+            raise known[cipher]
+        return known[cipher]
 
     def reference(blocks, byte_count):
-        return unpartition([decrypt_block(b, kp) for b in blocks], byte_count)
+        return unpartition([decrypt_once(b) for b in blocks], byte_count)
 
-    cases = [(blocks, n) for n in range(len(data) - cells, 3 * cells + 2)]
+    if cells <= 64:
+        counts, positions = range(len(data) - cells, 3 * cells + 2), range(cells)
+    else:
+        edge = len(data)
+        counts = (edge - cells, edge - 1, edge, edge + 1, 3 * cells, 3 * cells + 1)
+        positions = rng.sample(range(cells), max(1, 4096 // cells))
+    cases = [(blocks, n, None) for n in counts]
+    nudges = (1, -1, 1 << 40, MODULUS, -MODULUS, 2 * MODULUS, -2 * MODULUS)
+    # the edges of [-2**30, 2**30), the range that spares keys below 2**30
+    # the re-encryption
+    edges = (low, high, 1 << 30, (1 << 30) - 1, -(1 << 30), -(1 << 30) - 1)
     for b in range(3):
-        for i in range(cells):
-            for value in (1, -1, 1 << 40, MODULUS, low, high):
-                tampered = [list(x) for x in blocks]
-                moved = tampered[b][i] + value
-                tampered[b][i] = value if value in (low, high) else max(low, min(high, moved))
-                cases.append((tampered, len(data)))
-    for tampered, byte_count in cases:
+        for i in positions:
+            values = (*(blocks[b][i] + d for d in nudges), *edges)
+            for value in {max(low, min(high, v)) for v in values}:
+                tampered = list(blocks)
+                tampered[b] = blocks[b][:i] + (value,) + blocks[b][i + 1 :]
+                cases.append((tampered, len(data), tampered[b]))
+    calls = []
+
+    def recording_decrypt_block(cipher, kp):
+        calls.append(cipher)
+        return decrypt_once(cipher)
+
+    monkeypatch.setattr(blockcipher, "decrypt_block", recording_decrypt_block)
+    for tampered, byte_count, changed in cases:
+        expected = outcome(reference, tampered, byte_count)
+        del calls[:]
         wire = pack_blocks(tampered, kp.entry_bytes)
-        assert outcome(decrypt_message, wire, kp, byte_count) == outcome(
-            reference, tampered, byte_count
-        )
+        assert outcome(decrypt_message, wire, kp, byte_count) == expected
+        if changed is not None:
+            # the per-block route starts at the one block that changed
+            assert calls[:1] == ([] if isinstance(expected, bytes) else [changed])
+
+
+def test_only_keys_with_entries_past_2_to_the_30_re_encrypt(monkeypatch):
+    # below 2**30 a range check on the received entries proves the candidate
+    # exact, so decrypt_message reads E_scaled only to re-encrypt
+    levels = (1, 2, 3, 4)
+    skipping = [derive(make_key(kind=k, level=level)) for k in RecurrenceKind for level in levels]
+    keeping = [level_pair(5), level_pair(6), diagonal_pair((1 << 55) - 1)]
+    reads = []
+    columns = KeyMatrixPair.e_scaled_cols.func
+    counted = property(lambda kp: reads.append(kp.z) or columns(kp))
+    monkeypatch.setattr(KeyMatrixPair, "e_scaled_cols", counted)
+    for kp in skipping + keeping:
+        reencrypts = kp in keeping
+        assert (kp.entry_bound >= 1 << 30) == reencrypts
+        data = random.Random(kp.z).randbytes(3 * kp.z * kp.z - 7)
+        body = encrypt_message(data, kp)
+        del reads[:]
+        assert decrypt_message(body, kp, len(data)) == data
+        assert bool(reads) == reencrypts, (kp.z, kp.entry_bound.bit_length())
 
 
 @pytest.mark.parametrize("value", [None, INT64_MIN, INT64_MAX])
