@@ -33,9 +33,8 @@ is that plaintext (Dixon's modular solving with an exact check).
 The per-block route, :func:`encrypt_block` and :func:`decrypt_block`,
 multiplies by E_scaled and by its integer adjugate and divides by the
 scaled determinant, rejecting any entry that fails to divide exactly or
-falls outside {-1} | 0..255.  It stays as the counted cost-model oracle, it
-names the fault of the first bad block when the packed check fails, and it
-decrypts for a key whose scaled determinant is 0 mod p.
+falls outside {-1} | 0..255.  It stays as the counted cost-model oracle,
+and it names the fault of the first bad block when the packed check fails.
 """
 
 from __future__ import annotations
@@ -121,17 +120,16 @@ def decrypt_block(cipher, kp: KeyMatrixPair, counter: OpCounter | None = None) -
     """Exact product cipher @ E^-1; rejects non-integer or non-byte entries."""
     if len(cipher) != kp.z * kp.z:
         raise ShapeError(f"block of {len(cipher)} entries does not match key order {kp.z}")
-    raw = _product(cipher, kp.adjugate_scaled_cols, kp.z, counter)
-    entries = tuple(map(kp.plain_of.get, raw))
-    if None in entries:
-        # some entry is not det_scaled * q for a valid q: name the first fault
-        for v in raw:
-            q, r = divmod(v, kp.det_scaled)
-            if r:
-                raise CorruptionError("decrypted entry is not an integer")
-            if q != PAD and not 0 <= q <= 255:
-                raise CorruptionError("decrypted entry outside the byte range")
-    return entries
+    det, adjugate_cols = kp._det_adjugate_cols
+    entries = []
+    for v in _product(cipher, adjugate_cols, kp.z, counter):
+        q, r = divmod(v, det)
+        if r:
+            raise CorruptionError("decrypted entry is not an integer")
+        if q != PAD and not 0 <= q <= 255:
+            raise CorruptionError("decrypted entry outside the byte range")
+        entries.append(q)
+    return tuple(entries)
 
 
 def decrypt_blocks(blocks, kp: KeyMatrixPair, byte_count: int) -> bytes:
@@ -234,15 +232,15 @@ def decrypt_message(body: bytes, kp: KeyMatrixPair, byte_count: int) -> bytes:
     ``entry_bound < 2**30``, every received entry lies in [-2**30, 2**30),
     or, for any other key, the exact re-encryption of those entries equals
     the received columns (``_decrypt_pass`` has the bound).  The per-block
-    route runs only to name the first faulty block, and for a key whose
-    det_scaled is 0 mod p.
+    route runs only to name the first faulty block, or when ``byte_count``
+    claims more entries than the body holds.
     """
     z, w = kp.z, kp.entry_bytes
     cells = z * z
     if len(body) % (cells * w):
         raise ShapeError(f"body of {len(body)} bytes is not whole blocks of key order {z}")
     total = len(body) // w
-    if kp.inverse_cols_mod_p is None or byte_count > total:
+    if byte_count > total:
         return decrypt_blocks(body_blocks(body, z, w), kp, byte_count)
     # wide enough for the lifted modular sums, and so for an entry plus
     # 2**30 and for a re-encrypted slot, even of a faulty entry (bounds in

@@ -14,14 +14,14 @@ material crossing the wire.
 
 All of it runs on E_scaled = E * 4**level, which is an integer matrix:
 the Haar lifting works on the golden matrix pre-scaled by 4**level, and
-the additive integers are scaled likewise.  Each attempt is proved
-nonsingular by Gauss-Jordan elimination modulo p = 2^31 - 1, which also
-yields E_scaled^-1 mod p for the packed decryption: a determinant that is
-nonzero mod p is nonzero.  Only an attempt that is singular mod p runs
-the exact Bareiss elimination to decide (Dixon, Numer. Math. 40, 1982,
-for the modular inverse with an exact check).  Either way the first
-nonsingular attempt wins, so the choice of route never changes the key.
-The exact determinant and adjugate are otherwise computed only when read.
+the additive integers are scaled likewise.  Each attempt is decided by one
+Gauss-Jordan elimination modulo p = 2^31 - 1, which also yields
+E_scaled^-1 mod p for the packed decryption: a determinant that is nonzero
+mod p is nonzero, and an attempt whose determinant is 0 mod p is treated
+as singular.  That refuses a nonsingular attempt whose determinant is a
+multiple of p, about one attempt in 2^31, so that one elimination decides
+every key.  The exact determinant and adjugate are computed only when the
+per-block route first reads them.
 
 A matrix whose ciphertext entries could need more than 8 signed bytes is
 refused before any elimination (:meth:`KeyMatrixPair.from_scaled`), so
@@ -31,7 +31,6 @@ every accepted key seals every message.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
 
@@ -98,48 +97,28 @@ class KeyMatrixPair:
 
     E = e_scaled / 2**scale_exp.  ``inverse_cols_mod_p`` holds the columns
     of ``E_scaled^-1 mod MODULUS`` as residues of least magnitude (each
-    below 2**30 in absolute value), or None if det_scaled is 0 mod MODULUS;
-    the packed decryption multiplies by it.  ``entry_bound``, 256 times the
-    largest column sum of |E_scaled|, bounds every entry of block @ E_scaled.
-    The exact inverse, adjugate_scaled / det_scaled, and the rational ``e``
-    are computed on first read: only the per-block route, and tests, read them.
+    below 2**30 in absolute value); the packed decryption multiplies by it.
+    ``entry_bound``, 256 times the largest column sum of |E_scaled|, bounds
+    every entry of block @ E_scaled.  The exact determinant and adjugate
+    are computed on first read, and only the per-block route reads them.
     """
 
     z: int
     scale_exp: int
     attempt: int
     e_scaled: tuple[tuple[int, ...], ...]
-    inverse_cols_mod_p: tuple[tuple[int, ...], ...] | None
+    inverse_cols_mod_p: tuple[tuple[int, ...], ...]
     entry_bound: int
-
-    @classmethod
-    def from_matrix(cls, e: SquareMatrix, scale_exp: int, attempt: int = 0) -> "KeyMatrixPair":
-        """Build a pair from an arbitrary nonsingular dyadic matrix.
-
-        Raises :class:`ParameterError` if ``e * 2**scale_exp`` is not
-        integral and :class:`SingularMatrixError` if ``e`` is singular.
-        """
-        scale = 1 << scale_exp
-        e_scaled = []
-        for row in e.rows:
-            out = []
-            for x in row:
-                v = x * scale
-                if v.denominator != 1:
-                    raise ParameterError("enciphering matrix is not dyadic at this scale")
-                out.append(int(v))
-            e_scaled.append(out)
-        return cls.from_scaled(e_scaled, scale_exp, attempt)
 
     @classmethod
     def from_scaled(cls, e_scaled, scale_exp: int, attempt: int = 0) -> "KeyMatrixPair":
         """Build a pair from the integer rows of ``e * 2**scale_exp``.
 
-        The elimination mod p proves ``e_scaled`` nonsingular whenever its
-        determinant is nonzero mod p; only when it is 0 mod p does the exact
-        determinant decide.  Raises :class:`SingularMatrixError` if it is 0,
-        and, before any elimination, :class:`ParameterError` if the entries
-        of ``block @ e_scaled`` could overflow the signed 64-bit wire.
+        Raises :class:`ParameterError`, before any elimination, if the
+        entries of ``block @ e_scaled`` could overflow the signed 64-bit
+        wire, and :class:`SingularMatrixError` if the determinant is 0 mod
+        p, which refuses the rare nonsingular matrix whose determinant is a
+        multiple of p along with every singular one.
         """
         bound = 256 * max(map(sum, zip(*(map(abs, row) for row in e_scaled))))
         if bound.bit_length() > 63:
@@ -148,52 +127,26 @@ class KeyMatrixPair:
                 " past the signed 64-bit wire; use a smaller n or level"
             )
         inverse = inverse_mod_p(e_scaled)
-        kp = cls(
+        if inverse is None:
+            raise SingularMatrixError("matrix is singular modulo 2**31 - 1")
+        return cls(
             z=len(e_scaled),
             scale_exp=scale_exp,
             attempt=attempt,
             e_scaled=tuple(map(tuple, e_scaled)),
-            inverse_cols_mod_p=None if inverse is None else tuple(zip(*inverse)),
+            inverse_cols_mod_p=tuple(zip(*inverse)),
             entry_bound=bound,
         )
-        if inverse is None and kp.det_scaled == 0:
-            raise SingularMatrixError("matrix is singular")
-        return kp
 
     @cached_property
-    def e(self) -> SquareMatrix:
-        """E itself, in exact rationals."""
-        scale = 1 << self.scale_exp
-        return SquareMatrix([[Fraction(v, scale) for v in row] for row in self.e_scaled])
-
-    @cached_property
-    def _det_adjugate(self) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
-        return det_adjugate(self.e_scaled)
-
-    @property
-    def det_scaled(self) -> int:
-        return self._det_adjugate[0]
-
-    @property
-    def adjugate_scaled(self) -> tuple[tuple[int, ...], ...]:
-        return self._det_adjugate[1]
+    def _det_adjugate_cols(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """Exact det(e_scaled) and the adjugate's columns; only ``decrypt_block`` reads them."""
+        det, adjugate = det_adjugate(self.e_scaled)
+        return det, tuple(zip(*adjugate))
 
     @cached_property
     def e_scaled_cols(self) -> tuple[tuple[int, ...], ...]:
         return tuple(zip(*self.e_scaled))
-
-    @cached_property
-    def adjugate_scaled_cols(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(zip(*self.adjugate_scaled))
-
-    @cached_property
-    def plain_of(self) -> dict[int, int]:
-        """Maps each valid product ``det_scaled * q`` back to q in {-1} | 0..255.
-
-        Decryption multiplies by the adjugate, so a plaintext entry q comes
-        back as exactly ``det_scaled * q``; any other value is corrupt.
-        """
-        return {self.det_scaled * q: q for q in range(-1, 256)}
 
     @cached_property
     def entry_bytes(self) -> int:

@@ -299,9 +299,10 @@ def reference_derive(key) -> SimpleNamespace:
     """Key derivation by rational Haar lifting and exact Bareiss, an oracle for ``derive``.
 
     Each attempt scales the rational matrix to integers and runs
-    ``det_adjugate``; the first nonzero determinant wins, and the inverse
-    mod p comes from the adjugate.  Returns ``attempt``, ``e_scaled`` and
-    ``inverse_cols_mod_p`` as ``KeyMatrixPair`` has them.
+    ``det_adjugate``; the first determinant that is nonzero mod p wins, as
+    ``derive`` accepts no other, and the inverse mod p comes from the
+    adjugate.  Returns ``attempt``, ``e_scaled`` and ``inverse_cols_mod_p``
+    as ``KeyMatrixPair`` has them.
     """
     t = reference_haar2d_forward(pad_to_z(golden_base(key), key.level), key.level)
     z = t.order
@@ -317,13 +318,9 @@ def reference_derive(key) -> SimpleNamespace:
             rows[i][j] += next(stream) % 255 + 1
         e_scaled = tuple(tuple(int(x * scale) for x in row) for row in rows)
         det, adj = det_adjugate(e_scaled)
-        if det == 0:
+        if det % MODULUS == 0:
             continue
-        inverse = None
-        if det % MODULUS:
-            inv, half = pow(det, -1, MODULUS), MODULUS // 2
-            inverse = tuple(
-                tuple((a * inv + half) % MODULUS - half for a in col) for col in zip(*adj)
-            )
+        inv, half = pow(det, -1, MODULUS), MODULUS // 2
+        inverse = tuple(tuple((a * inv + half) % MODULUS - half for a in col) for col in zip(*adj))
         return SimpleNamespace(attempt=attempt, e_scaled=e_scaled, inverse_cols_mod_p=inverse)
     raise KeyDerivationError(f"no nonsingular matrix within {MAX_ATTEMPTS} attempts")

@@ -38,7 +38,7 @@ EXAMPLE_E = SquareMatrix([[F(1, 4), F(-1, 2)], [F(-1, 2), 2]])
 
 
 def example_pair() -> KeyMatrixPair:
-    return KeyMatrixPair.from_matrix(EXAMPLE_E, scale_exp=2)
+    return KeyMatrixPair.from_scaled([[1, -2], [-2, 8]], scale_exp=2)  # EXAMPLE_E * 4
 
 
 def as_fractions(scaled) -> list[F]:
@@ -76,7 +76,7 @@ def test_unpartition_padding_violations():
 
 
 def test_encrypt_with_identity_key_is_identity():
-    kp = KeyMatrixPair.from_matrix(SquareMatrix.identity(2), scale_exp=2)
+    kp = KeyMatrixPair.from_scaled([[4, 0], [0, 4]], scale_exp=2)  # E = I
     block = (9, 8, 7, -1)
     cipher = encrypt_block(block, kp)
     assert cipher == (36, 32, 28, -4)
@@ -96,8 +96,7 @@ def test_unit_block_selects_first_row_of_e():
     kp = example_pair()
     cipher = encrypt_block((1, 0, 0, 0), kp)
     assert cipher == (1, -2, 0, 0)  # first row of E_scaled
-    e00, e01 = kp.e.rows[0]
-    assert as_fractions(cipher) == [e00, e01, 0, 0]
+    assert as_fractions(cipher) == [*EXAMPLE_E.rows[0], 0, 0]
 
 
 def test_decrypt_block_known_answer():
@@ -175,7 +174,7 @@ def test_blocks_are_independent(rng):
 
 def test_multiply_counter_is_z_cubed():
     for z in (2, 4, 8):
-        kp = KeyMatrixPair.from_matrix(SquareMatrix.identity(z), scale_exp=2)
+        kp = KeyMatrixPair.from_scaled([[4 * (i == j) for j in range(z)] for i in range(z)], 2)
         block = tuple(range(z * z))
         counter = OpCounter()
         cipher = encrypt_block(block, kp, counter=counter)
@@ -197,7 +196,7 @@ def test_order_mismatch_is_shape_error():
 def test_wire_overflow_is_rejected():
     # E_scaled's first column sums to 2**64, so entry_bound is 2**72
     with pytest.raises(ParameterError, match="73-bit number, past the signed 64-bit wire"):
-        KeyMatrixPair.from_matrix(SquareMatrix([[1 << 62, 0], [0, 1]]), scale_exp=2)
+        KeyMatrixPair.from_scaled([[1 << 64, 0], [0, 4]], scale_exp=2)
 
 
 # --- the packed message route against the per-block route ---------------------
@@ -231,7 +230,7 @@ def outcome(f, *args):
 
 def diagonal_pair(top_left: int) -> KeyMatrixPair:
     """Z = 2, E_scaled = [[top_left, 0], [0, 1]]: entries reach exactly +-top_left."""
-    return KeyMatrixPair.from_matrix(SquareMatrix([[F(top_left, 4), 0], [0, F(1, 4)]]), 2)
+    return KeyMatrixPair.from_scaled([[top_left, 0], [0, 1]], scale_exp=2)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
@@ -301,14 +300,16 @@ def test_large_n_key_still_overflows_in_seal():
 
 @pytest.mark.parametrize("width", range(2, 8))
 def test_entry_width_steps_at_the_sign_bit(width):
-    # entry_bound is 256 * top_left: just below 2**(8w - 1) the entries fit
-    # w bytes, and at 2**(8w - 1) they need w + 1
+    # E_scaled = [[t - 1, 1], [1, 0]] has det -1 at every t (a diagonal key
+    # with t = 2**31 - 1 at w = 5 would be singular mod p) and entry_bound
+    # 256 * t: just below 2**(8w - 1) the entries fit w bytes, and at
+    # 2**(8w - 1) they need w + 1
     top = 1 << (8 * width - 9)
-    below, at = diagonal_pair(top - 1), diagonal_pair(top)
+    below, at = (KeyMatrixPair.from_scaled([[t - 1, 1], [1, 0]], 2) for t in (top - 1, top))
     assert below.entry_bound == (1 << (8 * width - 1)) - 256
     assert at.entry_bound == 1 << (8 * width - 1)
     assert (below.entry_bytes, at.entry_bytes) == (width, width + 1)
-    data = bytes([255, 0, 0, 255, 0, 7])  # entries reach +-255 * top_left and the -1 padding
+    data = bytes([255, 255, 0, 255, 0, 7])  # entries reach 255 * t, -t and the -1 padding
     for kp in (below, at):
         body = encrypt_message(data, kp)
         assert body == per_block_body(data, kp)
@@ -337,27 +338,6 @@ def test_round_trips_never_take_the_per_block_route(monkeypatch):
         for message in (b"", b"x", rng.randbytes(700), b"meet me after party" * 40):
             wire = serialize(seal(message, key))
             assert open_envelope(deserialize(wire), key) == message
-
-
-def test_key_with_det_zero_mod_p_uses_the_per_block_route(monkeypatch):
-    kp = KeyMatrixPair.from_matrix(
-        SquareMatrix([[F(MODULUS, 4), F(1, 4)], [0, F(1, 4)]]), scale_exp=2
-    )
-    assert kp.det_scaled == MODULUS and kp.inverse_cols_mod_p is None
-    products = []
-
-    def counting_product(flat, cols, z, counter=None):
-        products.append(cols)
-        return _product(flat, cols, z, counter)
-
-    monkeypatch.setattr(blockcipher, "_product", counting_product)
-    data = bytes(range(256)) * 2 + b"tail"
-    body = encrypt_message(data, kp)
-    assert not products
-    assert body == per_block_body(data, kp)
-    del products[:]
-    assert decrypt_message(body, kp, len(data)) == data
-    assert products and all(cols == kp.adjugate_scaled_cols for cols in products)
 
 
 def test_a_pass_holds_at_most_2_to_the_14_entries(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import make_key
 from gchw import keyschedule
-from gchw.blockcipher import body_blocks, decrypt_message, encrypt_message
+from gchw.blockcipher import body_blocks, decrypt_block, decrypt_message, encrypt_message
 from gchw.errors import ParameterError, ParseError, SingularMatrixError
 from gchw.keyschedule import (
     MAX_LEVEL,
@@ -22,7 +22,7 @@ from gchw.keyschedule import (
     pad_to_z,
     parse_key,
 )
-from gchw.matrix import SquareMatrix, inverse_mod_p
+from gchw.matrix import SquareMatrix, det_adjugate, inverse_mod_p
 from gchw.recurrence import RecurrenceKind
 from helpers import dyadic_exponent, reference_derive, scale
 from test_golden_vectors import WIRE_DIGESTS, wire_key_file
@@ -30,13 +30,20 @@ from test_golden_vectors import WIRE_DIGESTS, wire_key_file
 LEVEL1_KEY_MATRIX = SquareMatrix([[F(1, 4), F(-1, 2)], [F(-1, 2), 1]])
 
 
+def rational_e(kp) -> SquareMatrix:
+    """E itself, e_scaled / 2**scale_exp, in exact rationals."""
+    return SquareMatrix([[F(v, 1 << kp.scale_exp) for v in row] for row in kp.e_scaled])
+
+
 def assert_exact_adjugate(kp):
-    """E_scaled = e * 2^s is nonsingular and (e * 2^s) @ adj = det * I."""
+    """E_scaled @ adj = det * I with det != 0, and the inverse mod p is adj / det mod p."""
+    det, adj = det_adjugate(kp.e_scaled)
+    assert det % MODULUS != 0
     scaled = SquareMatrix(kp.e_scaled)
-    assert scaled == scale(1 << kp.scale_exp, kp.e)
-    assert kp.det_scaled != 0
-    adj = SquareMatrix(kp.adjugate_scaled)
-    assert scaled @ adj == scale(kp.det_scaled, SquareMatrix.identity(kp.z))
+    assert scaled @ SquareMatrix(adj) == scale(det, SquareMatrix.identity(kp.z))
+    inv = pow(det, -1, MODULUS)
+    for inverse_col, adj_col in zip(kp.inverse_cols_mod_p, zip(*adj)):
+        assert [(x - a * inv) % MODULUS for x, a in zip(inverse_col, adj_col)] == [0] * kp.z
 
 
 def test_golden_base_examples():
@@ -82,9 +89,10 @@ def test_derive_escalates_when_base_is_singular():
     assert LEVEL1_KEY_MATRIX.det() == 0
     kp = derive(key)
     assert kp.attempt >= 1
+    e = rational_e(kp)
     for i in range(2):
         for j in range(2):
-            delta = kp.e.rows[i][j] - LEVEL1_KEY_MATRIX.rows[i][j]
+            delta = e.rows[i][j] - LEVEL1_KEY_MATRIX.rows[i][j]
             assert delta.denominator == 1 and 1 <= delta <= 255
 
 
@@ -93,9 +101,10 @@ def test_derive_covers_exactly_the_zeros():
     t = base_transform(key)
     kp = derive(key)
     assert kp.attempt == 0
+    e = rational_e(kp)
     for i in range(4):
         for j in range(4):
-            delta = kp.e.rows[i][j] - t.rows[i][j]
+            delta = e.rows[i][j] - t.rows[i][j]
             if t.rows[i][j] == 0:
                 assert delta != 0 and delta.denominator == 1 and 1 <= delta <= 255
             else:
@@ -158,7 +167,12 @@ def test_derive_inverse_and_scaling(rng):
         )
         kp = derive(key)
         assert kp.scale_exp == 2 * key.level
-        assert dyadic_exponent(kp.e) <= kp.scale_exp
+        # 2**scale_exp clears the transform's denominators, and E differs
+        # from the transform by integers
+        t = base_transform(key)
+        assert dyadic_exponent(t) <= kp.scale_exp
+        for e_row, t_row in zip(rational_e(kp).rows, t.rows):
+            assert all((x - y).denominator == 1 for x, y in zip(e_row, t_row))
         assert_exact_adjugate(kp)
 
 
@@ -202,28 +216,30 @@ def test_derive_matches_the_rational_bareiss_reference_on_the_golden_keys():
 
 
 def test_derive_leaves_the_exact_adjugate_until_it_is_read():
+    # the packed route never builds the adjugate; the per-block route builds
+    # it once and keeps it on the pair
     kp = derive(make_key(level=3))
-    assert kp.inverse_cols_mod_p is not None
-    lazy = ("e", "_det_adjugate", "adjugate_scaled_cols", "plain_of")
-    assert not set(lazy) & set(vars(kp))
-    assert_exact_adjugate(kp)
-    assert {"e", "_det_adjugate"} <= set(vars(kp))
-
-
-def test_from_matrix_with_det_p_falls_back_to_bareiss():
-    # det(e_scaled) = (MODULUS + 1) * 1 - 1 * 1 = MODULUS: 0 mod p, not 0 over Z
-    e = SquareMatrix([[F(MODULUS + 1, 4), F(1, 4)], [F(1, 4), F(1, 4)]])
-    assert inverse_mod_p([[MODULUS + 1, 1], [1, 1]]) is None
-    kp = KeyMatrixPair.from_matrix(e, scale_exp=2)
-    assert kp.inverse_cols_mod_p is None
-    assert kp.det_scaled == MODULUS
+    data = bytes(range(256)) * 3
+    assert decrypt_message(encrypt_message(data, kp), kp, len(data)) == data
+    assert "_det_adjugate_cols" not in vars(kp)
+    (block,) = body_blocks(encrypt_message(data[: kp.z * kp.z], kp), kp.z, kp.entry_bytes)
+    assert decrypt_block(block, kp) == tuple(data[: kp.z * kp.z])
+    det, adj = det_adjugate(kp.e_scaled)
+    assert vars(kp)["_det_adjugate_cols"] == (det, tuple(zip(*adj)))
     assert_exact_adjugate(kp)
 
 
-def test_derive_falls_back_to_bareiss_when_attempt_0_is_singular_mod_p(monkeypatch):
+def test_from_scaled_refuses_a_matrix_singular_mod_p():
+    # det = (MODULUS + 1) * 1 - 1 * 1 = MODULUS: nonzero over Z, but 0 mod p
+    rows = [[MODULUS + 1, 1], [1, 1]]
+    assert det_adjugate(rows)[0] == MODULUS
+    with pytest.raises(SingularMatrixError):
+        KeyMatrixPair.from_scaled(rows, scale_exp=2)
+
+
+def test_derive_moves_past_an_attempt_singular_mod_p(monkeypatch):
     key = make_key(level=3)
-    expected = derive(key)
-    assert expected.attempt == 0
+    assert derive(key).attempt == 0
     calls = []
 
     def singular_first(rows):
@@ -232,31 +248,19 @@ def test_derive_falls_back_to_bareiss_when_attempt_0_is_singular_mod_p(monkeypat
 
     monkeypatch.setattr(keyschedule, "inverse_mod_p", singular_first)
     kp = derive(key)
-    assert len(calls) == 1
-    assert kp.attempt == expected.attempt and kp.e_scaled == expected.e_scaled
-    assert kp.inverse_cols_mod_p is None
-    assert kp.det_scaled == expected.det_scaled != 0
-
-
-def test_derive_escalates_through_the_fallback_alone(monkeypatch):
-    # with every attempt singular mod p, Bareiss alone rejects the singular
-    # attempt 0 of this key and accepts the same attempt as the elimination
-    key = make_key(n=1, p=0, level=1)
-    expected = derive(key)
-    monkeypatch.setattr(keyschedule, "inverse_mod_p", lambda rows: None)
-    kp = derive(key)
-    assert kp.attempt == expected.attempt >= 1
-    assert kp.e_scaled == expected.e_scaled
+    assert len(calls) == 2
+    # attempt 1 perturbs every position of the transform
+    assert kp.attempt == 1
+    e, t = rational_e(kp), base_transform(key)
+    for i in range(kp.z):
+        for j in range(kp.z):
+            assert 1 <= e.rows[i][j] - t.rows[i][j] <= 255
+    assert_exact_adjugate(kp)
 
 
 def test_key_matrix_pair_from_singular_matrix():
     with pytest.raises(SingularMatrixError):
-        KeyMatrixPair.from_matrix(SquareMatrix([[1, 1], [1, 1]]), scale_exp=2)
-
-
-def test_key_matrix_pair_from_non_dyadic_matrix():
-    with pytest.raises(ParameterError):
-        KeyMatrixPair.from_matrix(SquareMatrix([[F(1, 3), 0], [0, 1]]), scale_exp=2)
+        KeyMatrixPair.from_scaled([[1, 1], [1, 1]], scale_exp=2)
 
 
 # the largest n whose key fits the 8-byte wire, at levels 1..6, for seed 00...
