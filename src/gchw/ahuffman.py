@@ -138,42 +138,6 @@ class AdaptiveHuffmanTree:
                         break
 
 
-def check_sibling_property(tree: AdaptiveHuffmanTree) -> bool:
-    """True iff the tree satisfies the FGK structural invariants.
-
-    Checks: exactly one zero-weight NYT leaf, nonzero weight at every other
-    leaf, internal weights equal the sum of their children, children below
-    their parent, ``up`` and ``leaf_at`` agreeing with ``kid``, every
-    number but the root's having a parent, ``weight_at`` non-decreasing
-    over the allocated numbers, and -1 below the NYT's.
-    """
-    weight_at, up, kid, leaf_at = tree.weight_at, tree.up, tree.kid, tree.leaf_at
-    low = leaf_at[NYT]
-    if not 0 <= low <= _TOP_NUMBER or kid[low] != ~NYT or weight_at[low] != 0:
-        return False
-    leaves = 0
-    for q in range(low, _TOP_NUMBER + 1):
-        k = kid[q]
-        if k < 0:
-            leaves += 1
-            if k < ~NYT or leaf_at[~k] != q or (k != ~NYT and weight_at[q] == 0):
-                return False
-        elif k | 1 >= q or up[k] != q or up[k ^ 1] != q:
-            return False
-        elif weight_at[q] != weight_at[k] + weight_at[k ^ 1]:
-            return False
-    # each internal number claims its own pair below it, so with one leaf
-    # more than internal numbers every number but the root's has a parent;
-    # with as many leaf_at entries set as leaves, none points elsewhere
-    internal = _TOP_NUMBER + 1 - low - leaves
-    if up[_TOP_NUMBER] != -1 or leaves != internal + 1:
-        return False
-    if leaves != len(leaf_at) - leaf_at.count(-1) or any(w != -1 for w in weight_at[:low]):
-        return False
-    allocated = weight_at[low : _TOP_NUMBER + 1]
-    return all(a <= b for a, b in zip(allocated, allocated[1:]))
-
-
 def encode(data: bytes) -> BitString:
     """Compress a byte sequence to a bit string (no terminator in-band)."""
     tree = AdaptiveHuffmanTree()

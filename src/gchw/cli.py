@@ -168,11 +168,12 @@ def _cmd_decompress(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    # the report is ASCII, so the character must be too; checked before any file is opened
+    if args.char is not None and (len(args.char) != 1 or not args.char.isascii()):
+        raise ParameterError("--char takes exactly one ASCII character")
     key = load_key_file(args.key)
     with open(args.input, "rb") as fh:
         message = fh.read()
-    if args.char is not None and len(args.char) != 1:
-        raise ParameterError("--char takes exactly one character")
     reports, env = analysis._analyze(message, key, args.seeds)
     lines = [
         "# cipher series = flattened block entries / 2^scale_exp,"

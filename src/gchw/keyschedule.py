@@ -14,8 +14,9 @@ material crossing the wire.
 
 All of it runs on E_scaled = E * 4**level, which is an integer matrix:
 the Haar lifting works on the golden matrix pre-scaled by 4**level, and
-the additive integers are scaled likewise.  Each attempt is decided by one
-Gauss-Jordan elimination modulo p = 2^31 - 1, which also yields
+the additive integers are scaled likewise; only the test oracle
+``base_transform`` builds the rational transform.  Each attempt is decided
+by one Gauss-Jordan elimination modulo p = 2^31 - 1, which also yields
 E_scaled^-1 mod p for the packed decryption: a determinant that is nonzero
 mod p is nonzero, and an attempt whose determinant is 0 mod p is treated
 as singular.  That refuses a nonsingular attempt whose determinant is a
@@ -30,6 +31,7 @@ every accepted key seals every message.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -38,7 +40,7 @@ from . import auth
 from .errors import KeyDerivationError, ParameterError, ParseError, SingularMatrixError
 from .matrix import MODULUS, SquareMatrix, det_adjugate, inverse_mod_p
 from .recurrence import RecurrenceKind, golden_matrix, qp_power
-from .wavelet import haar2d_forward, haar2d_forward_scaled
+from .wavelet import haar2d_forward_scaled
 
 MAX_N = 10**4
 MAX_LEVEL = 6
@@ -174,11 +176,6 @@ def pad_to_z(g: SquareMatrix, level: int) -> SquareMatrix:
     return SquareMatrix(rows)
 
 
-def base_transform(key: CipherKey) -> SquareMatrix:
-    """The Haar-transformed padded golden matrix, before randomization."""
-    return haar2d_forward(pad_to_z(golden_base(key), key.level), key.level)
-
-
 def _randomization_stream(seed: bytes, attempt: int) -> Iterator[int]:
     """Deterministic byte stream: HMAC-SHA-256(seed, attempt || counter) blocks."""
     prefix = attempt.to_bytes(4, "big")
@@ -197,7 +194,7 @@ def derive(key: CipherKey) -> KeyMatrixPair:
     """
     shift = 2 * key.level
     padded = pad_to_z(golden_base(key), key.level)
-    # base_transform(key) times 4**level, lifted in integers
+    # the Haar transform of the padded golden matrix, times 4**level, lifted in integers
     t = haar2d_forward_scaled([[v << shift for v in row] for row in padded.rows], key.level)
     z = len(t)
     for attempt in range(MAX_ATTEMPTS):
@@ -217,6 +214,9 @@ def derive(key: CipherKey) -> KeyMatrixPair:
 
 
 _KEY_FIELDS = ("kind", "n", "p", "level", "seed", "mac_key")
+# the values format_key writes: decimal without a sign or leading zero, and lowercase hex
+_DECIMAL = re.compile(r"0|[1-9][0-9]*")
+_SECRET_HEX = re.compile(f"[0-9a-f]{{{2 * SECRET_BYTES}}}")
 
 
 def format_key(key: CipherKey) -> str:
@@ -232,7 +232,8 @@ def format_key(key: CipherKey) -> str:
 
 
 def parse_key(text: str) -> CipherKey:
-    """Parse a key file; strict about field names, order, and count."""
+    """Parse a key file; strict about field names, order and count, and
+    about values: only what :func:`format_key` writes is accepted."""
     lines = [line for line in text.splitlines() if line.strip()]
     if len(lines) != len(_KEY_FIELDS):
         raise ParseError(f"key file must have exactly {len(_KEY_FIELDS)} fields")
@@ -246,14 +247,15 @@ def parse_key(text: str) -> CipherKey:
         kind = RecurrenceKind(values["kind"])
     except ValueError as exc:
         raise ParseError(f"unknown recurrence kind {values['kind']!r}") from exc
+    for name in _KEY_FIELDS[1:]:
+        pattern = _SECRET_HEX if name in ("seed", "mac_key") else _DECIMAL
+        if not pattern.fullmatch(values[name]):
+            raise ParseError(f"malformed key field {name!r}")  # not echoed: it may hold a secret
     try:
-        n = int(values["n"])
-        p = int(values["p"])
-        level = int(values["level"])
-        seed = bytes.fromhex(values["seed"])
-        mac_key = bytes.fromhex(values["mac_key"])
-    except ValueError as exc:
+        n, p, level = int(values["n"]), int(values["p"]), int(values["level"])
+    except ValueError as exc:  # more digits than int() reads
         raise ParseError(f"malformed key field: {exc}") from exc
+    seed, mac_key = bytes.fromhex(values["seed"]), bytes.fromhex(values["mac_key"])
     return CipherKey(kind=kind, n=n, p=p, level=level, seed=seed, mac_key=mac_key)
 
 
@@ -264,4 +266,8 @@ def save_key_file(path, key: CipherKey) -> None:
 
 def load_key_file(path) -> CipherKey:
     with open(path, "r", encoding="ascii") as fh:
-        return parse_key(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"key file is not ASCII: {exc}") from exc
+    return parse_key(text)

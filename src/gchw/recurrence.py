@@ -1,4 +1,4 @@
-"""Fibonacci-family sequences, golden matrices, and their exact inverses.
+"""Fibonacci-family sequences, golden matrices, and Q_p matrix powers.
 
 All three sequences obey t(n+1) = t(n) + t(n-1) and differ only in their
 initial terms; negative indices are extended backward through
@@ -9,7 +9,6 @@ identity for the Fibonacci kind.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 
 from .errors import ParameterError
 from .matrix import SquareMatrix
@@ -60,13 +59,6 @@ def _term(kind: RecurrenceKind, index: int) -> int:
     return t0 * _fibonacci(index - 1) + t1 * _fibonacci(index)
 
 
-def sequence_term(kind: RecurrenceKind, index: int) -> int:
-    """The index-th term of the chosen sequence (negative indices allowed)."""
-    if abs(index) > MAX_INDEX:
-        raise ParameterError(f"|index| must be at most {MAX_INDEX}, got {index}")
-    return _term(kind, index)
-
-
 def golden_matrix(kind: RecurrenceKind, n: int) -> SquareMatrix:
     """The 2x2 golden matrix [[t(n+1), t(n)], [t(n), t(n-1)]]."""
     if abs(n) > MAX_INDEX:
@@ -75,23 +67,6 @@ def golden_matrix(kind: RecurrenceKind, n: int) -> SquareMatrix:
     t_n = _term(kind, n)
     t_next = _term(kind, n + 1)
     return SquareMatrix([[t_next, t_n], [t_n, t_prev]])
-
-
-def golden_inverse(kind: RecurrenceKind, n: int) -> SquareMatrix:
-    """Exact inverse of the golden matrix, by adjugate over determinant.
-
-    The determinant is +/-1, +/-5, or +/-20 depending on the kind, never
-    zero, so the inverse always exists.
-    """
-    m = golden_matrix(kind, n)
-    (a, b), (c, d) = m.rows
-    det = a * d - b * c
-    return SquareMatrix(
-        [
-            [Fraction(d, det), Fraction(-b, det)],
-            [Fraction(-c, det), Fraction(a, det)],
-        ]
-    )
 
 
 def qp_matrix(p: int) -> SquareMatrix:

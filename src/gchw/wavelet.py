@@ -11,9 +11,9 @@ the next level recurses on the top-left quarter.  An entry is halved at
 most twice per level, so the forward transform of ``m * 4**levels`` is an
 integer matrix when ``m`` is: :func:`haar2d_forward_scaled` runs the whole
 transform on such pre-scaled integers, where every halving is an exact
-``>> 1``.  The rational forms, :func:`lift_forward_1d` and
-:func:`haar2d_forward`, scale their input to integers, run that one
-integer lifting, and divide back.
+``>> 1``.  The rational form, :func:`haar2d_forward`, scales its input to
+integers, runs that one integer lifting, and divides back.  Only tests
+invert the transform; the inverse is an oracle in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ from .matrix import SquareMatrix
 
 
 def _lift_scaled(signal) -> list[int]:
-    """:func:`lift_forward_1d` on integers, each halving exact: approx, then detail, in one list.
+    """One lifting step on integers: approx, then detail, in one list.
 
+    detail[n] = s[2n+1] - s[2n] and approx[n] = s[2n] + (detail[n] >> 1).
     Raises :class:`ParameterError` if a difference is odd: the signal is
     then not dyadic at the scale it was given in.
     """
@@ -39,34 +40,6 @@ def _lift_scaled(signal) -> list[int]:
     if any(d & 1 for d in detail):
         raise ParameterError("matrix is not dyadic at this scale")
     return [e + (d >> 1) for e, d in zip(even, detail)] + detail
-
-
-def _scale_of(values) -> int:
-    """The least common denominator of int or Fraction ``values``."""
-    return lcm(*(x.denominator for x in values))
-
-
-def lift_forward_1d(signal) -> tuple[list, list]:
-    """One forward lifting step over an even-length signal.
-
-    Returns (approx, detail) with detail[n] = s[2n+1] - s[2n] and
-    approx[n] = s[2n] + detail[n]/2.
-    """
-    scale = 2 * _scale_of(signal)
-    lifted = [Fraction(v, scale) for v in _lift_scaled([int(x * scale) for x in signal])]
-    return lifted[: len(signal) // 2], lifted[len(signal) // 2 :]
-
-
-def lift_inverse_1d(approx, detail) -> list:
-    """Exact inverse of :func:`lift_forward_1d`."""
-    if len(approx) != len(detail) or not approx:
-        raise ShapeError("approx and detail must have equal nonzero lengths")
-    signal = []
-    for a, d in zip(approx, detail):
-        even = a - Fraction(d, 2)
-        signal.append(even)
-        signal.append(d + even)
-    return signal
 
 
 def _check_transform_args(order: int, levels: int) -> None:
@@ -103,26 +76,10 @@ def haar2d_forward(m: SquareMatrix, levels: int) -> SquareMatrix:
     """Multi-level 2-D Haar transform of a square matrix, in exact rationals.
 
     :func:`haar2d_forward_scaled` of ``m`` times its common denominator
-    and 4**levels, divided back.
+    and 4**levels, divided back.  A paper-level oracle: the library does not
+    call it, the acceptance tests and the benchmark do.
     """
     _check_transform_args(m.order, levels)
-    scale = _scale_of(x for row in m.rows for x in row) << (2 * levels)
+    scale = lcm(*(x.denominator for row in m.rows for x in row)) << (2 * levels)
     lifted = haar2d_forward_scaled([[int(x * scale) for x in row] for row in m.rows], levels)
     return SquareMatrix([[Fraction(v, scale) for v in row] for row in lifted])
-
-
-def haar2d_inverse(m: SquareMatrix, levels: int) -> SquareMatrix:
-    """Exact inverse of :func:`haar2d_forward` (columns first, then rows)."""
-    _check_transform_args(m.order, levels)
-    grid = [list(row) for row in m.rows]
-    for level in range(levels, 0, -1):
-        side = m.order >> (level - 1)
-        half = side // 2
-        for c in range(side):
-            column = [grid[r][c] for r in range(side)]
-            for r, value in enumerate(lift_inverse_1d(column[:half], column[half:])):
-                grid[r][c] = value
-        for r in range(side):
-            row = grid[r][:side]
-            grid[r][:side] = lift_inverse_1d(row[:half], row[half:])
-    return SquareMatrix(grid)

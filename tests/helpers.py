@@ -1,4 +1,4 @@
-"""Test-only helpers over library objects: FGK code paths and snapshots, reference update, encoder and decoder, reference key derivation, 0/1 bit strings, matrix arithmetic."""
+"""Test-only helpers over library objects: FGK code paths, snapshots and invariant checker, reference update, encoder and decoder, reference key derivation, 0/1 bit strings, matrix arithmetic, and the inverses and rational views of the key pipeline that the library itself never builds."""
 
 from bisect import bisect_left
 from fractions import Fraction
@@ -9,6 +9,8 @@ from gchw.bits import _TO_ASCII, BitString
 from gchw.errors import CorruptStreamError, KeyDerivationError, ParameterError, ShapeError
 from gchw.keyschedule import MAX_ATTEMPTS, MODULUS, _randomization_stream, golden_base, pad_to_z
 from gchw.matrix import SquareMatrix, det_adjugate
+from gchw.recurrence import MAX_INDEX, RecurrenceKind, _term, golden_matrix
+from gchw.wavelet import _check_transform_args, haar2d_forward
 
 
 def contains(tree, byte: int) -> bool:
@@ -46,6 +48,45 @@ def snapshot(tree):
         return (q, tree.weight_at[q], walk(k), walk(k ^ 1))
 
     return walk(_TOP_NUMBER)
+
+
+def check_sibling_property(tree: AdaptiveHuffmanTree) -> bool:
+    """True iff the tree satisfies the FGK structural invariants.
+
+    Checks: exactly one zero-weight NYT leaf, nonzero weight at every other
+    leaf, internal weights equal the sum of their children, children below
+    their parent, ``up`` and ``leaf_at`` agreeing with ``kid``, every
+    number but the root's having a parent, ``weight_at`` non-decreasing
+    over the allocated numbers, and -1 below the NYT's.
+
+    The oracle of criterion 3's traced updates and of the sibling-property
+    tests in ``test_ahuffman.py``, which also feed it corrupted trees.
+    """
+    weight_at, up, kid, leaf_at = tree.weight_at, tree.up, tree.kid, tree.leaf_at
+    low = leaf_at[NYT]
+    if not 0 <= low <= _TOP_NUMBER or kid[low] != ~NYT or weight_at[low] != 0:
+        return False
+    leaves = 0
+    for q in range(low, _TOP_NUMBER + 1):
+        k = kid[q]
+        if k < 0:
+            leaves += 1
+            if k < ~NYT or leaf_at[~k] != q or (k != ~NYT and weight_at[q] == 0):
+                return False
+        elif k | 1 >= q or up[k] != q or up[k ^ 1] != q:
+            return False
+        elif weight_at[q] != weight_at[k] + weight_at[k ^ 1]:
+            return False
+    # each internal number claims its own pair below it, so with one leaf
+    # more than internal numbers every number but the root's has a parent;
+    # with as many leaf_at entries set as leaves, none points elsewhere
+    internal = _TOP_NUMBER + 1 - low - leaves
+    if up[_TOP_NUMBER] != -1 or leaves != internal + 1:
+        return False
+    if leaves != len(leaf_at) - leaf_at.count(-1) or any(w != -1 for w in weight_at[:low]):
+        return False
+    allocated = weight_at[low : _TOP_NUMBER + 1]
+    return all(a <= b for a, b in zip(allocated, allocated[1:]))
 
 
 class ReferenceTree:
@@ -282,17 +323,95 @@ def reference_haar2d_forward(m: SquareMatrix, levels: int) -> SquareMatrix:
     side = m.order
     for _ in range(levels):
         for r in range(side):
-            grid[r][:side] = _reference_lift(grid[r][:side])
+            grid[r][:side] = reference_lift(grid[r][:side])
         for c in range(side):
-            for r, value in enumerate(_reference_lift([grid[r][c] for r in range(side)])):
+            for r, value in enumerate(reference_lift([grid[r][c] for r in range(side)])):
                 grid[r][c] = value
         side //= 2
     return SquareMatrix(grid)
 
 
-def _reference_lift(signal) -> list:
+def reference_lift(signal) -> list:
+    """One forward lifting step in rationals: approx, then detail, in one list.
+
+    The oracle of ``reference_haar2d_forward`` and of the lifting examples
+    in ``test_wavelet.py``; ``lift_inverse_1d`` undoes it.
+    """
     approx = [even + Fraction(odd - even, 2) for even, odd in zip(signal[0::2], signal[1::2])]
     return approx + [odd - even for even, odd in zip(signal[0::2], signal[1::2])]
+
+
+def lift_inverse_1d(approx, detail) -> list:
+    """Exact inverse of one forward lifting step, given its approx and detail halves."""
+    if len(approx) != len(detail) or not approx:
+        raise ShapeError("approx and detail must have equal nonzero lengths")
+    signal = []
+    for a, d in zip(approx, detail):
+        even = a - Fraction(d, 2)
+        signal.append(even)
+        signal.append(d + even)
+    return signal
+
+
+def haar2d_inverse(m: SquareMatrix, levels: int) -> SquareMatrix:
+    """Exact inverse of ``haar2d_forward`` (columns first, then rows).
+
+    The oracle of criterion 5 (perfect reconstruction) and of the
+    reconstruction tests in ``test_wavelet.py``.  Decryption multiplies by
+    E^-1 mod p, so the library never inverts the transform.
+    """
+    _check_transform_args(m.order, levels)
+    grid = [list(row) for row in m.rows]
+    for level in range(levels, 0, -1):
+        side = m.order >> (level - 1)
+        half = side // 2
+        for c in range(side):
+            column = [grid[r][c] for r in range(side)]
+            for r, value in enumerate(lift_inverse_1d(column[:half], column[half:])):
+                grid[r][c] = value
+        for r in range(side):
+            row = grid[r][:side]
+            grid[r][:side] = lift_inverse_1d(row[:half], row[half:])
+    return SquareMatrix(grid)
+
+
+def sequence_term(kind: RecurrenceKind, index: int) -> int:
+    """The index-th term of the chosen sequence (negative indices allowed).
+
+    The oracle of the sequence tests in ``test_recurrence.py``; the library
+    reads terms only through ``golden_matrix``.
+    """
+    if abs(index) > MAX_INDEX:
+        raise ParameterError(f"|index| must be at most {MAX_INDEX}, got {index}")
+    return _term(kind, index)
+
+
+def golden_inverse(kind: RecurrenceKind, n: int) -> SquareMatrix:
+    """Exact inverse of the golden matrix, by adjugate over determinant.
+
+    The determinant is +/-1, +/-5, or +/-20 depending on the kind, never
+    zero, so the inverse always exists.  The oracle of criterion 4 and of
+    the inverse tests in ``test_recurrence.py``.
+    """
+    m = golden_matrix(kind, n)
+    (a, b), (c, d) = m.rows
+    det = a * d - b * c
+    return SquareMatrix(
+        [
+            [Fraction(d, det), Fraction(-b, det)],
+            [Fraction(-c, det), Fraction(a, det)],
+        ]
+    )
+
+
+def base_transform(key) -> SquareMatrix:
+    """The Haar-transformed padded golden matrix, before randomization, in rationals.
+
+    ``derive`` builds it only times 4**level, in integers.  The oracle of
+    criterion 1 (the paper's level-1 and level-2 key matrices) and of the
+    derivation tests in ``test_keyschedule.py``.
+    """
+    return haar2d_forward(pad_to_z(golden_base(key), key.level), key.level)
 
 
 def reference_derive(key) -> SimpleNamespace:

@@ -15,14 +15,15 @@ from test_analysis import quad_two_sided_p
 from test_auth import RFC4231
 
 from gchw import ahuffman, auth, envelope
-from gchw.ahuffman import AdaptiveHuffmanTree, check_sibling_property
+from gchw.ahuffman import AdaptiveHuffmanTree
 from gchw.analysis import analyze_message, paired_t, unpaired_t
 from gchw.blockcipher import OpCounter, decrypt_block, encrypt_block, partition
 from gchw.errors import GchwError
-from gchw.keyschedule import base_transform, derive
+from gchw.keyschedule import derive
 from gchw.matrix import SquareMatrix
-from gchw.recurrence import RecurrenceKind, golden_inverse, golden_matrix, qp_power
-from gchw.wavelet import haar2d_forward, haar2d_inverse
+from gchw.recurrence import RecurrenceKind, golden_matrix, qp_power
+from gchw.wavelet import haar2d_forward
+from helpers import base_transform, check_sibling_property, golden_inverse, haar2d_inverse
 
 MESSAGE = b"Cryptographist is the science of overt secret writing"
 MESSAGE_1 = b"mmmmmmomm"

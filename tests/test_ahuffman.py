@@ -9,7 +9,6 @@ from gchw.ahuffman import (
     _TOP_NUMBER,
     NYT,
     AdaptiveHuffmanTree,
-    check_sibling_property,
     decode,
     encode,
 )
@@ -18,6 +17,7 @@ from gchw.errors import CorruptStreamError
 from helpers import (
     ReferenceTree,
     bits_from01,
+    check_sibling_property,
     code_for,
     contains,
     nyt_code,

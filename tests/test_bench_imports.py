@@ -2,7 +2,8 @@
 
 ``python3 bench/run.py`` imports ``bench/*.py``, which import names from
 ``gchw`` at module level and read ``gchw.<name>`` attributes, some of them
-in the set-up code that ``bench/runner.py`` runs in a fresh interpreter.
+in the set-up code that ``bench/runner.py`` runs in a fresh interpreter,
+and ``<module>.<name>`` attributes of the submodules they import.
 A name the library drops would fail the benchmark at import or mid-run;
 these tests read the bench sources with ``ast`` and fail first.
 """
@@ -37,6 +38,25 @@ def gchw_imports(tree: ast.Module) -> set[tuple[str, str]]:
         for node in tree.body
         if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "gchw"
         for alias in node.names
+    }
+
+
+def submodule_attributes(tree: ast.Module) -> set[tuple[str, str]]:
+    """(submodule, name) of every ``<local>.name`` read in ``tree``, where
+    ``<local>`` is bound at module level by ``from gchw import <submodule>``."""
+    bound = {
+        alias.asname or alias.name: alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "gchw"
+        for alias in node.names
+        if importlib.util.find_spec(f"gchw.{alias.name}")
+    }
+    return {
+        (bound[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in bound
     }
 
 
@@ -77,3 +97,13 @@ def test_every_gchw_attribute_the_runner_reads_resolves():
         for part in chain.split("."):
             assert hasattr(obj, part), f"gchw.{chain}"
             obj = getattr(obj, part)
+
+
+def test_every_attribute_the_bench_reads_from_a_gchw_submodule_resolves():
+    found = set()
+    for trees in bench_trees().values():
+        for tree in trees:
+            found |= submodule_attributes(tree)
+    assert {("keyschedule", "golden_base"), ("keyschedule", "pad_to_z")} <= found, found
+    for module, name in sorted(found):
+        assert hasattr(importlib.import_module(f"gchw.{module}"), name), f"gchw.{module}.{name}"

@@ -265,3 +265,35 @@ def test_missing_input_file_exit_5(tmp_path, keyfile):
         "--in", str(tmp_path / "absent"), "--out", str(tmp_path / "out"),
     )
     assert code == 5
+
+
+@pytest.mark.parametrize("command", ["encrypt", "decrypt", "analyze"])
+def test_key_file_with_a_non_ascii_byte_exits_4(tmp_path, keyfile, capsys, command):
+    bad = tmp_path / "bad.key"
+    bad.write_bytes(keyfile.read_bytes().replace(b"kind=", b"kind=\xff"))
+    plain = tmp_path / "m.txt"
+    plain.write_bytes(b"attack at dawn")
+    out = tmp_path / "out"
+    assert run(command, "--key", str(bad), "--in", str(plain), "--out", str(out)) == 4
+    assert "parse error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_rejects_a_non_ascii_char_before_opening_a_file(tmp_path, keyfile, capsys):
+    plain = tmp_path / "m.txt"
+    plain.write_bytes("café au lait".encode("latin-1"))  # é is byte 0xE9
+    report = tmp_path / "r.csv"
+    code = run(
+        "analyze", "--key", str(keyfile), "--in", str(plain),
+        "--char", "é", "--out", str(report),
+    )
+    assert code == 5
+    assert "ASCII" in capsys.readouterr().err
+    assert not report.exists()
+    # the key and input paths are not read either
+    missing = tmp_path / "absent"
+    code = run(
+        "analyze", "--key", str(missing), "--in", str(missing), "--char", "é", "--out", str(report),
+    )
+    assert code == 5
+    assert "ASCII" in capsys.readouterr().err

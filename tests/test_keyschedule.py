@@ -15,7 +15,6 @@ from gchw.keyschedule import (
     MODULUS,
     CipherKey,
     KeyMatrixPair,
-    base_transform,
     derive,
     format_key,
     golden_base,
@@ -24,7 +23,7 @@ from gchw.keyschedule import (
 )
 from gchw.matrix import SquareMatrix, det_adjugate, inverse_mod_p
 from gchw.recurrence import RecurrenceKind
-from helpers import dyadic_exponent, reference_derive, scale
+from helpers import base_transform, dyadic_exponent, reference_derive, scale
 from test_golden_vectors import WIRE_DIGESTS, wire_key_file
 
 LEVEL1_KEY_MATRIX = SquareMatrix([[F(1, 4), F(-1, 2)], [F(-1, 2), 1]])
@@ -359,6 +358,16 @@ def test_key_file_is_line_oriented():
         lambda t: "\n".join(t.splitlines()[:-1]) + "\n",
         # fields out of order
         lambda t: "\n".join(reversed(t.strip().split("\n"))) + "\n",
+        # values that int() or bytes.fromhex() read but format_key never writes
+        lambda t: t.replace("n=5", "n=1_0"),
+        lambda t: t.replace("n=5", "n= 5"),
+        lambda t: t.replace("n=5", "n=+5"),
+        lambda t: t.replace("n=5", "n=05"),
+        lambda t: t.replace("n=5", "n=5 "),
+        lambda t: t.replace("level=2", "level=\u0662"),  # ARABIC-INDIC DIGIT TWO
+        lambda t: t.replace(bytes(range(32)).hex(), bytes(range(32)).hex(" ")),  # the seed
+        lambda t: t.replace("0a0b", "0A0B"),
+        lambda t: t.replace("mac_key=2021", "mac_key=21"),
     ],
 )
 def test_key_file_strictness(mangle):

@@ -7,15 +7,8 @@ from hypothesis import given, strategies as st
 
 from gchw.errors import ParameterError
 from gchw.matrix import SquareMatrix
-from gchw.recurrence import (
-    MAX_INDEX,
-    RecurrenceKind,
-    golden_inverse,
-    golden_matrix,
-    qp_matrix,
-    qp_power,
-    sequence_term,
-)
+from gchw.recurrence import MAX_INDEX, RecurrenceKind, golden_matrix, qp_matrix, qp_power
+from helpers import golden_inverse, sequence_term
 
 KINDS = list(RecurrenceKind)
 INITIAL = {
