@@ -22,6 +22,8 @@ from .envelope import CipherEnvelope, _seal_packed
 from .errors import StatisticsError
 from .keyschedule import CipherKey
 
+MAX_SEEDS = 1000  # seed variants per analysis; each derives its own key and encrypts once
+
 
 @dataclass(frozen=True)
 class AnalysisReport:
@@ -123,36 +125,23 @@ _BETA_MAX_ITER = 500
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     """Lentz's continued fraction for the incomplete beta integral."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < _BETA_FPMIN:
-        d = _BETA_FPMIN
-    d = 1.0 / d
-    h = d
+    d = h = 1.0 / (_BETA_FPMIN if abs(d) < _BETA_FPMIN else d)
     for m in range(1, _BETA_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_FPMIN:
-            d = _BETA_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_FPMIN:
-            c = _BETA_FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_FPMIN:
-            d = _BETA_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_FPMIN:
-            c = _BETA_FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even and the odd step of the fraction
+        for aa in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 + aa * d
+            d = 1.0 / (_BETA_FPMIN if abs(d) < _BETA_FPMIN else d)
+            c = 1.0 + aa / c
+            c = _BETA_FPMIN if abs(c) < _BETA_FPMIN else c
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _BETA_EPS:
             return h
     raise StatisticsError("incomplete beta continued fraction did not converge")
@@ -202,8 +191,8 @@ def analyze_message(message: bytes, key: CipherKey, seeds: int = 1) -> list[Anal
 
 def _analyze(message: bytes, key: CipherKey, seeds: int) -> tuple[list[AnalysisReport], CipherEnvelope]:
     """:func:`analyze_message`, plus variant 0's envelope, which is ``seal(message, key)``."""
-    if seeds < 1:
-        raise StatisticsError("need at least one seed")
+    if not 1 <= seeds <= MAX_SEEDS:
+        raise StatisticsError(f"seeds must be in 1..{MAX_SEEDS}, got {seeds}")
     bits = ahuffman.encode(message)
     compressed = bits.pack()
     message_values = list(map(float, message))

@@ -31,10 +31,12 @@ whose product with E_scaled is the ciphertext, and a candidate that passes
 is that plaintext (Dixon's modular solving with an exact check).
 
 The per-block route, :func:`encrypt_block` and :func:`decrypt_block`,
-multiplies by E_scaled and by its integer adjugate and divides by the
-scaled determinant, rejecting any entry that fails to divide exactly or
-falls outside {-1} | 0..255.  It stays as the counted cost-model oracle,
-and it names the fault of the first bad block when the packed check fails.
+multiplies one block by E_scaled and by E_scaled^-1 mod p, with the same
+exactness rule, and counts its multiplies for the cost model.  It names
+the fault of the first bad block when the packed check fails: p-adic
+lifting of that block's first inexact row through the same inverse
+(``_name_fault``) tells an entry that is not an integer from an integer
+outside {-1} | 0..255.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import reduce
+from math import isqrt, prod
 from operator import mul
 
 from .errors import CorruptionError, ParameterError, ShapeError
@@ -99,13 +102,13 @@ def unpartition(blocks, byte_count: int) -> bytes:
 
 
 def _product(flat, cols, z: int, counter: OpCounter | None = None) -> list[int]:
-    """flat (row-major z x z) times the matrix given by its columns.
+    """flat (row-major, z entries per row) times the matrix given by its columns.
 
     With a ``counter``, each entry multiplication and addition is tallied
     as it is performed.
     """
     times, total = (mul, sum) if counter is None else (counter.mul, counter.total)
-    rows = [flat[base : base + z] for base in range(0, z * z, z)]
+    rows = [flat[base : base + z] for base in range(0, len(flat), z)]
     return [total(map(times, row, col)) for row in rows for col in cols]
 
 
@@ -117,19 +120,57 @@ def encrypt_block(block, kp: KeyMatrixPair, counter: OpCounter | None = None) ->
 
 
 def decrypt_block(cipher, kp: KeyMatrixPair, counter: OpCounter | None = None) -> tuple[int, ...]:
-    """Exact product cipher @ E^-1; rejects non-integer or non-byte entries."""
-    if len(cipher) != kp.z * kp.z:
-        raise ShapeError(f"block of {len(cipher)} entries does not match key order {kp.z}")
-    det, adjugate_cols = kp._det_adjugate_cols
-    entries = []
-    for v in _product(cipher, adjugate_cols, kp.z, counter):
-        q, r = divmod(v, det)
-        if r:
+    """Exact product cipher @ E^-1; rejects non-integer or non-byte entries.
+
+    Each row's candidates are row @ E_scaled^-1 mod p, and the row is exact
+    if they are all in {-1} | 0..255 and it passes ``_decrypt_pass``'s check
+    (the range check, or a re-encryption whose multiplies ``counter`` also
+    tallies).  The first row that is not exact goes to ``_name_fault``.
+    """
+    z = kp.z
+    if len(cipher) != z * z:
+        raise ShapeError(f"block of {len(cipher)} entries does not match key order {z}")
+    half = MODULUS // 2
+    plain = []
+    for base in range(0, z * z, z):
+        row = list(cipher[base : base + z])
+        got = [(v + half) % MODULUS - half for v in _product(row, kp.inverse_cols_mod_p, z, counter)]
+        if any(v != PAD and not 0 <= v <= 255 for v in got) or not (
+            all(-(1 << 30) <= c < 1 << 30 for c in row)
+            if kp.entry_bound < 1 << 30
+            else _product(got, kp.e_scaled_cols, z, counter) == row
+        ):
+            _name_fault(row, kp)
+        plain += got
+    return tuple(plain)
+
+
+def _name_fault(row, kp: KeyMatrixPair) -> None:
+    """Raise the error of the first entry of x = row @ E_scaled^-1 that is not an integer or a byte.
+
+    Lifts x p-adically (Dixon, *Numer. Math.* 40, 1982): d = r @ E_scaled^-1
+    mod p, then r = (r - d @ E_scaled) / p, which divides exactly.  With H**2
+    the product of the squared row norms of E_scaled, |det| <= H (Hadamard)
+    and every numerator of x is within N = |row| * H (Cramer).  Once
+    p**K > 2 * N * (H + 1), an entry is an integer iff its residue s mod p**K
+    of least magnitude has |s| <= N, and then it is s: s * det minus the
+    numerator is a multiple of p**K smaller than p**K / 2, so 0.
+    """
+    p, half = MODULUS, MODULUS // 2
+    h2 = prod(sum(v * v for v in e_row) for e_row in kp.e_scaled)
+    h, n = isqrt(h2) + 1, isqrt(h2 * sum(v * v for v in row)) + 1
+    r, x, scale = row, [0] * kp.z, 1
+    while scale <= 2 * n * (h + 1):
+        # digits of least magnitude sum to the residue of least magnitude mod scale * p
+        d = [(sum(map(mul, col, r)) + half) % p - half for col in kp.inverse_cols_mod_p]
+        r = [(v - sum(map(mul, col, d))) // p for v, col in zip(r, kp.e_scaled_cols)]
+        x = [a + scale * b for a, b in zip(x, d)]
+        scale *= p
+    for s in x:
+        if abs(s) > n:
             raise CorruptionError("decrypted entry is not an integer")
-        if q != PAD and not 0 <= q <= 255:
+        if s != PAD and not 0 <= s <= 255:
             raise CorruptionError("decrypted entry outside the byte range")
-        entries.append(q)
-    return tuple(entries)
 
 
 def decrypt_blocks(blocks, kp: KeyMatrixPair, byte_count: int) -> bytes:

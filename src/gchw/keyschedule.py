@@ -14,15 +14,13 @@ material crossing the wire.
 
 All of it runs on E_scaled = E * 4**level, which is an integer matrix:
 the Haar lifting works on the golden matrix pre-scaled by 4**level, and
-the additive integers are scaled likewise; only the test oracle
-``base_transform`` builds the rational transform.  Each attempt is decided
-by one Gauss-Jordan elimination modulo p = 2^31 - 1, which also yields
-E_scaled^-1 mod p for the packed decryption: a determinant that is nonzero
-mod p is nonzero, and an attempt whose determinant is 0 mod p is treated
-as singular.  That refuses a nonsingular attempt whose determinant is a
-multiple of p, about one attempt in 2^31, so that one elimination decides
-every key.  The exact determinant and adjugate are computed only when the
-per-block route first reads them.
+the additive integers are scaled likewise.  Each attempt is decided by
+one Gauss-Jordan elimination modulo p = 2^31 - 1, which also yields
+E_scaled^-1 mod p, the only inverse that decryption reads: a determinant
+that is nonzero mod p is nonzero, and an attempt whose determinant is 0
+mod p is treated as singular.  That refuses a nonsingular attempt whose
+determinant is a multiple of p, about one attempt in 2^31, so that one
+elimination decides every key.  ``derive`` computes no exact determinant.
 
 A matrix whose ciphertext entries could need more than 8 signed bytes is
 refused before any elimination (:meth:`KeyMatrixPair.from_scaled`), so
@@ -38,7 +36,7 @@ from typing import Iterator
 
 from . import auth
 from .errors import KeyDerivationError, ParameterError, ParseError, SingularMatrixError
-from .matrix import MODULUS, SquareMatrix, det_adjugate, inverse_mod_p
+from .matrix import MODULUS, SquareMatrix, inverse_mod_p
 from .recurrence import RecurrenceKind, golden_matrix, qp_power
 from .wavelet import haar2d_forward_scaled
 
@@ -99,10 +97,9 @@ class KeyMatrixPair:
 
     E = e_scaled / 2**scale_exp.  ``inverse_cols_mod_p`` holds the columns
     of ``E_scaled^-1 mod MODULUS`` as residues of least magnitude (each
-    below 2**30 in absolute value); the packed decryption multiplies by it.
+    below 2**30 in absolute value); both decryption routes multiply by it.
     ``entry_bound``, 256 times the largest column sum of |E_scaled|, bounds
-    every entry of block @ E_scaled.  The exact determinant and adjugate
-    are computed on first read, and only the per-block route reads them.
+    every entry of block @ E_scaled.
     """
 
     z: int
@@ -139,12 +136,6 @@ class KeyMatrixPair:
             inverse_cols_mod_p=tuple(zip(*inverse)),
             entry_bound=bound,
         )
-
-    @cached_property
-    def _det_adjugate_cols(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """Exact det(e_scaled) and the adjugate's columns; only ``decrypt_block`` reads them."""
-        det, adjugate = det_adjugate(self.e_scaled)
-        return det, tuple(zip(*adjugate))
 
     @cached_property
     def e_scaled_cols(self) -> tuple[tuple[int, ...], ...]:

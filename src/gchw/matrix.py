@@ -1,17 +1,16 @@
-"""Exact square matrices over Python rationals, and integer elimination.
+"""Exact square matrices over Python rationals, and the one integer elimination.
 
 Entries are plain ints or :class:`fractions.Fraction`; every operation is
-exact.  There are two eliminations on integer matrices:
-:func:`inverse_mod_p` inverts modulo the Mersenne prime 2^31 - 1, and
-:func:`det_adjugate` gives the exact determinant and adjugate, so
-identities like ``a @ adj == det * identity`` hold bit-for-bit.
+exact.  :func:`inverse_mod_p` inverts an integer matrix modulo the
+Mersenne prime 2^31 - 1; it decides every key and drives every
+decryption.  :meth:`SquareMatrix.det` is a paper-level oracle, by
+Gaussian elimination over the rationals.
 """
 
 from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from math import lcm
 
 from .errors import ShapeError
 
@@ -52,44 +51,20 @@ class SquareMatrix:
         )
 
     def det(self) -> Fraction:
-        """Exact determinant: clear denominators, then :func:`det_adjugate`."""
-        d = lcm(*(x.denominator for row in self.rows for x in row))
-        det, _ = det_adjugate([[int(x * d) for x in row] for row in self.rows])
-        return Fraction(det, d**self.order)
-
-
-def det_adjugate(rows) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
-    """Determinant and adjugate of an integer matrix, ``a @ adj == det * I``.
-
-    Fraction-free (Bareiss) Gauss-Jordan elimination on ``[a | I]``: every
-    division is exact by Sylvester's identity, so all intermediates stay
-    integers no larger than a minor of ``[a | I]``.  Once column k is
-    eliminated, the pivot is the leading (k+1) x (k+1) minor of the
-    row-swapped matrix, so the last pivot is det(a) up to the sign of the
-    swaps and the right half is that pivot times a^-1.  Returns
-    ``(0, None)`` for a singular matrix.
-    """
-    n = len(rows)
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    sign, prev = 1, 1
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if m[r][k]), None)
-        if pivot is None:
-            return 0, None
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        pk = m[k][k]
-        # columns <= k are left stale because they are never read again: the
-        # left block ends as det * I and column k of the other rows becomes 0
-        tail = m[k][k + 1 :]
-        for i in range(n):
-            if i != k:
-                row = m[i]
-                f = row[k]
-                row[k + 1 :] = [(pk * x - f * y) // prev for x, y in zip(row[k + 1 :], tail)]
-        prev = pk
-    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in m)
+        """Exact determinant by Gaussian elimination over the rationals."""
+        m = [list(map(Fraction, row)) for row in self.rows]
+        det = Fraction(1)
+        for k, top in enumerate(m):
+            pivot = next((row for row in m[k:] if row[k]), None)
+            if pivot is None:
+                return Fraction(0)
+            if not top[k]:  # adding a later row leaves the determinant unchanged
+                top[k:] = [a + b for a, b in zip(top[k:], pivot[k:])]
+            det *= top[k]
+            for row in m[k + 1 :]:
+                f = row[k] / top[k]
+                row[k:] = [a - f * b for a, b in zip(row[k:], top[k:])]
+        return det
 
 
 def inverse_mod_p(rows) -> list[tuple[int, ...]] | None:

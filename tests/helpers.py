@@ -1,4 +1,4 @@
-"""Test-only helpers over library objects: FGK code paths, snapshots and invariant checker, reference update, encoder and decoder, reference key derivation, 0/1 bit strings, matrix arithmetic, and the inverses and rational views of the key pipeline that the library itself never builds."""
+"""Test-only helpers over library objects: FGK code paths, snapshots and invariant checker, reference update, encoder and decoder, reference key derivation, 0/1 bit strings, matrix arithmetic, the exact determinant and adjugate, and the inverses and rational views of the key pipeline that the library itself never builds."""
 
 from bisect import bisect_left
 from fractions import Fraction
@@ -8,7 +8,7 @@ from gchw.ahuffman import _TOP_NUMBER, ALPHABET_SIZE, NYT, AdaptiveHuffmanTree
 from gchw.bits import _TO_ASCII, BitString
 from gchw.errors import CorruptStreamError, KeyDerivationError, ParameterError, ShapeError
 from gchw.keyschedule import MAX_ATTEMPTS, MODULUS, _randomization_stream, golden_base, pad_to_z
-from gchw.matrix import SquareMatrix, det_adjugate
+from gchw.matrix import SquareMatrix
 from gchw.recurrence import MAX_INDEX, RecurrenceKind, _term, golden_matrix
 from gchw.wavelet import _check_transform_args, haar2d_forward
 
@@ -311,6 +311,45 @@ def zeros(order: int) -> SquareMatrix:
 def scale(k, m: SquareMatrix) -> SquareMatrix:
     """The scalar multiple k * m."""
     return SquareMatrix([[k * x for x in row] for row in m.rows])
+
+
+def det_adjugate(rows) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
+    """Determinant and adjugate of an integer matrix, ``a @ adj == det * I``.
+
+    Fraction-free (Bareiss) Gauss-Jordan elimination on ``[a | I]``: every
+    division is exact by Sylvester's identity, so all intermediates stay
+    integers no larger than a minor of ``[a | I]``.  Once column k is
+    eliminated, the pivot is the leading (k+1) x (k+1) minor of the
+    row-swapped matrix, so the last pivot is det(a) up to the sign of the
+    swaps and the right half is that pivot times a^-1.  Returns
+    ``(0, None)`` for a singular matrix.
+
+    The library never computes an exact determinant; this is the oracle of
+    the exactness checks in ``test_keyschedule.py``, of the inverse mod p
+    in ``test_matrix.py`` and ``reference_derive``, and of the adjugate
+    reference for ``decrypt_block`` in ``test_blockcipher.py``.
+    """
+    n = len(rows)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if m[r][k]), None)
+        if pivot is None:
+            return 0, None
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        pk = m[k][k]
+        # columns <= k are left stale because they are never read again: the
+        # left block ends as det * I and column k of the other rows becomes 0
+        tail = m[k][k + 1 :]
+        for i in range(n):
+            if i != k:
+                row = m[i]
+                f = row[k]
+                row[k + 1 :] = [(pk * x - f * y) // prev for x, y in zip(row[k + 1 :], tail)]
+        prev = pk
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in m)
 
 
 def reference_haar2d_forward(m: SquareMatrix, levels: int) -> SquareMatrix:

@@ -11,6 +11,7 @@ from scipy import integrate
 from conftest import make_key
 from gchw import ahuffman, envelope
 from gchw.analysis import (
+    MAX_SEEDS,
     AnalysisReport,
     _analyze,
     analyze_message,
@@ -242,6 +243,17 @@ def test_analyze_returns_the_sealed_envelope_of_variant_0(key, seeds):
 def test_analyze_message_rejects_zero_seeds(key):
     with pytest.raises(StatisticsError):
         analyze_message(MESSAGE_2, key, seeds=0)
+
+
+def test_analyze_message_refuses_more_than_max_seeds_before_any_work(monkeypatch, key):
+    # each variant derives a key and encrypts, so the count is capped
+    assert MAX_SEEDS == 1000
+    encoded = []
+    monkeypatch.setattr(ahuffman, "encode", encoded.append)
+    for seeds in (MAX_SEEDS + 1, 10**9):
+        with pytest.raises(StatisticsError, match=r"seeds must be in 1\.\.1000"):
+            analyze_message(MESSAGE_2, key, seeds=seeds)
+    assert encoded == []
 
 
 # Reports and CSVs as the generator-expression statistics computed them.

@@ -2,6 +2,7 @@
 
 import random
 import struct
+from collections import Counter
 from fractions import Fraction as F
 from functools import cache
 
@@ -29,6 +30,7 @@ from gchw.errors import CorruptionError, ParameterError, ShapeError
 from gchw.keyschedule import MODULUS, KeyMatrixPair, derive
 from gchw.matrix import SquareMatrix
 from gchw.recurrence import RecurrenceKind
+from helpers import det_adjugate
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
@@ -183,6 +185,17 @@ def test_multiply_counter_is_z_cubed():
         counter = OpCounter()
         decrypt_block(cipher, kp, counter=counter)
         assert counter.mults == z**3
+
+
+def test_multiply_counter_is_twice_z_cubed_for_a_key_that_re_encrypts():
+    # entry_bound >= 2**30: the candidates, then their re-encryption, Z**3 each
+    for kp in (level_pair(5), diagonal_pair((1 << 55) - 1)):
+        assert kp.entry_bound >= 1 << 30
+        block = partition(random.Random(kp.z).randbytes(kp.z * kp.z - 3), kp.z)[0]
+        counter = OpCounter()
+        cipher = encrypt_block(block, kp)
+        assert decrypt_block(cipher, kp, counter=counter) == block
+        assert counter.mults == 2 * kp.z**3
 
 
 def test_order_mismatch_is_shape_error():
@@ -524,3 +537,103 @@ def test_wide_decryption_slots_name_the_first_bad_block(monkeypatch):
                 # a nudged column-1 entry can be another valid ciphertext, or
                 # one with -1 in the data region that unpartition must name
                 assert calls[:1] == ([] if isinstance(expected, bytes) else [tuple(tampered[b])])
+
+
+# --- decrypt_block against the exact adjugate -------------------------------
+
+
+def adjugate_decrypt_block(cipher, kp: KeyMatrixPair, det: int, adjugate_cols) -> tuple[int, ...]:
+    """cipher @ adj / det, raising at the first entry that does not divide or is not a byte.
+
+    ``decrypt_block`` as it stood on the Bareiss adjugate: the reference for
+    its outcome and its message.
+    """
+    entries = []
+    for v in _product(cipher, adjugate_cols, kp.z):
+        q, r = divmod(v, det)
+        if r:
+            raise CorruptionError("decrypted entry is not an integer")
+        if q != PAD and not 0 <= q <= 255:
+            raise CorruptionError("decrypted entry outside the byte range")
+        entries.append(q)
+    return tuple(entries)
+
+
+def partial_nudges(det: int, adjugate) -> list[tuple[int, int]]:
+    """(j, det // q) pairs where adding det // q to entry j of a cipher row leaves
+    some entries of its plaintext row integers and makes others fractions.
+
+    That row gains adj[j] / q, so q ranges over prime powers dividing det.
+    """
+    found = []
+    for f in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        q = f
+        while det % q == 0:
+            for j, row in enumerate(adjugate):
+                if 0 < sum(a % q == 0 for a in row) < len(row):
+                    found.append((j, det // q))
+            q *= f
+    return found
+
+
+# exact integers outside {-1} | 0..255, small and past p / 2
+OUTSIDE = (256, -2, 300, -255, MODULUS // 2 + 1, MODULUS, 3 * MODULUS + 5, -(MODULUS // 2) - 1, 1 << 40)
+NUDGES = (1, -1, 2, 1 << 20, -(1 << 20), MODULUS, -MODULUS, 1 << 40)
+BYTE_OR_PAD = frozenset((PAD, *range(256)))
+NOT_INTEGER = "decrypted entry is not an integer"
+OUTSIDE_RANGE = "decrypted entry outside the byte range"
+
+
+def tampered_blocks(kp: KeyMatrixPair, adjugate, det: int, count: int, rng):
+    """``count`` cipher blocks: valid, nudged, exact but outside the byte range, and mixed."""
+    z, cells = kp.z, kp.z * kp.z
+    partial = partial_nudges(det, adjugate)
+    for k in range(count):
+        plain = list(rng.randbytes(cells))
+        if rng.random() < 0.3:  # a final block, padded with -1
+            tail = rng.randrange(1, cells)
+            plain[tail:] = [PAD] * (cells - tail)
+        kind = k % 5
+        row = rng.randrange(z)
+        if kind in (2, 4):  # an exact integer outside the range, alone or mixed
+            plain[row * z + rng.randrange(z)] = rng.choice(OUTSIDE)
+        cipher = _product(plain, kp.e_scaled_cols, z)
+        if kind in (1, 3):
+            for _ in range(rng.choice((1, 1, 2))):
+                cipher[row * z + rng.randrange(z)] += rng.choice(NUDGES)
+        if kind in (3, 4) and partial:  # some entries of the row fractions, others integers
+            j, nudge = rng.choice(partial)
+            cipher[row * z + j] += nudge * rng.choice((1, -1))
+        yield tuple(cipher)
+
+
+def test_decrypt_block_fails_like_the_exact_adjugate():
+    # the outcome and message of decrypt_block, which lifts p-adically
+    # through E_scaled^-1 mod p, against cipher @ adj / det on 1030 blocks at
+    # L1-L5 and 300 under the widest 8-byte key
+    rng = random.Random(18)
+    seen = Counter()
+    keys = [(level_pair(level), n) for level, n in ((1, 300), (2, 300), (3, 200), (4, 150), (5, 80))]
+    for kp, count in [*keys, (diagonal_pair((1 << 55) - 1), 300)]:
+        det, adjugate = det_adjugate(kp.e_scaled)
+        adjugate_cols = tuple(zip(*adjugate))
+        for cipher in tampered_blocks(kp, adjugate, det, count, rng):
+            expected = outcome(adjugate_decrypt_block, cipher, kp, det, adjugate_cols)
+            assert outcome(decrypt_block, cipher, kp) == expected
+            if expected[0] is not CorruptionError:
+                seen["valid"] += 1
+                continue
+            message = expected[1]
+            seen[message] += 1
+            # the first faulty row: does it mix fractions with integers outside the range?
+            sums = _product(cipher, adjugate_cols, kp.z)
+            rows = (sums[base : base + kp.z] for base in range(0, len(sums), kp.z))
+            for row in rows:
+                faults = {bool(v % det) for v in row if v % det or v // det not in BYTE_OR_PAD}
+                if faults:
+                    seen["mixed, " + message] += faults == {True, False}
+                    break
+    assert seen["valid"] + seen[NOT_INTEGER] + seen[OUTSIDE_RANGE] == 1330
+    assert min(seen["valid"], seen[NOT_INTEGER], seen[OUTSIDE_RANGE]) >= 200, seen
+    assert min(seen["mixed, " + NOT_INTEGER], seen["mixed, " + OUTSIDE_RANGE]) >= 20, seen
+

@@ -245,6 +245,20 @@ def test_analyze_rejects_multichar(tmp_path, keyfile):
     assert code == 5
 
 
+def test_analyze_refuses_seeds_past_the_cap_and_writes_no_report(tmp_path, keyfile, capsys):
+    plain = tmp_path / "m.txt"
+    plain.write_bytes(b"meet me after party")
+    for seeds in ("1001", "1000000000"):
+        report = tmp_path / f"r{seeds}.csv"
+        code = run(
+            "analyze", "--key", str(keyfile), "--in", str(plain),
+            "--seeds", seeds, "--out", str(report),
+        )
+        assert code == 5
+        assert "seeds must be in 1..1000" in capsys.readouterr().err
+        assert not report.exists()
+
+
 def test_attack_demo_output(capsys):
     assert run("attack-demo", "--x", "2.5") == 0
     out = capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Key validation, the enciphering-matrix derivation, and the key file format."""
 
+import dataclasses
 import time
 from fractions import Fraction as F
 
@@ -7,8 +8,8 @@ import pytest
 
 from conftest import make_key
 from gchw import keyschedule
-from gchw.blockcipher import body_blocks, decrypt_block, decrypt_message, encrypt_message
-from gchw.errors import ParameterError, ParseError, SingularMatrixError
+from gchw.blockcipher import body_blocks, decrypt_message, encrypt_message
+from gchw.errors import CorruptionError, ParameterError, ParseError, SingularMatrixError
 from gchw.keyschedule import (
     MAX_LEVEL,
     MAX_N,
@@ -21,9 +22,9 @@ from gchw.keyschedule import (
     pad_to_z,
     parse_key,
 )
-from gchw.matrix import SquareMatrix, det_adjugate, inverse_mod_p
+from gchw.matrix import SquareMatrix, inverse_mod_p
 from gchw.recurrence import RecurrenceKind
-from helpers import base_transform, dyadic_exponent, reference_derive, scale
+from helpers import base_transform, det_adjugate, dyadic_exponent, reference_derive, scale
 from test_golden_vectors import WIRE_DIGESTS, wire_key_file
 
 LEVEL1_KEY_MATRIX = SquareMatrix([[F(1, 4), F(-1, 2)], [F(-1, 2), 1]])
@@ -214,18 +215,20 @@ def test_derive_matches_the_rational_bareiss_reference_on_the_golden_keys():
         assert_matches_reference(parse_key(wire_key_file(kind, level)))
 
 
-def test_derive_leaves_the_exact_adjugate_until_it_is_read():
-    # the packed route never builds the adjugate; the per-block route builds
-    # it once and keeps it on the pair
-    kp = derive(make_key(level=3))
-    data = bytes(range(256)) * 3
-    assert decrypt_message(encrypt_message(data, kp), kp, len(data)) == data
-    assert "_det_adjugate_cols" not in vars(kp)
-    (block,) = body_blocks(encrypt_message(data[: kp.z * kp.z], kp), kp.z, kp.entry_bytes)
-    assert decrypt_block(block, kp) == tuple(data[: kp.z * kp.z])
-    det, adj = det_adjugate(kp.e_scaled)
-    assert vars(kp)["_det_adjugate_cols"] == (det, tuple(zip(*adj)))
-    assert_exact_adjugate(kp)
+def test_a_fresh_level_6_key_names_a_tampered_body_fast_and_keeps_nothing_new():
+    # naming the fault lifts one row through the inverse mod p that derive
+    # already made; no exact determinant or adjugate is built or kept
+    kp = derive(make_key(level=6, seed=bytes(range(100, 132))))
+    data = bytes(range(256)) * 256
+    body = bytearray(encrypt_message(data, kp))
+    w = kp.entry_bytes
+    body[:w] = (int.from_bytes(body[:w], "big", signed=True) + 1).to_bytes(w, "big", signed=True)
+    start = time.perf_counter()
+    with pytest.raises(CorruptionError, match="decrypted entry is not an integer"):
+        decrypt_message(bytes(body), kp, len(data))
+    assert time.perf_counter() - start < 0.3
+    fields = {field.name for field in dataclasses.fields(kp)}
+    assert set(vars(kp)) <= fields | {"e_scaled_cols", "entry_bytes"}
 
 
 def test_from_scaled_refuses_a_matrix_singular_mod_p():

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from gchw.errors import ShapeError
-from gchw.matrix import MODULUS, SquareMatrix, det_adjugate, inverse_mod_p
-from helpers import dyadic_exponent, matrix_add, scale, zeros
+from gchw.matrix import MODULUS, SquareMatrix, inverse_mod_p
+from helpers import det_adjugate, dyadic_exponent, matrix_add, scale, zeros
 
 
 def permutation_det(m):
