@@ -32,11 +32,11 @@ is that plaintext (Dixon's modular solving with an exact check).
 
 The per-block route, :func:`encrypt_block` and :func:`decrypt_block`,
 multiplies one block by E_scaled and by E_scaled^-1 mod p, with the same
-exactness rule, and counts its multiplies for the cost model.  It names
-the fault of the first bad block when the packed check fails: p-adic
-lifting of that block's first inexact row through the same inverse
-(``_name_fault``) tells an entry that is not an integer from an integer
-outside {-1} | 0..255.
+exactness rule, and counts its multiplies for the cost model.
+:func:`decrypt_message` hands off to it once, from the first faulty block
+on; p-adic lifting of that block's first inexact row through the same
+inverse (``_name_fault``) tells an entry that is not an integer from an
+integer outside {-1} | 0..255.
 """
 
 from __future__ import annotations
@@ -89,6 +89,8 @@ def partition(data: bytes, z: int) -> list[tuple[int, ...]]:
 
 def unpartition(blocks, byte_count: int) -> bytes:
     """Invert :func:`partition`, verifying the -1 tail."""
+    if byte_count < 0:
+        raise ParameterError(f"byte count must be at least 0, got {byte_count}")
     flat = [v for block in blocks for v in block]
     if byte_count > len(flat):
         raise CorruptionError("fewer block entries than the recorded byte count")
@@ -171,11 +173,6 @@ def _name_fault(row, kp: KeyMatrixPair) -> None:
             raise CorruptionError("decrypted entry is not an integer")
         if s != PAD and not 0 <= s <= 255:
             raise CorruptionError("decrypted entry outside the byte range")
-
-
-def decrypt_blocks(blocks, kp: KeyMatrixPair, byte_count: int) -> bytes:
-    """The per-block route: :func:`decrypt_block` on each block, then :func:`unpartition`."""
-    return unpartition([decrypt_block(b, kp) for b in blocks], byte_count)
 
 
 def _ones(width: int, rows: int) -> int:
@@ -265,24 +262,24 @@ def encrypt_message(data: bytes, kp: KeyMatrixPair) -> bytes:
 
 
 def decrypt_message(body: bytes, kp: KeyMatrixPair, byte_count: int) -> bytes:
-    """Invert :func:`encrypt_message`; the result and errors of ``decrypt_blocks`` on its blocks.
+    """Invert :func:`encrypt_message`, with the per-block route's result and errors.
 
     Each pass multiplies the received columns by E_scaled^-1 mod p
     (p = ``MODULUS``), reduces by Mersenne folding, and accepts only if every
     entry is a byte in the data region and -1 after it, and, for a key with
     ``entry_bound < 2**30``, every received entry lies in [-2**30, 2**30),
     or, for any other key, the exact re-encryption of those entries equals
-    the received columns (``_decrypt_pass`` has the bound).  The per-block
-    route runs only to name the first faulty block, or when ``byte_count``
-    claims more entries than the body holds.
+    the received columns (``_decrypt_pass`` has the bound).  There is one
+    hand-off: from the first faulty block on, :func:`decrypt_block` on each
+    block, then :func:`unpartition`, names the fault.
     """
+    if byte_count < 0:
+        raise ParameterError(f"byte count must be at least 0, got {byte_count}")
     z, w = kp.z, kp.entry_bytes
     cells = z * z
     if len(body) % (cells * w):
         raise ShapeError(f"body of {len(body)} bytes is not whole blocks of key order {z}")
     total = len(body) // w
-    if byte_count > total:
-        return decrypt_blocks(body_blocks(body, z, w), kp, byte_count)
     # wide enough for the lifted modular sums, and so for an entry plus
     # 2**30 and for a re-encrypted slot, even of a faulty entry (bounds in
     # _decrypt_pass); the 64-bit floor is for the folds by 2**62 and 2**31,
@@ -299,14 +296,15 @@ def decrypt_message(body: bytes, kp: KeyMatrixPair, byte_count: int) -> bytes:
         data_count = max(0, min(byte_count - start, len(chunk) // w))
         part = _decrypt_pass(chunk, kp, ones, width, data_count)
         if isinstance(part, int):
-            # the pass returned its first faulty row, and has freed its
-            # big integers before the per-block route raises
+            # the pass returned its first faulty row and freed its big integers.
+            # Earlier blocks passed every check, so the per-block route raises
+            # from block `first` on; a data region ending before it counts 0 there
             first = (start + part * z) // cells
-            (block,) = body_blocks(body[first * cells * w : (first + 1) * cells * w], z, w)
-            decrypt_block(block, kp)
-            # that block decrypts, so the padding is misplaced: unpartition names it
-            return decrypt_blocks(body_blocks(body, z, w), kp, byte_count)
+            plain = [decrypt_block(b, kp) for b in body_blocks(body[first * cells * w :], z, w)]
+            return unpartition(plain, max(0, byte_count - first * cells))
         parts.append(part)
+    if byte_count > total:
+        raise CorruptionError("fewer block entries than the recorded byte count")
     return b"".join(parts)
 
 

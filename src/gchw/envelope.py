@@ -36,7 +36,6 @@ from .keyschedule import MAX_LEVEL, CipherKey
 MAGIC = b"GCHW"
 VERSION = 2
 _HEADER = struct.Struct(">4sBHBBQQI")
-_TAG_SIZE = 32
 _MAX_SCALE_EXP = 2 * MAX_LEVEL
 
 
@@ -145,7 +144,7 @@ def deserialize(data: bytes) -> CipherEnvelope:
         raise ParseError(f"invalid entry width {entry_bytes}")
     if block_count != _expected_block_count(bit_count, z):
         raise ParseError("block count disagrees with the compressed bit count")
-    expected = _HEADER.size + block_count * z * z * entry_bytes + _TAG_SIZE
+    expected = _HEADER.size + block_count * z * z * entry_bytes + auth.TAG_SIZE
     if len(data) != expected:
         raise ParseError(f"envelope length {len(data)} != expected {expected}")
     return CipherEnvelope(
@@ -155,6 +154,6 @@ def deserialize(data: bytes) -> CipherEnvelope:
         entry_bytes=entry_bytes,
         plain_byte_count=plain_count,
         compressed_bit_count=bit_count,
-        body=bytes(data[_HEADER.size : -_TAG_SIZE]),
-        tag=bytes(data[-_TAG_SIZE:]),
+        body=bytes(data[_HEADER.size : -auth.TAG_SIZE]),
+        tag=bytes(data[-auth.TAG_SIZE:]),
     )

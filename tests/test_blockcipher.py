@@ -507,6 +507,73 @@ def test_only_the_first_bad_block_takes_the_per_block_route(monkeypatch, value):
     assert calls == [tuple(blocks[2])]
 
 
+def recording_decrypt_blocks(monkeypatch) -> list:
+    """The blocks that ``decrypt_message`` hands to ``decrypt_block`` from now on."""
+    calls = []
+
+    def recording_decrypt_block(cipher, kp, counter=None):
+        calls.append(tuple(cipher))
+        return decrypt_block(cipher, kp, counter)
+
+    monkeypatch.setattr(blockcipher, "decrypt_block", recording_decrypt_block)
+    return calls
+
+
+@pytest.mark.parametrize("tail", [0, 5])
+def test_an_overlong_byte_count_hands_off_at_most_the_padded_block(monkeypatch, tail):
+    # whole blocks hold no padding, so every pass succeeds and the count is
+    # refused without the per-block route; otherwise it starts at the
+    # padded last block
+    kp = level_pair(6)
+    cells = kp.z * kp.z
+    data = random.Random(6).randbytes(2 * cells - tail)
+    body = encrypt_message(data, kp)
+    blocks = [tuple(b) for b in body_blocks(body, kp.z, kp.entry_bytes)]
+    calls = recording_decrypt_blocks(monkeypatch)
+    with pytest.raises(CorruptionError, match="^fewer block entries than the recorded byte count$"):
+        decrypt_message(body, kp, 2 * cells + 1)
+    assert calls == ([] if tail == 0 else blocks[-1:])
+
+
+@pytest.mark.parametrize("level, block_count", [(3, 4), (2, CHUNK_ENTRIES // 16 + 3)])
+def test_a_count_one_byte_short_hands_off_only_the_last_block(monkeypatch, level, block_count):
+    # with Z = 4, CHUNK_ENTRIES // 16 + 3 blocks take two passes
+    kp = level_pair(level)
+    cells = kp.z * kp.z
+    data = random.Random(level).randbytes(block_count * cells - 3)
+    body = encrypt_message(data, kp)
+    last = tuple(list(body_blocks(body, kp.z, kp.entry_bytes))[-1])
+    calls = recording_decrypt_blocks(monkeypatch)
+    with pytest.raises(CorruptionError, match="^block tail is not all padding$"):
+        decrypt_message(body, kp, len(data) - 1)
+    assert calls == [last]
+
+
+def test_a_data_region_that_ends_before_the_first_faulty_block_leaves_only_padding(monkeypatch):
+    # two all-padding blocks pass for byte count 0, then a data block fails
+    kp = level_pair(2)
+    cells = kp.z * kp.z
+    pad = encrypt_block((PAD,) * cells, kp)
+    data = encrypt_block(tuple(range(cells)), kp)
+    body = pack_blocks([pad, pad, data], kp.entry_bytes)
+    calls = recording_decrypt_blocks(monkeypatch)
+    with pytest.raises(CorruptionError, match="^block tail is not all padding$"):
+        decrypt_message(body, kp, 0)
+    assert calls == [data]
+    assert decrypt_message(pack_blocks([pad, pad], kp.entry_bytes), kp, 0) == b""
+
+
+@pytest.mark.parametrize("count", [-1, -6])
+def test_a_negative_byte_count_is_a_parameter_error(count):
+    # a negative slice bound counts from the end, so it must not reach one
+    kp = level_pair(2)
+    body = encrypt_message(b"0123456789", kp)
+    with pytest.raises(ParameterError, match=f"^byte count must be at least 0, got {count}$"):
+        decrypt_message(body, kp, count)
+    with pytest.raises(ParameterError, match=f"^byte count must be at least 0, got {count}$"):
+        unpartition(partition(b"ab", 2), count)
+
+
 def test_wide_decryption_slots_name_the_first_bad_block(monkeypatch):
     # column-0 entries of up to 255 * (2**55 - 1) fill the 8-byte wire, and
     # 2**55 - 1 has a large inverse mod p, so a nudged column-0 entry gives
