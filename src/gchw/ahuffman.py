@@ -34,7 +34,7 @@ from itertools import product
 from math import inf
 
 from .bits import BitString
-from .errors import CorruptStreamError
+from .errors import CorruptStreamError, ParameterError
 
 ALPHABET_SIZE = 256
 NYT = ALPHABET_SIZE  # the symbol of the not-yet-transmitted leaf
@@ -142,7 +142,7 @@ def encode(data: bytes) -> BitString:
     """Compress a byte sequence to a bit string (no terminator in-band)."""
     tree = AdaptiveHuffmanTree()
     out = BitString()
-    emit = out.bits.extend
+    emit = out.extend
     # arrays bound to locals (they are only ever mutated in place); each
     # code is collected leaf-to-root into one reused buffer and reversed
     weight_at = tree.weight_at
@@ -188,6 +188,8 @@ def encode(data: bytes) -> BitString:
 
 def decode(bits: BitString, symbol_count: int) -> bytes:
     """Exact inverse of :func:`encode`; consumes every bit of ``bits``."""
+    if symbol_count < 0:
+        raise ParameterError(f"symbol count must be at least 0, got {symbol_count}")
     tree = AdaptiveHuffmanTree()
     weight_at = tree.weight_at
     up = tree.up
@@ -196,7 +198,7 @@ def decode(bits: BitString, symbol_count: int) -> bytes:
     climb = tree._swap_and_climb
     out = bytearray()
     # one iterator over the bits, shared by every code and literal
-    it = iter(bits.bits)
+    it = iter(bits)
     bit_of = next  # bound to a local for the eight reads of a literal
     for _ in range(symbol_count):
         k = kid[_TOP_NUMBER]

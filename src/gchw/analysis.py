@@ -19,7 +19,7 @@ from operator import mul, pow, sub, truediv
 from . import ahuffman, auth
 from .blockcipher import body_blocks
 from .envelope import CipherEnvelope, _seal_packed
-from .errors import StatisticsError
+from .errors import ParameterError, StatisticsError
 from .keyschedule import CipherKey
 
 MAX_SEEDS = 1000  # seed variants per analysis; each derives its own key and encrypts once
@@ -227,6 +227,8 @@ def contrast_csv(plain: bytes, env: CipherEnvelope, char: str | None = None) -> 
     rows = max(len(plain), len(cipher))
     writer.writerows(zip_longest(range(rows), plain, cipher, fillvalue=""))
     if char is not None:
+        if len(char) != 1:
+            raise ParameterError(f"char must be exactly one character, got {char!r}")
         target = ord(char)
         writer.writerows(
             (char, position, cipher[position] if position < len(cipher) else "")

@@ -39,14 +39,14 @@ class AttackResult:
 
 def sfs(x: float) -> float:
     """Symmetric hyperbolic Fibonacci sine: (tau^x - tau^-x) / sqrt(5)."""
-    if abs(x) > MAX_FUNCTION_ARG:
+    if not abs(x) <= MAX_FUNCTION_ARG:
         raise ParameterError(f"|x| must be at most {MAX_FUNCTION_ARG}, got {x}")
     return (TAU**x - TAU**-x) / _SQRT5
 
 
 def cfs(x: float) -> float:
     """Symmetric hyperbolic Fibonacci cosine: (tau^x + tau^-x) / sqrt(5)."""
-    if abs(x) > MAX_FUNCTION_ARG:
+    if not abs(x) <= MAX_FUNCTION_ARG:
         raise ParameterError(f"|x| must be at most {MAX_FUNCTION_ARG}, got {x}")
     return (TAU**x + TAU**-x) / _SQRT5
 
@@ -72,7 +72,7 @@ def _mul2(a: Matrix2, b: Matrix2) -> Matrix2:
 
 def stakhov_encrypt(m: Matrix2, x: float) -> Matrix2:
     """Encrypt a 2x2 real matrix: m @ Q(2x)."""
-    if abs(x) > MAX_KEY:
+    if not abs(x) <= MAX_KEY:
         raise ParameterError(f"|x| must be at most {MAX_KEY}, got {x}")
     return _mul2(m, golden_q(x))
 

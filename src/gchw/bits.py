@@ -10,55 +10,19 @@ _TO_ASCII = b"0" + b"1" * 255
 _FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
 
 
-class BitString:
-    """A growable sequence of bits.
-
-    ``bits`` is a bytearray holding one 0/1 value per bit; callers may read
-    it directly but must not mutate it.
-    """
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits=()):
-        self.bits = bytearray(bits)
+class BitString(bytearray):
+    """A bytearray of 0/1 values, one per bit, packed MSB-first by :meth:`pack`."""
 
     def to01(self) -> str:
-        return "".join("01"[b] for b in self.bits)
-
-    def append(self, bit: int) -> None:
-        self.bits.append(1 if bit else 0)
-
-    def extend(self, other) -> None:
-        """Append bits from another BitString or an iterable of 0/1 ints."""
-        if isinstance(other, BitString):
-            self.bits.extend(other.bits)
-        else:
-            self.bits.extend(other)
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __getitem__(self, index: int) -> int:
-        return self.bits[index]
-
-    def __eq__(self, other):
-        if not isinstance(other, BitString):
-            return NotImplemented
-        return self.bits == other.bits
-
-    def __repr__(self):
-        shown = self.to01()
-        if len(shown) > 64:
-            shown = shown[:64] + "..."
-        return f"BitString({shown!r})"
+        return self.translate(_TO_ASCII).decode("ascii")
 
     def pack(self) -> bytes:
         """Pack MSB-first into bytes, zero-padding the final byte."""
-        count = len(self.bits)
+        count = len(self)
         if not count:
             return b""
         pad = -count % 8
-        value = int(self.bits.translate(_TO_ASCII), 2) << pad
+        value = int(self.translate(_TO_ASCII), 2) << pad
         return value.to_bytes((count + pad) // 8, "big")
 
     @classmethod

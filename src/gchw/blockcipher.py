@@ -232,13 +232,11 @@ def encrypt_message(data: bytes, kp: KeyMatrixPair) -> bytes:
     slot_bits = 8 * w
     unit, fmt = _copy_unit(w, w)
     step = _pass_cells(z * z)
-    rows_max = -(-min(len(data), step) // (z * z)) * z
-    ones_max = _ones(w, rows_max)
     parts = []
     for start in range(0, len(data), step):
         chunk = data[start : start + step]
         rows = -(-len(chunk) // (z * z)) * z
-        ones = ones_max >> (slot_bits * (rows_max - rows))
+        ones = _ones(w, rows)
         plain = []
         for k in range(z):
             column = chunk[k::z]
@@ -280,21 +278,12 @@ def decrypt_message(body: bytes, kp: KeyMatrixPair, byte_count: int) -> bytes:
     if len(body) % (cells * w):
         raise ShapeError(f"body of {len(body)} bytes is not whole blocks of key order {z}")
     total = len(body) // w
-    # wide enough for the lifted modular sums, and so for an entry plus
-    # 2**30 and for a re-encrypted slot, even of a faulty entry (bounds in
-    # _decrypt_pass); the 64-bit floor is for the folds by 2**62 and 2**31,
-    # which every key runs, not for the re-encryption
-    bits = max(64, 8 * w + 31 + z.bit_length())
-    width = -(-bits // 8)
     step = _pass_cells(cells)
-    rows_max = min(total, step) // z
-    ones_max = _ones(width, rows_max)
     parts = []
     for start in range(0, total, step):
         chunk = body[start * w : (start + step) * w]
-        ones = ones_max >> (8 * width * (rows_max - len(chunk) // (z * w)))
         data_count = max(0, min(byte_count - start, len(chunk) // w))
-        part = _decrypt_pass(chunk, kp, ones, width, data_count)
+        part = _decrypt_pass(chunk, kp, data_count)
         if isinstance(part, int):
             # the pass returned its first faulty row and freed its big integers.
             # Earlier blocks passed every check, so the per-block route raises
@@ -308,7 +297,7 @@ def decrypt_message(body: bytes, kp: KeyMatrixPair, byte_count: int) -> bytes:
     return b"".join(parts)
 
 
-def _decrypt_pass(chunk: bytes, kp: KeyMatrixPair, ones: int, width: int, data_count: int):
+def _decrypt_pass(chunk: bytes, kp: KeyMatrixPair, data_count: int):
     """The first ``data_count`` plaintext bytes of one pass, or the index of its first bad row.
 
     The candidate q solves q @ E_scaled = c mod p; once the masks pass,
@@ -324,7 +313,13 @@ def _decrypt_pass(chunk: bytes, kp: KeyMatrixPair, ones: int, width: int, data_c
     """
     z, w = kp.z, kp.entry_bytes
     rows = len(chunk) // (z * w)
+    # one slot per row, wide enough for the lifted modular sums, and so for
+    # an entry plus 2**30 and for a re-encrypted slot, even of a faulty entry
+    # (bounds below); the 64-bit floor is for the folds by 2**62 and 2**31,
+    # which every key runs, not for the re-encryption
+    width = -(-max(64, 8 * w + 31 + z.bit_length()) // 8)
     slot_bits = 8 * width
+    ones = _ones(width, rows)
     sign = ones << (8 * w - 1)
     unit, fmt = _copy_unit(w, width)
     entries = memoryview(chunk).cast(fmt)

@@ -64,16 +64,19 @@ def _expected_block_count(bit_count: int, z: int) -> int:
 
 def _header(env: CipherEnvelope) -> bytes:
     """The wire header of ``env``; with the body, the bytes its tag covers."""
-    return _HEADER.pack(
-        MAGIC,
-        env.version,
-        env.z,
-        env.scale_exp,
-        env.entry_bytes,
-        env.plain_byte_count,
-        env.compressed_bit_count,
-        len(env.body) // (env.entry_bytes * env.z * env.z),
-    )
+    try:
+        return _HEADER.pack(
+            MAGIC,
+            env.version,
+            env.z,
+            env.scale_exp,
+            env.entry_bytes,
+            env.plain_byte_count,
+            env.compressed_bit_count,
+            len(env.body) // (env.entry_bytes * env.z * env.z),
+        )
+    except struct.error as exc:
+        raise CorruptionError(f"header field does not fit the wire: {exc}") from None
 
 
 def seal(message: bytes, key: CipherKey) -> CipherEnvelope:

@@ -231,7 +231,7 @@ def reference_decode(bits: BitString, symbol_count: int) -> bytes:
     kid = tree.kid
     leaf_at = tree.leaf_at
     out = bytearray()
-    stream = bits.bits
+    stream = bits
     total = len(stream)
     pos = 0
     for _ in range(symbol_count):

@@ -13,7 +13,7 @@ from gchw.ahuffman import (
     encode,
 )
 from gchw.bits import BitString
-from gchw.errors import CorruptStreamError
+from gchw.errors import CorruptStreamError, ParameterError
 from helpers import (
     ReferenceTree,
     bits_from01,
@@ -32,6 +32,13 @@ from test_golden_vectors import english_like
 def test_encode_empty():
     assert encode(b"").to01() == ""
     assert decode(BitString(), 0) == b""
+
+
+@pytest.mark.parametrize("symbol_count", [-1, -8])
+def test_a_negative_symbol_count_is_a_parameter_error(symbol_count):
+    for bits in (BitString(), encode(b"ab")):
+        with pytest.raises(ParameterError, match="at least 0"):
+            decode(bits, symbol_count)
 
 
 def test_encode_single_byte_is_raw_literal():
@@ -304,8 +311,8 @@ def test_decode_matches_index_reference_on_every_literal(rng):
     assert_decodes_like_reference(bits, len(data))
     # cut inside literals and codes, and append a bit, at several counts
     for cut in (1, 4, 8, 9, 300, len(bits) // 2):
-        assert_decodes_like_reference(BitString(bits.bits[:-cut]), len(data))
-    assert_decodes_like_reference(BitString(bits.bits + b"\x01"), len(data))
+        assert_decodes_like_reference(BitString(bits[:-cut]), len(data))
+    assert_decodes_like_reference(BitString(bits + b"\x01"), len(data))
     for count in (0, 1, 255, 256, 257, len(data) - 1, len(data) + 1):
         assert_decodes_like_reference(bits, count)
 
@@ -326,7 +333,7 @@ def test_decode_matches_index_reference_on_arbitrary_streams(stream, symbol_coun
 def test_decode_matches_index_reference_on_altered_encodings(data, cut, appended, delta):
     # the encoding truncated by ``cut`` bits, then ``appended`` added, read
     # for a symbol count ``delta`` away from the true one
-    stream = encode(data).bits
+    stream = encode(data)
     bits = BitString(stream[: len(stream) - cut] + bytes(appended))
     assert_decodes_like_reference(bits, max(0, len(data) + delta))
 
@@ -423,7 +430,7 @@ def test_encoder_decoder_trees_stay_synchronized(rng):
 def test_decode_rejects_truncation():
     bits = encode(b"adaptive")  # ends with the NYT code and the literal "e"
     for cut in (1, 5, 8):
-        truncated = BitString(bits.bits[:-cut])
+        truncated = BitString(bits[:-cut])
         with pytest.raises(CorruptStreamError, match="^bit stream ended mid-literal$"):
             decode(truncated, 8)
 
@@ -434,7 +441,7 @@ def test_decode_names_a_stream_that_ends_mid_code():
     bits = encode(data)
     assert len(bits) - start >= 2  # the last "c" is a code of two bits or more
     with pytest.raises(CorruptStreamError, match="^bit stream ended mid-code$"):
-        decode(BitString(bits.bits[: start + 1]), len(data))
+        decode(BitString(bits[: start + 1]), len(data))
 
 
 def test_decode_rejects_trailing_bits():

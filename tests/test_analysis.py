@@ -23,7 +23,7 @@ from gchw.analysis import (
     student_t_p_two_sided,
     unpaired_t,
 )
-from gchw.errors import ShapeError, StatisticsError
+from gchw.errors import ParameterError, ShapeError, StatisticsError
 from gchw.recurrence import RecurrenceKind
 
 MESSAGE = b"Cryptographist is the science of overt secret writing"
@@ -199,6 +199,13 @@ def test_contrast_csv_row_counts(key):
     distribution = [line for line in lines if line.startswith("e,")]
     assert len(distribution) == 6
     assert len(lines) == 1 + max(len(MESSAGE), series_len) + len(distribution)
+
+
+@pytest.mark.parametrize("char", ["ab", ""])
+def test_contrast_csv_refuses_a_char_that_is_not_one_character(key, char):
+    env = envelope.seal(MESSAGE, key)
+    with pytest.raises(ParameterError, match="exactly one character"):
+        contrast_csv(MESSAGE, env, char)
 
 
 def test_analyze_message_compresses_once(monkeypatch, key):

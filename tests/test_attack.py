@@ -124,6 +124,12 @@ def test_range_errors():
         stakhov_encrypt(M1, 101.0)
 
 
+@pytest.mark.parametrize("function", [sfs, cfs, lambda x: stakhov_encrypt(M1, x)])
+def test_a_nan_argument_is_a_parameter_error(function):
+    with pytest.raises(ParameterError):
+        function(math.nan)
+
+
 def test_non_finite_ciphertext_is_attack_error():
     with pytest.raises(AttackError):
         recover_x(((0.0, math.nan), (0.0, 0.0)))

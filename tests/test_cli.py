@@ -267,6 +267,13 @@ def test_attack_demo_output(capsys):
     assert "residual" in out
 
 
+def test_attack_demo_refuses_a_nan_key_before_encrypting(capsys):
+    assert run("attack-demo", "--x", "nan") == 5
+    captured = capsys.readouterr()
+    assert "->" not in captured.out
+    assert "|x| must be at most" in captured.err
+
+
 def test_usage_errors_exit_5(tmp_path):
     assert run("frobnicate") == 5
     assert run("encrypt", "--key", str(tmp_path / "nope")) == 5  # missing --in/--out

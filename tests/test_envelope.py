@@ -153,6 +153,23 @@ def test_serialize_rejects_block_of_wrong_length(key):
         envelope.serialize(short)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("plain_byte_count", -1), ("compressed_bit_count", 2**64), ("plain_byte_count", 2**64)],
+)
+def test_a_count_past_its_header_field_is_corruption_before_the_mac(monkeypatch, key, field, value):
+    forged = dataclasses.replace(envelope.seal(MESSAGE, key), **{field: value})
+    with pytest.raises(CorruptionError, match="does not fit the wire"):
+        envelope.serialize(forged)
+
+    def no_verify(*args):
+        raise AssertionError("the tag was checked")
+
+    monkeypatch.setattr(envelope.auth, "verify", no_verify)
+    with pytest.raises(CorruptionError, match="does not fit the wire"):
+        envelope.open(forged, key)
+
+
 @pytest.mark.parametrize("cut", [-1, 1, 8])
 def test_body_that_is_not_whole_blocks_is_a_typed_error(key, cut):
     env = envelope.seal(MESSAGE, key)

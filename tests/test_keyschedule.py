@@ -331,6 +331,23 @@ def test_cipher_key_validation(kwargs):
         make_key(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(n=5.0),
+        dict(p=1.0),
+        dict(level=2.0),
+        dict(n="5"),
+        dict(seed="s" * 32),
+        dict(seed=bytearray(32)),
+        dict(mac_key=bytearray(32)),
+    ],
+)
+def test_cipher_key_refuses_a_field_of_the_wrong_type(kwargs):
+    with pytest.raises(ParameterError, match="must be"):
+        make_key(**kwargs)
+
+
 def test_key_file_roundtrip():
     key = make_key(kind=RecurrenceKind.ELC, n=7, level=3)
     assert parse_key(format_key(key)) == key
