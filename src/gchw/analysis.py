@@ -17,7 +17,6 @@ from itertools import chain, repeat, zip_longest
 from operator import mul, pow, sub, truediv
 
 from . import ahuffman, auth
-from .blockcipher import body_blocks
 from .envelope import CipherEnvelope, _seal_packed
 from .errors import ParameterError, StatisticsError
 from .keyschedule import CipherKey
@@ -167,8 +166,7 @@ def _regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 
 def cipher_series(env: CipherEnvelope) -> list[float]:
     """The body's ciphertext entries, in wire order, as reals (scaled ints / 2**scale_exp)."""
-    entries = chain.from_iterable(body_blocks(env.body, env.z, env.entry_bytes))
-    return list(map(truediv, entries, repeat(float(1 << env.scale_exp))))
+    return list(map(truediv, chain.from_iterable(env.blocks), repeat(float(1 << env.scale_exp))))
 
 
 def seed_variant(key: CipherKey, index: int) -> CipherKey:
@@ -220,6 +218,8 @@ def contrast_csv(plain: bytes, env: CipherEnvelope, char: str | None = None) -> 
     When ``char`` is given, one extra row ``char,position,cipher_value`` is
     appended per occurrence of that character in the plaintext.
     """
+    if char is not None and (type(char) is not str or len(char) != 1):
+        raise ParameterError(f"char must be exactly one character, got {char!r}")
     cipher = list(map(repr, cipher_series(env)))
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -227,8 +227,6 @@ def contrast_csv(plain: bytes, env: CipherEnvelope, char: str | None = None) -> 
     rows = max(len(plain), len(cipher))
     writer.writerows(zip_longest(range(rows), plain, cipher, fillvalue=""))
     if char is not None:
-        if len(char) != 1:
-            raise ParameterError(f"char must be exactly one character, got {char!r}")
         target = ord(char)
         writer.writerows(
             (char, position, cipher[position] if position < len(cipher) else "")

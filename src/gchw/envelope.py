@@ -20,7 +20,9 @@ width that holds every entry the key can produce.  :attr:`CipherEnvelope.body`
 holds the body exactly as :func:`~gchw.blockcipher.encrypt_message` returns
 it and as it crosses the wire; :attr:`CipherEnvelope.blocks` is a decoded
 view of it.  Version 1 envelopes (int64 entries, tag over the compressed
-bytes) are not read.
+bytes) are not read.  One check, ``_check``, holds the header rules:
+:func:`deserialize` applies it to the wire's fields, and :func:`serialize`,
+:func:`open` and :attr:`CipherEnvelope.blocks` to an in-memory envelope.
 """
 
 from __future__ import annotations
@@ -30,13 +32,12 @@ from dataclasses import dataclass, replace
 
 from . import ahuffman, auth, blockcipher
 from .bits import BitString
-from .errors import AuthenticationError, CorruptionError, ParseError, ShapeError
+from .errors import AuthenticationError, CorruptionError, GchwError, ParseError, ShapeError
 from .keyschedule import MAX_LEVEL, CipherKey
 
 MAGIC = b"GCHW"
 VERSION = 2
 _HEADER = struct.Struct(">4sBHBBQQI")
-_MAX_SCALE_EXP = 2 * MAX_LEVEL
 
 
 @dataclass(frozen=True)
@@ -55,28 +56,46 @@ class CipherEnvelope:
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """The body decoded into one tuple of z*z scaled entries per block."""
+        _check(self)
         return tuple(blockcipher.body_blocks(self.body, self.z, self.entry_bytes))
 
 
-def _expected_block_count(bit_count: int, z: int) -> int:
-    return ((bit_count + 7) // 8 + z * z - 1) // (z * z)
+def _check(env: CipherEnvelope) -> None:
+    """Apply the wire format's rules to ``env``: :class:`ShapeError` if its body
+    is not whole blocks, :class:`CorruptionError` for any other fault."""
+    z, width = env.z, env.entry_bytes
+    if env.version != VERSION:
+        raise CorruptionError(f"unknown version {env.version}")
+    if not 2 <= z <= 1 << MAX_LEVEL or z & (z - 1):
+        raise CorruptionError(f"invalid block order {z}")
+    if not 2 <= env.scale_exp <= 2 * MAX_LEVEL or env.scale_exp % 2:
+        raise CorruptionError(f"invalid scale exponent {env.scale_exp}")
+    if not 1 <= width <= 8:
+        raise CorruptionError(f"invalid entry width {width}")
+    for count in (env.plain_byte_count, env.compressed_bit_count):
+        if not 0 <= count < 1 << 64:
+            raise CorruptionError(f"count {count} does not fit the wire")
+    blocks, rest = divmod(len(env.body), width * z * z)
+    if rest:
+        raise ShapeError(f"body of {len(env.body)} bytes is not whole blocks of order {z}")
+    if blocks != ((env.compressed_bit_count + 7) // 8 + z * z - 1) // (z * z):
+        raise CorruptionError("block count disagrees with the compressed bit count")
+    if len(env.tag) != auth.TAG_SIZE:
+        raise CorruptionError(f"tag of {len(env.tag)} bytes, not {auth.TAG_SIZE}")
 
 
 def _header(env: CipherEnvelope) -> bytes:
     """The wire header of ``env``; with the body, the bytes its tag covers."""
-    try:
-        return _HEADER.pack(
-            MAGIC,
-            env.version,
-            env.z,
-            env.scale_exp,
-            env.entry_bytes,
-            env.plain_byte_count,
-            env.compressed_bit_count,
-            len(env.body) // (env.entry_bytes * env.z * env.z),
-        )
-    except struct.error as exc:
-        raise CorruptionError(f"header field does not fit the wire: {exc}") from None
+    return _HEADER.pack(
+        MAGIC,
+        env.version,
+        env.z,
+        env.scale_exp,
+        env.entry_bytes,
+        env.plain_byte_count,
+        env.compressed_bit_count,
+        len(env.body) // (env.entry_bytes * env.z * env.z),
+    )
 
 
 def seal(message: bytes, key: CipherKey) -> CipherEnvelope:
@@ -105,13 +124,10 @@ def _seal_packed(
 
 def open(env: CipherEnvelope, key: CipherKey) -> bytes:  # noqa: A001 - mirrors seal
     """Check the header against the key, verify the tag, then decrypt and decode."""
-    if env.version != VERSION:
-        raise ParseError(f"unsupported envelope version {env.version}")
     kp = key.matrix_pair
     if (env.z, env.scale_exp, env.entry_bytes) != (kp.z, kp.scale_exp, kp.entry_bytes):
         raise CorruptionError("envelope was sealed under different key parameters")
-    if len(env.body) % (kp.entry_bytes * kp.z * kp.z):
-        raise ShapeError(f"body of {len(env.body)} bytes is not whole blocks of key order {kp.z}")
+    _check(env)
     if not auth.verify(key.mac_key, _header(env) + env.body, env.tag):
         raise AuthenticationError("MAC tag mismatch: data attack or wrong key")
     compressed = blockcipher.decrypt_message(env.body, kp, (env.compressed_bit_count + 7) // 8)
@@ -121,42 +137,24 @@ def open(env: CipherEnvelope, key: CipherKey) -> bytes:  # noqa: A001 - mirrors 
 
 def serialize(env: CipherEnvelope) -> bytes:
     """Render the exact wire bytes for an envelope: header, body, tag."""
-    if len(env.body) % (env.entry_bytes * env.z * env.z):
-        raise CorruptionError(
-            f"body of {len(env.body)} bytes is not whole blocks of order {env.z}"
-        )
+    _check(env)
     return b"".join((_header(env), env.body, env.tag))
 
 
 def deserialize(data: bytes) -> CipherEnvelope:
     """Parse wire bytes; raises :class:`ParseError` on any structural fault."""
-    if len(data) < _HEADER.size:
-        raise ParseError("truncated envelope header")
-    magic, version, z, scale_exp, entry_bytes, plain_count, bit_count, block_count = (
-        _HEADER.unpack_from(data)
-    )
+    if len(data) < _HEADER.size + auth.TAG_SIZE:
+        raise ParseError("truncated envelope")
+    magic, *fields, block_count = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise ParseError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise ParseError(f"unknown version {version}")
-    if z & (z - 1) or not 2 <= z <= 1 << MAX_LEVEL:
-        raise ParseError(f"invalid block order {z}")
-    if scale_exp % 2 or not 2 <= scale_exp <= _MAX_SCALE_EXP:
-        raise ParseError(f"invalid scale exponent {scale_exp}")
-    if not 1 <= entry_bytes <= 8:
-        raise ParseError(f"invalid entry width {entry_bytes}")
-    if block_count != _expected_block_count(bit_count, z):
-        raise ParseError("block count disagrees with the compressed bit count")
-    expected = _HEADER.size + block_count * z * z * entry_bytes + auth.TAG_SIZE
-    if len(data) != expected:
-        raise ParseError(f"envelope length {len(data)} != expected {expected}")
-    return CipherEnvelope(
-        version=version,
-        z=z,
-        scale_exp=scale_exp,
-        entry_bytes=entry_bytes,
-        plain_byte_count=plain_count,
-        compressed_bit_count=bit_count,
-        body=bytes(data[_HEADER.size : -auth.TAG_SIZE]),
-        tag=bytes(data[-auth.TAG_SIZE:]),
-    )
+    body, tag = data[_HEADER.size : -auth.TAG_SIZE], data[-auth.TAG_SIZE :]
+    env = CipherEnvelope(*fields, bytes(body), bytes(tag))
+    try:
+        _check(env)
+    except GchwError as exc:
+        raise ParseError(str(exc)) from None
+    blocks = len(env.body) // (env.entry_bytes * env.z * env.z)
+    if block_count != blocks:
+        raise ParseError(f"header records {block_count} blocks, the body holds {blocks}")
+    return env

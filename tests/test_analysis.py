@@ -201,7 +201,7 @@ def test_contrast_csv_row_counts(key):
     assert len(lines) == 1 + max(len(MESSAGE), series_len) + len(distribution)
 
 
-@pytest.mark.parametrize("char", ["ab", ""])
+@pytest.mark.parametrize("char", ["ab", "", b"a"])
 def test_contrast_csv_refuses_a_char_that_is_not_one_character(key, char):
     env = envelope.seal(MESSAGE, key)
     with pytest.raises(ParameterError, match="exactly one character"):

@@ -2,13 +2,14 @@
 
 import dataclasses
 import struct
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_key
 from gchw import blockcipher, envelope, keyschedule
-from gchw.analysis import analyze_message, seed_variant
+from gchw.analysis import analyze_message, cipher_series, contrast_csv, seed_variant
 from gchw.blockcipher import body_blocks, decrypt_block, decrypt_message, unpartition
 from gchw.errors import (
     AuthenticationError,
@@ -149,7 +150,7 @@ def test_serialize_rejects_block_of_wrong_length(key):
     env = envelope.seal(MESSAGE, key)
     # the last block is one entry short
     short = dataclasses.replace(env, body=env.body[: -env.entry_bytes])
-    with pytest.raises(CorruptionError, match="not whole blocks"):
+    with pytest.raises(ShapeError, match="not whole blocks"):
         envelope.serialize(short)
 
 
@@ -177,7 +178,7 @@ def test_body_that_is_not_whole_blocks_is_a_typed_error(key, cut):
     forged = dataclasses.replace(env, body=body)
     with pytest.raises(ShapeError, match="not whole blocks"):
         envelope.open(forged, key)
-    with pytest.raises(CorruptionError, match="not whole blocks"):
+    with pytest.raises(ShapeError, match="not whole blocks"):
         envelope.serialize(forged)
     with pytest.raises(ShapeError, match="not whole blocks"):
         forged.blocks
@@ -362,7 +363,7 @@ def test_in_memory_tampering_fails_like_the_per_block_route(name, key):
     expected = decrypt_outcome(per_block_decrypt, forged, key)
     assert isinstance(expected, tuple)
     assert decrypt_outcome(decrypt_message, forged, key) == expected
-    with pytest.raises(AuthenticationError):
+    with pytest.raises(CorruptionError, match="block count disagrees"):
         envelope.open(forged, key)
 
 
@@ -385,3 +386,73 @@ def test_moved_padding_with_a_later_corrupt_block_names_the_block(key, bit_delta
         assert decrypt_outcome(decrypt_message, forged, key) == expected
         with pytest.raises(AuthenticationError):
             envelope.open(forged, key)
+
+
+@st.composite
+def in_memory_envelopes(draw):
+    """Envelopes with arbitrary integer fields, bodies of at most 4 KiB and 0-40 byte tags."""
+    # in half the envelopes every header field is valid, so some pass every check
+    free = draw(st.booleans())
+
+    def _field(valid):
+        return st.one_of(st.sampled_from(valid), st.integers()) if free else st.sampled_from(valid)
+
+    version, z, scale_exp, width, plain_count = (
+        draw(_field(valid))
+        for valid in (
+            [envelope.VERSION],
+            [2**k for k in range(1, MAX_LEVEL + 1)],
+            range(2, 2 * MAX_LEVEL + 1, 2),
+            range(1, 9),
+            [0, 2**64 - 1],
+        )
+    )
+    size = width * z * z
+    blocks = draw(st.integers(0, 4096 // size)) if 0 < size <= 4096 else 0
+    body = draw(st.binary(min_size=blocks * size, max_size=blocks * size) | st.binary(max_size=4096))
+    # the least and the most bits that `blocks` blocks carry
+    bit_count = draw(_field([8 * (blocks - 1) * z * z + 1, 8 * blocks * z * z] if blocks else [0]))
+    tag = draw(st.binary(min_size=32, max_size=32) | st.binary(max_size=40))
+    return envelope.CipherEnvelope(version, z, scale_exp, width, plain_count, bit_count, body, tag)
+
+
+# a valid envelope of one level-2 block, and the faults that once escaped as untyped errors
+_VALID = envelope.CipherEnvelope(2, 4, 4, 3, 1, 8, bytes(48), bytes(32))
+_LEVEL_2_KEY = make_key(level=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(env=in_memory_envelopes())
+@example(env=_VALID)
+@example(env=dataclasses.replace(_VALID, z=0))
+@example(env=dataclasses.replace(_VALID, entry_bytes=0))
+@example(env=dataclasses.replace(_VALID, entry_bytes=-1))
+@example(env=dataclasses.replace(_VALID, scale_exp=-1))
+@example(env=dataclasses.replace(_VALID, z=2**64))
+@example(env=dataclasses.replace(_VALID, z=-(2**63)))
+@example(env=dataclasses.replace(_VALID, scale_exp=65536))
+@example(env=dataclasses.replace(_VALID, tag=b""))
+@example(env=dataclasses.replace(_VALID, z=3, body=bytes(27)))
+def test_in_memory_envelopes_fail_only_with_typed_errors_in_bounded_memory(env):
+    key = _LEVEL_2_KEY
+    key.matrix_pair  # derive before anything is measured
+    calls = {
+        "serialize": envelope.serialize,
+        "open": lambda e: envelope.open(e, key),
+        ".blocks": lambda e: e.blocks,
+        "cipher_series": cipher_series,
+        "contrast_csv": lambda e: contrast_csv(MESSAGE, e, "e"),
+    }
+    results = {}
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            results[name] = call(env)
+        except GchwError:
+            pass
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak < 1 << 20, (name, peak)
+    if "serialize" in results:
+        assert envelope.deserialize(results["serialize"]) == env
