@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 from itertools import chain, repeat, zip_longest
 from operator import mul, pow, sub, truediv
 
-from . import ahuffman, auth
-from .envelope import CipherEnvelope, _seal_packed
+from . import auth
+from .envelope import CipherEnvelope, _compress, _seal_packed
 from .errors import ParameterError, StatisticsError
 from .keyschedule import CipherKey
 
@@ -182,7 +182,7 @@ def analyze_message(message: bytes, key: CipherKey, seeds: int = 1) -> list[Anal
     Each variant's cipher series is compared pairwise against the plaintext
     bytes (correlation and paired t) and, unpaired, against variant 0's
     cipher series.  The variants differ only in the seed, so the message is
-    compressed once and each variant runs the keyed half of ``seal``.
+    compressed (or stored) once and each variant runs the keyed half of ``seal``.
     """
     return _analyze(message, key, seeds)[0]
 
@@ -191,12 +191,11 @@ def _analyze(message: bytes, key: CipherKey, seeds: int) -> tuple[list[AnalysisR
     """:func:`analyze_message`, plus variant 0's envelope, which is ``seal(message, key)``."""
     if not 1 <= seeds <= MAX_SEEDS:
         raise StatisticsError(f"seeds must be in 1..{MAX_SEEDS}, got {seeds}")
-    bits = ahuffman.encode(message)
-    compressed = bits.pack()
+    unkeyed = _compress(message)
     message_values = list(map(float, message))
     reports = []
     for index in range(seeds):
-        env = _seal_packed(compressed, len(bits), len(message), seed_variant(key, index))
+        env = _seal_packed(*unkeyed, len(message), seed_variant(key, index))
         series = cipher_series(env)
         n = min(len(message), len(series))
         plain = message_values[:n]

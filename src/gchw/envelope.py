@@ -1,4 +1,4 @@
-"""Seal/open pipeline and the GCHW wire format, version 2.
+"""Seal/open pipeline and the GCHW wire format, versions 2 and 3.
 
 Sealing compresses the message with the adaptive Huffman codec, encrypts
 the packed compressed bytes in Z x Z blocks, and computes the HMAC tag
@@ -8,9 +8,16 @@ where the encoder stopped.  Opening checks the header against the key and
 verifies the tag before anything is decrypted, so a forged envelope costs
 one HMAC; only then does it decrypt, unpack and decode.
 
+A message that FGK would not shorten, by the fixed rule of ``_compress``,
+is stored instead, as DEFLATE stores a block it cannot compress (RFC 1951,
+section 3.2.4): the envelope carries version 3, its body encrypts the
+message bytes themselves, and its bit count must be 8 * plain_byte_count.
+Opening it decrypts and neither unpacks nor decodes.  Every FGK envelope
+is version 2.
+
 Wire layout, big-endian throughout::
 
-    "GCHW" | version u8 = 2 | z u16 | scale_exp u8 | entry_bytes u8 |
+    "GCHW" | version u8 = 2 or 3 | z u16 | scale_exp u8 | entry_bytes u8 |
     plain_byte_count u64 | compressed_bit_count u64 | block_count u32 |
     body (z*z signed scaled entries of entry_bytes each per block, row-major) |
     tag (32 bytes: HMAC-SHA-256(mac_key, header || body))
@@ -28,7 +35,9 @@ bytes) are not read.  One check, ``_check``, holds the header rules:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass, fields, replace
+from math import log2
 
 from . import ahuffman, auth, blockcipher
 from .bits import BitString
@@ -36,7 +45,8 @@ from .errors import AuthenticationError, CorruptionError, GchwError, ParseError,
 from .keyschedule import MAX_LEVEL, CipherKey
 
 MAGIC = b"GCHW"
-VERSION = 2
+VERSION = 2  # an FGK-compressed body
+STORED = 3  # the message bytes themselves
 _HEADER = struct.Struct(">4sBHBBQQI")
 
 
@@ -63,8 +73,13 @@ class CipherEnvelope:
 def _check(env: CipherEnvelope) -> None:
     """Apply the wire format's rules to ``env``: :class:`ShapeError` if its body
     is not whole blocks, :class:`CorruptionError` for any other fault."""
+    for field in fields(env)[:6]:  # the integer header fields
+        value = getattr(env, field.name)
+        if type(value) is not int:
+            raise CorruptionError(f"{field.name} must be an int, got {type(value).__name__}")
     z, width = env.z, env.entry_bytes
-    if env.version != VERSION:
+    bits, plain = env.compressed_bit_count, env.plain_byte_count
+    if env.version not in (VERSION, STORED):
         raise CorruptionError(f"unknown version {env.version}")
     if not 2 <= z <= 1 << MAX_LEVEL or z & (z - 1):
         raise CorruptionError(f"invalid block order {z}")
@@ -72,13 +87,15 @@ def _check(env: CipherEnvelope) -> None:
         raise CorruptionError(f"invalid scale exponent {env.scale_exp}")
     if not 1 <= width <= 8:
         raise CorruptionError(f"invalid entry width {width}")
-    for count in (env.plain_byte_count, env.compressed_bit_count):
+    for count in (plain, bits):
         if not 0 <= count < 1 << 64:
             raise CorruptionError(f"count {count} does not fit the wire")
+    if env.version == STORED and bits != 8 * plain:
+        raise CorruptionError(f"stored envelope of {plain} bytes records {bits} bits")
     blocks, rest = divmod(len(env.body), width * z * z)
     if rest:
         raise ShapeError(f"body of {len(env.body)} bytes is not whole blocks of order {z}")
-    if blocks != ((env.compressed_bit_count + 7) // 8 + z * z - 1) // (z * z):
+    if blocks != ((bits + 7) // 8 + z * z - 1) // (z * z):
         raise CorruptionError("block count disagrees with the compressed bit count")
     if len(env.tag) != auth.TAG_SIZE:
         raise CorruptionError(f"tag of {len(env.tag)} bytes, not {auth.TAG_SIZE}")
@@ -98,40 +115,61 @@ def _header(env: CipherEnvelope) -> bytes:
     )
 
 
-def seal(message: bytes, key: CipherKey) -> CipherEnvelope:
-    """Compress, encrypt, and tag a message under the shared key."""
+def _compress(message: bytes) -> tuple[int, bytes, int]:
+    """The unkeyed half of :func:`seal`: the version, the bytes to encrypt and their bit count.
+
+    A strided sample of at most 4096 of the message's bytes, k in all, is
+    costed as a static order-0 code plus one 8-bit literal per distinct
+    byte, ``sum(c * log2(k / c)) + 8 * distinct`` bits over the byte counts
+    c.  At ``8 * k`` bits or more the message is stored (version 3);
+    otherwise it is FGK-coded, as is the empty message.
+    """
+    sample = message[:: len(message) // 4096 + 1]
+    k, counts = len(sample), Counter(sample).values()
+    if k and sum(c * log2(k / c) for c in counts) + 8 * len(counts) >= 8 * k:
+        return STORED, message, 8 * len(message)
     bits = ahuffman.encode(message)
-    return _seal_packed(bits.pack(), len(bits), len(message), key)
+    return VERSION, bits.pack(), len(bits)
+
+
+def seal(message: bytes, key: CipherKey) -> CipherEnvelope:
+    """Compress (or store), encrypt, and tag a message under the shared key."""
+    return _seal_packed(*_compress(message), len(message), key)
 
 
 def _seal_packed(
-    compressed: bytes, bit_count: int, byte_count: int, key: CipherKey
+    version: int, payload: bytes, bit_count: int, byte_count: int, key: CipherKey
 ) -> CipherEnvelope:
-    """The keyed half of :func:`seal`: encrypt packed compressed bytes, then tag."""
+    """The keyed half of :func:`seal`: encrypt the payload :func:`_compress` made, then tag."""
     kp = key.matrix_pair
     env = CipherEnvelope(
-        version=VERSION,
+        version=version,
         z=kp.z,
         scale_exp=kp.scale_exp,
         entry_bytes=kp.entry_bytes,
         plain_byte_count=byte_count,
         compressed_bit_count=bit_count,
-        body=blockcipher.encrypt_message(compressed, kp),
+        body=blockcipher.encrypt_message(payload, kp),
         tag=b"",
     )
     return replace(env, tag=auth.mac(key.mac_key, _header(env) + env.body))
 
 
 def open(env: CipherEnvelope, key: CipherKey) -> bytes:  # noqa: A001 - mirrors seal
-    """Check the header against the key, verify the tag, then decrypt and decode."""
+    """Check the header against the key, verify the tag, then decrypt and decode.
+
+    A stored (version 3) body decrypts to the message itself.
+    """
     kp = key.matrix_pair
     if (env.z, env.scale_exp, env.entry_bytes) != (kp.z, kp.scale_exp, kp.entry_bytes):
         raise CorruptionError("envelope was sealed under different key parameters")
     _check(env)
     if not auth.verify(key.mac_key, _header(env) + env.body, env.tag):
         raise AuthenticationError("MAC tag mismatch: data attack or wrong key")
-    compressed = blockcipher.decrypt_message(env.body, kp, (env.compressed_bit_count + 7) // 8)
-    bits = BitString.unpack(compressed, env.compressed_bit_count)
+    payload = blockcipher.decrypt_message(env.body, kp, (env.compressed_bit_count + 7) // 8)
+    if env.version == STORED:
+        return payload
+    bits = BitString.unpack(payload, env.compressed_bit_count)
     return ahuffman.decode(bits, env.plain_byte_count)
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -28,6 +29,8 @@ from gchw.recurrence import RecurrenceKind
 
 MESSAGE = b"Cryptographist is the science of overt secret writing"
 MESSAGE_2 = b"meet me after party"
+# random bytes, which seal stores rather than compresses
+RANDOM = random.Random(4).randbytes(2048)
 
 
 def t_density(u, df):
@@ -223,7 +226,7 @@ def test_analyze_message_compresses_once(monkeypatch, key):
         assert encoded == [MESSAGE]
 
 
-@pytest.mark.parametrize("message", [MESSAGE, MESSAGE_2])
+@pytest.mark.parametrize("message", [MESSAGE, MESSAGE_2, pytest.param(RANDOM, id="random")])
 def test_analyze_message_matches_one_seal_per_variant(key, message):
     # the reports analyze_message gave when it sealed each variant in full
     reports = []
@@ -245,6 +248,13 @@ def test_analyze_returns_the_sealed_envelope_of_variant_0(key, seeds):
     reports, env = _analyze(MESSAGE, key, seeds)
     assert reports == analyze_message(MESSAGE, key, seeds=seeds)
     assert envelope.serialize(env) == envelope.serialize(envelope.seal(MESSAGE, key))
+
+
+def test_analyze_returns_the_stored_envelope_of_a_random_message(key):
+    reports, env = _analyze(RANDOM, key, 2)
+    assert env.version == envelope.STORED
+    assert env == envelope.seal(RANDOM, key)
+    assert reports == analyze_message(RANDOM, key, seeds=2)
 
 
 def test_analyze_message_rejects_zero_seeds(key):

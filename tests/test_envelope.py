@@ -1,6 +1,7 @@
 """Seal/open pipeline, the wire format, and tamper behaviour."""
 
 import dataclasses
+import random
 import struct
 import tracemalloc
 
@@ -244,6 +245,76 @@ def test_flipping_count_fields_is_detected(key):
             envelope.open(envelope.deserialize(bytes(tampered)), key)
 
 
+RANDOM = random.Random(3).randbytes(4096)
+# FGK codes these 33 bytes in exactly 264 bits, so with the version byte
+# flipped to 3 the header is still a valid stored one
+EXACT_FIT = b"And block secret compression the "
+
+
+def test_random_bytes_are_stored_and_open_neither_unpacks_nor_decodes(monkeypatch, key):
+    def refuse(*args):
+        raise AssertionError("the FGK route ran")
+
+    monkeypatch.setattr(envelope.ahuffman, "encode", refuse)
+    env = envelope.seal(RANDOM, key)
+    assert (env.version, env.compressed_bit_count) == (envelope.STORED, 8 * len(RANDOM))
+    monkeypatch.setattr(envelope.ahuffman, "decode", refuse)
+    monkeypatch.setattr(envelope.BitString, "unpack", refuse)
+    assert envelope.open(envelope.deserialize(envelope.serialize(env)), key) == RANDOM
+
+
+@pytest.mark.parametrize("message, version", [(RANDOM, 3), (EXACT_FIT, 2)], ids=["stored", "fgk"])
+def test_the_tag_covers_the_version_byte(key, message, version):
+    env = envelope.seal(message, key)
+    assert (env.version, env.compressed_bit_count) == (version, 8 * len(message))
+    wire = envelope.serialize(dataclasses.replace(env, version=5 - version))
+    with pytest.raises(AuthenticationError):
+        envelope.open(envelope.deserialize(wire), key)
+
+
+@pytest.mark.parametrize(
+    "field, delta",
+    [("compressed_bit_count", -8), ("compressed_bit_count", -1), ("plain_byte_count", 1)],
+)
+def test_a_stored_envelope_needs_8_bits_per_byte(monkeypatch, key, field, delta):
+    env = envelope.seal(RANDOM, key)
+    forged = dataclasses.replace(env, **{field: getattr(env, field) + delta})
+    wire = bytearray(envelope.serialize(env))
+    # plain_byte_count is bytes 9..17 and the bit count 17..25
+    at = 9 if field == "plain_byte_count" else 17
+    wire[at : at + 8] = getattr(forged, field).to_bytes(8, "big")
+    with pytest.raises(ParseError, match="stored envelope"):
+        envelope.deserialize(bytes(wire))
+
+    def no_verify(*args):
+        raise AssertionError("the tag was checked")
+
+    monkeypatch.setattr(envelope.auth, "verify", no_verify)
+    with pytest.raises(CorruptionError, match="stored envelope"):
+        envelope.open(forged, key)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("plain_byte_count", 5.0),
+        ("z", 4.0),
+        ("version", True),
+        ("scale_exp", "4"),
+        ("entry_bytes", None),
+    ],
+)
+def test_a_header_field_that_is_not_an_int_is_corruption(key, field, value):
+    forged = dataclasses.replace(envelope.seal(MESSAGE, key), **{field: value})
+    with pytest.raises(CorruptionError, match=f"{field} must be an int"):
+        envelope.serialize(forged)
+    with pytest.raises(CorruptionError, match=f"{field} must be an int"):
+        forged.blocks
+    # open compares z, scale_exp and entry_bytes with the key's first
+    with pytest.raises(CorruptionError):
+        envelope.open(forged, key)
+
+
 def test_one_derive_per_key_object(monkeypatch, key):
     derived = []
     real_derive = keyschedule.derive
@@ -397,14 +468,13 @@ def in_memory_envelopes(draw):
     def _field(valid):
         return st.one_of(st.sampled_from(valid), st.integers()) if free else st.sampled_from(valid)
 
-    version, z, scale_exp, width, plain_count = (
+    version, z, scale_exp, width = (
         draw(_field(valid))
         for valid in (
-            [envelope.VERSION],
+            [envelope.VERSION, envelope.STORED],
             [2**k for k in range(1, MAX_LEVEL + 1)],
             range(2, 2 * MAX_LEVEL + 1, 2),
             range(1, 9),
-            [0, 2**64 - 1],
         )
     )
     size = width * z * z
@@ -412,6 +482,8 @@ def in_memory_envelopes(draw):
     body = draw(st.binary(min_size=blocks * size, max_size=blocks * size) | st.binary(max_size=4096))
     # the least and the most bits that `blocks` blocks carry
     bit_count = draw(_field([8 * (blocks - 1) * z * z + 1, 8 * blocks * z * z] if blocks else [0]))
+    # bit_count // 8 bytes make a valid stored envelope of the most bits
+    plain_count = draw(_field([0, 2**64 - 1, bit_count // 8]))
     tag = draw(st.binary(min_size=32, max_size=32) | st.binary(max_size=40))
     return envelope.CipherEnvelope(version, z, scale_exp, width, plain_count, bit_count, body, tag)
 
@@ -433,6 +505,11 @@ _LEVEL_2_KEY = make_key(level=2)
 @example(env=dataclasses.replace(_VALID, scale_exp=65536))
 @example(env=dataclasses.replace(_VALID, tag=b""))
 @example(env=dataclasses.replace(_VALID, z=3, body=bytes(27)))
+@example(env=dataclasses.replace(_VALID, version=envelope.STORED))
+@example(env=dataclasses.replace(_VALID, version=envelope.STORED, compressed_bit_count=7))
+@example(env=dataclasses.replace(_VALID, plain_byte_count=5.0))
+@example(env=dataclasses.replace(_VALID, z=4.0))
+@example(env=dataclasses.replace(_VALID, version=True))
 def test_in_memory_envelopes_fail_only_with_typed_errors_in_bounded_memory(env):
     key = _LEVEL_2_KEY
     key.matrix_pair  # derive before anything is measured

@@ -2,8 +2,8 @@
 
 They are frozen so codec and block-layer rewrites stay bit-exact.  The
 stream values were produced by the per-bit reference codec and the wire
-digests by the per-block encrypt route; they must never be regenerated
-from the code under test.
+digests by the per-block encrypt route or a plain matrix product; they
+must never be regenerated from the code under test.
 """
 
 import hashlib
@@ -16,7 +16,7 @@ from gchw import auth
 from gchw.ahuffman import decode, encode
 from gchw.bits import BitString
 from gchw.blockcipher import encrypt_block, partition
-from gchw.envelope import deserialize, seal, serialize
+from gchw.envelope import _compress, _seal_packed, deserialize, seal, serialize
 from gchw.envelope import open as open_envelope
 from gchw.keyschedule import parse_key
 
@@ -107,11 +107,14 @@ def test_bulk_stream_digests(name):
 # Wire vectors: SHA-256 of ``serialize(seal(message, key))`` for fixed key
 # files, levels 1-4 of each kind plus one level-6 key, so block-layer
 # rewrites stay byte-exact.  Each seed is two bytes (level, kind index)
-# repeated to 32 bytes.  WIRE_DIGESTS pin the version-2 format and came
-# from a per-block writer (partition, encrypt_block, entries at the key's
-# width, HMAC over header || body).  V1_WIRE_DIGESTS pin the version-1
-# wire of the same envelopes, which ``v1_wire`` rebuilds, so the
-# ciphertext integers stay those of every earlier release.
+# repeated to 32 bytes.  WIRE_DIGESTS pin the version-2 (FGK) format of
+# every message and came from a per-block writer (partition, encrypt_block,
+# entries at the key's width, HMAC over header || body).  V1_WIRE_DIGESTS
+# pin the version-1 wire of the same envelopes, which ``v1_wire`` rebuilds,
+# so the ciphertext integers stay those of every earlier release.  seal
+# stores STORED_MESSAGE (version 3, the message bytes encrypted as they
+# are); V3_WIRE_DIGESTS pin that wire and came from a plain-Python
+# block @ E_scaled product, checked against the per-block writer.
 WIRE_KINDS = {"fibonacci": (5, 1), "lucas": (5, 1), "elc": (3, 1)}
 
 
@@ -126,6 +129,26 @@ WIRE_MESSAGES = {
     **{f"demo{i}": message for i, (message, _, _) in enumerate(DEMO_VECTORS)},
     "text-4KiB": english_like(4096, 6),
     "random-4KiB": random.Random(6).randbytes(4096),
+}
+
+# the one golden message FGK does not shorten, named here rather than
+# taken from the library's rule
+STORED_MESSAGE = "random-4KiB"
+
+V3_WIRE_DIGESTS = {
+    ("elc", 1): "92aa56854f2e12abcc436805aec05dba9546316a1be5dbe4088521b0a8d4144a",
+    ("elc", 2): "0adb74a7dcf49348a5d896b5e8d20069a8d1c02b00f6506ff7094c45fe8ce9f7",
+    ("elc", 3): "fb229ff24bde61cca4d8e9314534160a74fb3e3d369dbd97f41d857b3e2e837d",
+    ("elc", 4): "9ebda34fb82ce7dbc5be755f248fd35caa2ced85187e83a3159256e80471b3e0",
+    ("fibonacci", 1): "6c9e5aa58a8f0a920bfe3ba071bb4f0cda07416260a37d881a4bfa1996dfdd15",
+    ("fibonacci", 2): "6f068ad2a2634beae75edd4644cfb32a440e13ebd2e56ed5fea2bc1a4c9c0c3c",
+    ("fibonacci", 3): "b6989babb06f562c61b922368b6ab0cad660bd615a9453fa9ab1347b16760a96",
+    ("fibonacci", 4): "1dedf86a95de7aaba27145857ca218277be3f7e081f364c63c03dc1313f43bd6",
+    ("fibonacci", 6): "fb1aa3e08c036d5f214bfa84c92b1a8a2b5f19cb653ee73c42f34feb2475398c",
+    ("lucas", 1): "ea15650cacae9df3adca3f917852adcd99e86aef2ed63c8a5399d29652238445",
+    ("lucas", 2): "0a6b5c15164a62544e76be053ef59f419a8a00f085ff5aeadded0fd66cc2d2a6",
+    ("lucas", 3): "a074a8975547a855f62011183425160856a1587ba943e1099e779384c53e84c1",
+    ("lucas", 4): "fe8fb34451b8de18d332f912d3912dcf683639e8e34dd510083b05c415af9eb9",
 }
 
 V1_WIRE_DIGESTS = {
@@ -363,37 +386,83 @@ def v1_wire(env, message: bytes, key) -> bytes:
     return header + body + auth.mac(key.mac_key, encode(message).pack())
 
 
-def per_block_v2_wire(message: bytes, key) -> bytes:
-    """The version-2 wire built block by block, independent of the packed route."""
+def per_block_wire(message: bytes, key, version: int) -> bytes:
+    """The version-2 (FGK) or version-3 (stored) wire built block by block,
+    independent of the packed route."""
     kp = key.matrix_pair
-    bits = encode(message)
-    blocks = partition(bits.pack(), kp.z)
+    if version == 2:
+        bits = encode(message)
+        payload, bit_count = bits.pack(), len(bits)
+    else:
+        payload, bit_count = message, 8 * len(message)
+    blocks = partition(payload, kp.z)
     width = kp.entry_bytes
     body = b"".join(
         v.to_bytes(width, "big", signed=True) for block in blocks for v in encrypt_block(block, kp)
     )
     header = _V2_HEADER.pack(
-        b"GCHW", 2, kp.z, kp.scale_exp, width, len(message), len(bits), len(blocks)
+        b"GCHW", version, kp.z, kp.scale_exp, width, len(message), bit_count, len(blocks)
     )
     return header + body + auth.mac(key.mac_key, header + body)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.parametrize("kind, level", sorted(WIRE_DIGESTS))
 def test_wire_digests(kind, level):
     key = parse_key(wire_key_file(kind, level))
     for name, message in WIRE_MESSAGES.items():
-        env = seal(message, key)
-        wire = serialize(env)
-        assert hashlib.sha256(wire).hexdigest() == WIRE_DIGESTS[kind, level][name], name
-        v1 = v1_wire(env, message, key)
-        assert hashlib.sha256(v1).hexdigest() == V1_WIRE_DIGESTS[kind, level][name], name
+        # the FGK envelope of every message, which the v2 and v1 digests pin
+        bits = encode(message)
+        fgk = _seal_packed(2, bits.pack(), len(bits), len(message), key)
+        wire = serialize(fgk)
+        assert sha256(wire) == WIRE_DIGESTS[kind, level][name], name
+        assert sha256(v1_wire(fgk, message, key)) == V1_WIRE_DIGESTS[kind, level][name], name
         assert open_envelope(deserialize(wire), key) == message, name
+        env = seal(message, key)
+        if name == STORED_MESSAGE:
+            wire = serialize(env)
+            assert sha256(wire) == V3_WIRE_DIGESTS[kind, level], name
+            assert open_envelope(deserialize(wire), key) == message, name
+        else:
+            assert env == fgk, name
 
 
 def test_seal_matches_the_per_block_v2_writer():
+    # and the per-block version-3 writer for the stored message
     for kind, level in sorted(WIRE_DIGESTS):
         key = parse_key(wire_key_file(kind, level))
         for name, message in WIRE_MESSAGES.items():
+            version = 3 if name == STORED_MESSAGE else 2
             wire = serialize(seal(message, key))
-            assert wire == per_block_v2_wire(message, key), (kind, level, name)
+            assert wire == per_block_wire(message, key, version), (kind, level, name)
 
+
+def short_message_ladder(seed: int) -> tuple[list[bytes], list[bytes]]:
+    """Text and random messages of 16 B - 1 KiB, one of each per size of a geometric ladder."""
+    sizes = [round(16 * 64 ** (k / 23)) for k in range(24)]
+    rng = random.Random(seed)
+    return [english_like(size, seed) for size in sizes], [rng.randbytes(size) for size in sizes]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stored_only_where_fgk_would_not_be_shorter(seed):
+    text, noise = short_message_ladder(seed)
+    messages = text + noise
+    if seed == 0:
+        messages += [*WIRE_MESSAGES.values(), *(make() for make, _, _ in BULK_VECTORS.values())]
+        messages += [english_like(1 << 13, seed), random.Random(seed).randbytes(1 << 16)]
+    for message in messages:
+        version, payload, bit_count = _compress(message)
+        if version == 3:
+            assert (payload, bit_count) == (message, 8 * len(message))
+            # the body encrypts whole bytes, so FGK would be shorter only
+            # with fewer packed bytes than the message
+            assert (len(encode(message)) + 7) // 8 >= len(message), message[:32]
+        else:
+            assert version == 2
+    # past the shortest sizes, random bytes are stored and text is coded
+    assert all(_compress(m)[0] == 3 for m in noise if len(m) >= 64)
+    assert all(_compress(m)[0] == 2 for m in text if len(m) >= 64)
