@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import struct
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from math import log2
 
 from . import ahuffman, auth, blockcipher
@@ -70,13 +70,17 @@ class CipherEnvelope:
         return tuple(blockcipher.body_blocks(self.body, self.z, self.entry_bytes))
 
 
+# the header fields before body and tag, each of which must be exactly an int
+_INT_FIELDS = tuple(field.name for field in fields(CipherEnvelope))[:6]
+
+
 def _check(env: CipherEnvelope) -> None:
     """Apply the wire format's rules to ``env``: :class:`ShapeError` if its body
     is not whole blocks, :class:`CorruptionError` for any other fault."""
-    for field in fields(env)[:6]:  # the integer header fields
-        value = getattr(env, field.name)
+    for name in _INT_FIELDS:
+        value = getattr(env, name)
         if type(value) is not int:
-            raise CorruptionError(f"{field.name} must be an int, got {type(value).__name__}")
+            raise CorruptionError(f"{name} must be an int, got {type(value).__name__}")
     z, width = env.z, env.entry_bytes
     bits, plain = env.compressed_bit_count, env.plain_byte_count
     if env.version not in (VERSION, STORED):
@@ -142,17 +146,10 @@ def _seal_packed(
 ) -> CipherEnvelope:
     """The keyed half of :func:`seal`: encrypt the payload :func:`_compress` made, then tag."""
     kp = key.matrix_pair
-    env = CipherEnvelope(
-        version=version,
-        z=kp.z,
-        scale_exp=kp.scale_exp,
-        entry_bytes=kp.entry_bytes,
-        plain_byte_count=byte_count,
-        compressed_bit_count=bit_count,
-        body=blockcipher.encrypt_message(payload, kp),
-        tag=b"",
-    )
-    return replace(env, tag=auth.mac(key.mac_key, _header(env) + env.body))
+    header = (version, kp.z, kp.scale_exp, kp.entry_bytes, byte_count, bit_count)
+    body = blockcipher.encrypt_message(payload, kp)
+    tag = auth.mac(key.mac_key, _header(CipherEnvelope(*header, body, b"")) + body)
+    return CipherEnvelope(*header, body, tag)
 
 
 def open(env: CipherEnvelope, key: CipherKey) -> bytes:  # noqa: A001 - mirrors seal
