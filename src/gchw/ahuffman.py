@@ -16,15 +16,16 @@ becomes the leader's number, where the moved node now sits.  Weights are
 non-decreasing by number, so the leader is found by bisecting
 ``weight_at``, and only when the next number holds the same weight.
 
-Until its first swap the update climbs the code path, so the encoder walks
-each symbol once, reading the code bit, testing for a swap and incrementing
-at each number.  At the first swap nothing above has moved: it reads the
-rest of the code there and hands the leader to ``_swap_and_climb``, the one
-swap of the codec, which finishes the update.  ``decode`` reads every code
-and literal from one iterator over the bits, descending from the root one
-bit at a time to a leaf, and inlines the same climb up to the first swap;
-like the encoder's, the climb stops at the root, which never swaps and only
-has its weight incremented.
+``_climb`` runs this update and is the one place the leader rule is
+written.  Below the first number whose next number holds the same weight,
+each number is its own leader and the update only climbs the code path, so
+the encoder walks each symbol once, reading the code bit and incrementing
+at each number.  At that first number nothing above has moved: it reads the
+rest of the code there and hands the number to ``_climb``, which finishes
+the update.  ``decode`` reads every code and literal from one iterator over
+the bits, descending from the root one bit at a time to a leaf, and inlines
+the same climb up to the same hand-off; like the encoder's, the climb stops
+at the root, which never swaps and only has its weight incremented.
 """
 
 from __future__ import annotations
@@ -84,58 +85,46 @@ class AdaptiveHuffmanTree:
     def update(self, byte: int) -> None:
         """Account for one occurrence of ``byte``, preserving the sibling property."""
         q = self.leaf_at[byte]
-        if q == -1:
-            q = self._spawn(byte)
-        w = self.weight_at[q]
-        p = self.up[q]
-        lead = q
-        if self.weight_at[q + 1] == w:
-            lead = bisect_left(self.weight_at, w + 1, q + 2) - 1
-            if lead == p:
-                lead -= 1
-        self._swap_and_climb(q, lead, p, w)
+        self._climb(self._spawn(byte) if q == -1 else q)
 
-    def _swap_and_climb(self, q: int, lead: int, p: int, w: int) -> None:
-        """Swap number ``q`` (weight ``w``, parent ``p``) with the block leader
-        ``lead`` that the caller's swap test found (none if ``lead == q``),
-        then finish the update.
+    def _climb(self, q: int) -> None:
+        """Run the update from number ``q`` to the root.
+
+        At each number whose next number holds the same weight, the leader is
+        the highest number of that weight, or the one below it if that is the
+        parent; a leader other than ``q`` swaps contents with it, and the
+        climb goes on from the leader's number.  Then the weight there, still
+        the same as a swap moves an equal weight, is incremented.
         """
         # hottest loop in the codec: arrays bound to locals
         weight_at = self.weight_at
         up = self.up
         kid = self.kid
         leaf_at = self.leaf_at
-        while True:
-            if lead != q:
-                a, b = kid[q], kid[lead]
-                kid[q], kid[lead] = b, a
-                if a < 0:
-                    leaf_at[~a] = lead
-                else:
-                    up[a] = up[a ^ 1] = lead
-                if b < 0:
-                    leaf_at[~b] = q
-                else:
-                    up[b] = up[b ^ 1] = q
-                if up[lead] == p:
-                    # siblings: the moved node is the 0-child
-                    kid[p] = lead
-                q = lead
-            # climb to the next swap; a swap moves an equal weight, so w
-            # still sits at q
-            while True:
-                weight_at[q] = w + 1
-                q = up[q]
-                if q == -1:
-                    return
-                w = weight_at[q]
-                if weight_at[q + 1] == w:
-                    p = up[q]
-                    lead = bisect_left(weight_at, w + 1, q + 2) - 1
-                    if lead == p:
-                        lead -= 1
-                    if lead != q:
-                        break
+        while q != -1:
+            w = weight_at[q]
+            if weight_at[q + 1] == w:
+                p = up[q]
+                lead = bisect_left(weight_at, w + 1, q + 2) - 1
+                if lead == p:
+                    lead -= 1
+                if lead != q:
+                    a, b = kid[q], kid[lead]
+                    kid[q], kid[lead] = b, a
+                    if a < 0:
+                        leaf_at[~a] = lead
+                    else:
+                        up[a] = up[a ^ 1] = lead
+                    if b < 0:
+                        leaf_at[~b] = q
+                    else:
+                        up[b] = up[b ^ 1] = q
+                    if up[lead] == p:
+                        # siblings: the moved node is the 0-child
+                        kid[p] = lead
+                    q = lead
+            weight_at[q] = w + 1
+            q = up[q]
 
 
 def encode(data: bytes) -> BitString:
@@ -149,7 +138,7 @@ def encode(data: bytes) -> BitString:
     up = tree.up
     kid = tree.kid
     leaf_at = tree.leaf_at
-    climb = tree._swap_and_climb
+    climb = tree._climb
     path = bytearray()
     step = path.append
     for byte in data:
@@ -158,23 +147,20 @@ def encode(data: bytes) -> BitString:
             # the literal goes in first, reversed, so it follows the code
             path += _LITERAL_REVERSED[byte]
             q = tree._spawn(byte)
-        # one walk: each number's code bit, swap test and increment
+        # one walk: each number's code bit and increment, up to the first
+        # number whose next number holds the same weight
         while q != _TOP_NUMBER:
             w = weight_at[q]
             p = up[q]
             if weight_at[q + 1] == w:
-                lead = bisect_left(weight_at, w + 1, q + 2) - 1
-                if lead == p:
-                    lead -= 1
-                if lead != q:
-                    # nothing above q has moved yet: finish the code, then swap
-                    r, s = q, p
-                    while s != -1:
-                        step(r ^ kid[s])
-                        r = s
-                        s = up[r]
-                    climb(q, lead, p, w)
-                    break
+                # nothing above q has moved yet: finish the code, then climb
+                r, s = q, p
+                while s != -1:
+                    step(r ^ kid[s])
+                    r = s
+                    s = up[r]
+                climb(q)
+                break
             step(q ^ kid[p])
             weight_at[q] = w + 1
             q = p
@@ -195,7 +181,7 @@ def decode(bits: BitString, symbol_count: int) -> bytes:
     up = tree.up
     kid = tree.kid
     leaf_at = tree.leaf_at
-    climb = tree._swap_and_climb
+    climb = tree._climb
     out = bytearray()
     # one iterator over the bits, shared by every code and literal
     it = iter(bits)
@@ -226,17 +212,12 @@ def decode(bits: BitString, symbol_count: int) -> bytes:
         else:
             q = leaf_at[byte]
         out.append(byte)
-        # the update, inlined up to its first swap; the root never swaps
+        # the update, inlined up to the hand-off; the root never swaps
         while q != _TOP_NUMBER:
             w = weight_at[q]
             if weight_at[q + 1] == w:
-                p = up[q]
-                lead = bisect_left(weight_at, w + 1, q + 2) - 1
-                if lead == p:
-                    lead -= 1
-                if lead != q:
-                    climb(q, lead, p, w)
-                    break
+                climb(q)
+                break
             weight_at[q] = w + 1
             q = up[q]
         else:

@@ -70,17 +70,19 @@ class CipherEnvelope:
         return tuple(blockcipher.body_blocks(self.body, self.z, self.entry_bytes))
 
 
-# the header fields before body and tag, each of which must be exactly an int
-_INT_FIELDS = tuple(field.name for field in fields(CipherEnvelope))[:6]
+# each field with the one type it takes: exactly int for the six header
+# fields, exactly bytes for body and tag
+_FIELD_TYPES = tuple(zip([field.name for field in fields(CipherEnvelope)], [int] * 6 + [bytes] * 2))
 
 
 def _check(env: CipherEnvelope) -> None:
     """Apply the wire format's rules to ``env``: :class:`ShapeError` if its body
     is not whole blocks, :class:`CorruptionError` for any other fault."""
-    for name in _INT_FIELDS:
+    for name, kind in _FIELD_TYPES:
         value = getattr(env, name)
-        if type(value) is not int:
-            raise CorruptionError(f"{name} must be an int, got {type(value).__name__}")
+        if type(value) is not kind:
+            noun = "an int" if kind is int else "bytes"
+            raise CorruptionError(f"{name} must be {noun}, got {type(value).__name__}")
     z, width = env.z, env.entry_bytes
     bits, plain = env.compressed_bit_count, env.plain_byte_count
     if env.version not in (VERSION, STORED):

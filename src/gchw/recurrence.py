@@ -90,12 +90,10 @@ def qp_matrix(p: int) -> SquareMatrix:
 
 def qp_power(p: int, n: int) -> SquareMatrix:
     """Exact n-th power of the Q_p matrix via binary exponentiation."""
-    if not 0 <= p <= MAX_QP_ORDER:
-        raise ParameterError(f"p must be in 0..{MAX_QP_ORDER}, got {p}")
+    base = qp_matrix(p)  # checks p before n is read
     if not 0 <= n <= MAX_QP_POWER:
         raise ParameterError(f"n must be in 0..{MAX_QP_POWER}, got {n}")
     result = SquareMatrix.identity(p + 1)
-    base = qp_matrix(p)
     while n:
         if n & 1:
             result = result @ base

@@ -262,7 +262,7 @@ def reference_decode(bits: BitString, symbol_count: int) -> bytes:
                 if lead == p:
                     lead -= 1
                 if lead != q:
-                    tree._swap_and_climb(q, lead, p, w)
+                    tree._climb(q)
                     break
             weight_at[q] = w + 1
             q = up[q]

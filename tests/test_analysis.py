@@ -84,6 +84,10 @@ def test_correlation_symmetry_and_scale_invariance(a, b, seed):
 def test_paired_t_degenerate():
     with pytest.raises(StatisticsError):
         paired_t([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+    with pytest.raises(StatisticsError, match="length mismatch: 2 vs 1"):
+        paired_t([1.0, 2.0], [1.0])
+    with pytest.raises(StatisticsError, match="at least two pairs"):
+        paired_t([1.0], [2.0])
 
 
 def test_paired_t_against_quadrature_oracle():
@@ -123,6 +127,8 @@ def test_unpaired_t_against_quadrature_oracle():
 def test_unpaired_t_degenerate():
     with pytest.raises(StatisticsError):
         unpaired_t([2.0, 2.0, 2.0], [5.0, 5.0])
+    with pytest.raises(StatisticsError, match="at least two values per sample"):
+        unpaired_t([1.0, 2.0, 3.0], [4.0])
 
 
 def test_student_t_p_matches_quadrature():

@@ -70,11 +70,12 @@ def test_keygen_writes_a_key_near_the_wire_limit(tmp_path):
 
 
 def test_keygen_rejects_bad_hex(tmp_path):
-    code = run(
-        "keygen", "--kind", "fibonacci", "--n", "5", "--level", "2",
-        "--seed", "zz", "--out", str(tmp_path / "k"),
-    )
-    assert code == 5
+    for seed in ("zz", "11" * 31):  # not hex; hex of 31 bytes
+        code = run(
+            "keygen", "--kind", "fibonacci", "--n", "5", "--level", "2",
+            "--seed", seed, "--out", str(tmp_path / "k"),
+        )
+        assert code == 5
 
 
 def test_keygen_rejects_bad_parameters(tmp_path):
@@ -183,6 +184,16 @@ def test_decompress_corrupt_header(tmp_path):
     bad = tmp_path / "bad.ahc"
     bad.write_bytes(b"\x00" * 10)
     assert run("decompress", "--in", str(bad), "--out", str(tmp_path / "x")) == 4
+
+
+def test_decompress_rejects_a_body_longer_than_its_bit_count(tmp_path, capsys):
+    bad = tmp_path / "long.ahc"
+    # one symbol in 8 bits, then one byte more than they need
+    bad.write_bytes((1).to_bytes(8, "big") + (8).to_bytes(8, "big") + b"a\x00")
+    out = tmp_path / "x"
+    assert run("decompress", "--in", str(bad), "--out", str(out)) == 4
+    assert "compressed body length disagrees with the bit count" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_writes_report(tmp_path, keyfile):

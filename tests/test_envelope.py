@@ -510,6 +510,9 @@ _LEVEL_2_KEY = make_key(level=2)
 @example(env=dataclasses.replace(_VALID, plain_byte_count=5.0))
 @example(env=dataclasses.replace(_VALID, z=4.0))
 @example(env=dataclasses.replace(_VALID, version=True))
+@example(env=dataclasses.replace(_VALID, tag=list(bytes(32))))
+@example(env=dataclasses.replace(_VALID, tag="\0" * 32))
+@example(env=dataclasses.replace(_VALID, body=list(bytes(48))))
 def test_in_memory_envelopes_fail_only_with_typed_errors_in_bounded_memory(env):
     key = _LEVEL_2_KEY
     key.matrix_pair  # derive before anything is measured

@@ -388,6 +388,9 @@ def test_key_file_is_line_oriented():
         lambda t: t.replace(bytes(range(32)).hex(), bytes(range(32)).hex(" ")),  # the seed
         lambda t: t.replace("0a0b", "0A0B"),
         lambda t: t.replace("mac_key=2021", "mac_key=21"),
+        lambda t: t.replace("kind=fibonacci", "kind=pell"),
+        # a decimal with more digits than int() reads
+        lambda t: t.replace("n=5", "n=" + "9" * 5000),
     ],
 )
 def test_key_file_strictness(mangle):

@@ -64,6 +64,8 @@ def test_sequence_term_range_error():
         sequence_term(RecurrenceKind.FIBONACCI, MAX_INDEX + 1)
     with pytest.raises(ParameterError):
         sequence_term(RecurrenceKind.LUCAS, -(MAX_INDEX + 1))
+    with pytest.raises(ParameterError, match="at most"):
+        golden_matrix(RecurrenceKind.FIBONACCI, MAX_INDEX + 1)
 
 
 def test_golden_matrix_examples():
@@ -140,3 +142,7 @@ def test_qp_range_errors():
         qp_power(1, 10**4 + 1)
     with pytest.raises(ParameterError):
         qp_power(1, -1)
+    # p is checked before n, whether n is in range or not
+    for n in (1, -1):
+        with pytest.raises(ParameterError, match="p must be in 0..64, got 65"):
+            qp_power(65, n)
