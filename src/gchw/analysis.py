@@ -189,8 +189,8 @@ def analyze_message(message: bytes, key: CipherKey, seeds: int = 1) -> list[Anal
 
 def _analyze(message: bytes, key: CipherKey, seeds: int) -> tuple[list[AnalysisReport], CipherEnvelope]:
     """:func:`analyze_message`, plus variant 0's envelope, which is ``seal(message, key)``."""
-    if not 1 <= seeds <= MAX_SEEDS:
-        raise StatisticsError(f"seeds must be in 1..{MAX_SEEDS}, got {seeds}")
+    if type(seeds) is not int or not 1 <= seeds <= MAX_SEEDS:
+        raise StatisticsError(f"seeds must be in 1..{MAX_SEEDS}, got {seeds!r}")
     unkeyed = _compress(message)
     message_values = list(map(float, message))
     reports = []

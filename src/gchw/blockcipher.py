@@ -30,13 +30,13 @@ exact: E_scaled is nonsingular, so the true plaintext is the only matrix
 whose product with E_scaled is the ciphertext, and a candidate that passes
 is that plaintext (Dixon's modular solving with an exact check).
 
-The per-block route, :func:`encrypt_block` and :func:`decrypt_block`,
-multiplies one block by E_scaled and by E_scaled^-1 mod p, with the same
-exactness rule, and counts its multiplies for the cost model.
-:func:`decrypt_message` hands off to it once, from the first faulty block
-on; p-adic lifting of that block's first inexact row through the same
-inverse (``_name_fault``) tells an entry that is not an integer from an
-integer outside {-1} | 0..255.
+When a pass fails, p-adic lifting of its first faulty row through the same
+inverse (``_lift_row``) names the fault: an entry that is not an integer, an
+integer outside {-1} | 0..255, or else -1 or a byte on the wrong side of the
+byte count; so the first fault in wire order is named.  The per-block route,
+:func:`encrypt_block` and :func:`decrypt_block`, multiplies one block by
+E_scaled and by E_scaled^-1 mod p, with the same exactness rule, and counts
+its multiplies: it is the reference for the packed route and the cost model.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def decrypt_block(cipher, kp: KeyMatrixPair, counter: OpCounter | None = None) -
     Each row's candidates are row @ E_scaled^-1 mod p, and the row is exact
     if they are all in {-1} | 0..255 and it passes ``_decrypt_pass``'s check
     (the range check, or a re-encryption whose multiplies ``counter`` also
-    tallies).  The first row that is not exact goes to ``_name_fault``.
+    tallies).  ``_lift_row`` names the fault of the first row that is not exact.
     """
     z = kp.z
     if len(cipher) != z * z:
@@ -142,27 +142,27 @@ def decrypt_block(cipher, kp: KeyMatrixPair, counter: OpCounter | None = None) -
             if kp.entry_bound < 1 << 30
             else _product(got, kp.e_scaled_cols, z, counter) == row
         ):
-            _name_fault(row, kp)
+            got = _lift_row(row, kp)
         plain += got
     return tuple(plain)
 
 
-def _name_fault(row, kp: KeyMatrixPair) -> None:
-    """Raise the error of the first entry of x = row @ E_scaled^-1 that is not an integer or a byte.
+def _lift_row(row, kp: KeyMatrixPair) -> list[int]:
+    """The exact row x = row @ E_scaled^-1, raising at its first entry that is not a byte or -1.
 
     Lifts x p-adically (Dixon, *Numer. Math.* 40, 1982): d = r @ E_scaled^-1
-    mod p, then r = (r - d @ E_scaled) / p, which divides exactly.  With H**2
-    the product of the squared row norms of E_scaled, |det| <= H (Hadamard)
-    and every numerator of x is within N = |row| * H (Cramer).  Once
-    p**K > 2 * N * (H + 1), an entry is an integer iff its residue s mod p**K
-    of least magnitude has |s| <= N, and then it is s: s * det minus the
-    numerator is a multiple of p**K smaller than p**K / 2, so 0.
+    mod p, then r = (r - d @ E_scaled) / p, which divides exactly, until r = 0
+    (x is exact) or p**K > 2 * N * (H + 1), with H**2 the product of the
+    squared row norms of E_scaled, so |det| <= H (Hadamard), and N = |row| * H
+    bounding every numerator of x (Cramer).  Then an entry is an integer iff
+    its residue s mod p**K of least magnitude has |s| <= N, and then it is s:
+    s * det minus the numerator is a multiple of p**K smaller than p**K / 2, so 0.
     """
     p, half = MODULUS, MODULUS // 2
     h2 = prod(sum(v * v for v in e_row) for e_row in kp.e_scaled)
     h, n = isqrt(h2) + 1, isqrt(h2 * sum(v * v for v in row)) + 1
     r, x, scale = row, [0] * kp.z, 1
-    while scale <= 2 * n * (h + 1):
+    while any(r) and scale <= 2 * n * (h + 1):
         # digits of least magnitude sum to the residue of least magnitude mod scale * p
         d = [(sum(map(mul, col, r)) + half) % p - half for col in kp.inverse_cols_mod_p]
         r = [(v - sum(map(mul, col, d))) // p for v, col in zip(r, kp.e_scaled_cols)]
@@ -173,6 +173,7 @@ def _name_fault(row, kp: KeyMatrixPair) -> None:
             raise CorruptionError("decrypted entry is not an integer")
         if s != PAD and not 0 <= s <= 255:
             raise CorruptionError("decrypted entry outside the byte range")
+    return x
 
 
 def _ones(width: int, rows: int) -> int:
@@ -257,16 +258,14 @@ def encrypt_message(data: bytes, kp: KeyMatrixPair) -> bytes:
 
 
 def decrypt_message(body: bytes, kp: KeyMatrixPair, byte_count: int) -> bytes:
-    """Invert :func:`encrypt_message`, with the per-block route's result and errors.
+    """Invert :func:`encrypt_message`, with :func:`decrypt_block`'s result and errors.
 
-    Each pass multiplies the received columns by E_scaled^-1 mod p
-    (p = ``MODULUS``), reduces by Mersenne folding, and accepts only if every
-    entry is a byte in the data region and -1 after it, and, for a key with
-    ``entry_bound < 2**30``, every received entry lies in [-2**30, 2**30),
-    or, for any other key, the exact re-encryption of those entries equals
-    the received columns (``_decrypt_pass`` has the bound).  There is one
-    hand-off: from the first faulty block on, :func:`decrypt_block` on each
-    block, then :func:`unpartition`, names the fault.
+    Each pass of whole blocks multiplies the received columns by
+    E_scaled^-1 mod p and accepts only exact bytes in the data region and
+    -1 after it (``_decrypt_pass`` has the checks).  A failed pass's first
+    faulty row alone names the fault, the first in wire order: ``_lift_row``
+    names an entry that is not an integer or a byte, and :func:`unpartition`
+    of the exact row a padding fault.
     """
     if byte_count < 0:
         raise ParameterError(f"byte count must be at least 0, got {byte_count}")
@@ -275,6 +274,8 @@ def decrypt_message(body: bytes, kp: KeyMatrixPair, byte_count: int) -> bytes:
     if len(body) % (cells * w):
         raise ShapeError(f"body of {len(body)} bytes is not whole blocks of key order {z}")
     total = len(body) // w
+    if byte_count > total:
+        raise CorruptionError("fewer block entries than the recorded byte count")
     step = _pass_cells(cells)
     parts = []
     for start in range(0, total, step):
@@ -282,15 +283,11 @@ def decrypt_message(body: bytes, kp: KeyMatrixPair, byte_count: int) -> bytes:
         data_count = max(0, min(byte_count - start, len(chunk) // w))
         part = _decrypt_pass(chunk, kp, data_count)
         if isinstance(part, int):
-            # the pass returned its first faulty row and freed its big integers.
-            # Earlier blocks passed every check, so the per-block route raises
-            # from block `first` on; a data region ending before it counts 0 there
-            first = (start + part * z) // cells
-            plain = [decrypt_block(b, kp) for b in body_blocks(body[first * cells * w :], z, w)]
-            return unpartition(plain, max(0, byte_count - first * cells))
+            # entries `at` on are the first faulty row: _lift_row or unpartition raises
+            at = start + part * z
+            row = struct.unpack(f">{z}q", _widen(body[at * w : (at + z) * w], w))
+            unpartition([_lift_row(row, kp)], max(0, min(z, byte_count - at)))
         parts.append(part)
-    if byte_count > total:
-        raise CorruptionError("fewer block entries than the recorded byte count")
     return b"".join(parts)
 
 

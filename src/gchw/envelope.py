@@ -41,7 +41,7 @@ from math import log2
 
 from . import ahuffman, auth, blockcipher
 from .bits import BitString
-from .errors import AuthenticationError, CorruptionError, GchwError, ParseError, ShapeError
+from .errors import AuthenticationError, CorruptionError, GchwError, ParameterError, ParseError, ShapeError
 from .keyschedule import MAX_LEVEL, CipherKey
 
 MAGIC = b"GCHW"
@@ -130,6 +130,8 @@ def _compress(message: bytes) -> tuple[int, bytes, int]:
     c.  At ``8 * k`` bits or more the message is stored (version 3);
     otherwise it is FGK-coded, as is the empty message.
     """
+    if not isinstance(message, (bytes, bytearray)):
+        raise ParameterError(f"message must be bytes or bytearray, got {type(message).__name__}")
     sample = message[:: len(message) // 4096 + 1]
     k, counts = len(sample), Counter(sample).values()
     if k and sum(c * log2(k / c) for c in counts) + 8 * len(counts) >= 8 * k:

@@ -67,7 +67,7 @@ class CipherKey:
     def __post_init__(self):
         if not isinstance(self.kind, RecurrenceKind):
             raise ParameterError(f"kind must be a RecurrenceKind, got {self.kind!r}")
-        if not all(isinstance(v, int) for v in (self.n, self.p, self.level)):
+        if not all(type(v) is int for v in (self.n, self.p, self.level)):
             raise ParameterError(f"n, p and level must be ints, got {self.n!r}, {self.p!r}, {self.level!r}")
         if not (isinstance(self.seed, bytes) and isinstance(self.mac_key, bytes)):
             raise ParameterError("seed and mac_key must be bytes")

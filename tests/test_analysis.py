@@ -273,7 +273,7 @@ def test_analyze_message_refuses_more_than_max_seeds_before_any_work(monkeypatch
     assert MAX_SEEDS == 1000
     encoded = []
     monkeypatch.setattr(ahuffman, "encode", encoded.append)
-    for seeds in (MAX_SEEDS + 1, 10**9):
+    for seeds in (MAX_SEEDS + 1, 10**9, True, 2.0):
         with pytest.raises(StatisticsError, match=r"seeds must be in 1\.\.1000"):
             analyze_message(MESSAGE_2, key, seeds=seeds)
     assert encoded == []

@@ -399,6 +399,15 @@ def test_decrypt_message_rejects_a_partial_block():
             decrypt_message(body[:-cut], kp, 3)
 
 
+def forbid_decrypt_block(monkeypatch) -> None:
+    """Fail on any call of ``blockcipher.decrypt_block``: ``decrypt_message`` never takes it."""
+
+    def per_block(*args, **kwargs):
+        raise AssertionError("decrypt_message called decrypt_block")
+
+    monkeypatch.setattr(blockcipher, "decrypt_block", per_block)
+
+
 @pytest.mark.parametrize("level", range(1, 7))
 def test_decrypt_message_fails_like_the_per_block_route(monkeypatch, level):
     # entries of a three-block body nudged or set, then each region boundary
@@ -434,7 +443,7 @@ def test_decrypt_message_fails_like_the_per_block_route(monkeypatch, level):
         edge = len(data)
         counts = (edge - cells, edge - 1, edge, edge + 1, 3 * cells, 3 * cells + 1)
         positions = rng.sample(range(cells), max(1, 4096 // cells))
-    cases = [(blocks, n, None) for n in counts]
+    cases = [(blocks, n) for n in counts]
     nudges = (1, -1, 1 << 40, MODULUS, -MODULUS, 2 * MODULUS, -2 * MODULUS)
     # the edges of [-2**30, 2**30), the range that spares keys below 2**30
     # the re-encryption
@@ -445,22 +454,12 @@ def test_decrypt_message_fails_like_the_per_block_route(monkeypatch, level):
             for value in {max(low, min(high, v)) for v in values}:
                 tampered = list(blocks)
                 tampered[b] = blocks[b][:i] + (value,) + blocks[b][i + 1 :]
-                cases.append((tampered, len(data), tampered[b]))
-    calls = []
-
-    def recording_decrypt_block(cipher, kp):
-        calls.append(cipher)
-        return decrypt_once(cipher)
-
-    monkeypatch.setattr(blockcipher, "decrypt_block", recording_decrypt_block)
-    for tampered, byte_count, changed in cases:
+                cases.append((tampered, len(data)))
+    forbid_decrypt_block(monkeypatch)
+    for tampered, byte_count in cases:
         expected = outcome(reference, tampered, byte_count)
-        del calls[:]
         wire = pack_blocks(tampered, kp.entry_bytes)
         assert outcome(decrypt_message, wire, kp, byte_count) == expected
-        if changed is not None:
-            # the per-block route starts at the one block that changed
-            assert calls[:1] == ([] if isinstance(expected, bytes) else [changed])
 
 
 def test_only_keys_with_entries_past_2_to_the_30_re_encrypt(monkeypatch):
@@ -484,7 +483,7 @@ def test_only_keys_with_entries_past_2_to_the_30_re_encrypt(monkeypatch):
 
 
 @pytest.mark.parametrize("value", [None, INT64_MIN, INT64_MAX])
-def test_only_the_first_bad_block_takes_the_per_block_route(monkeypatch, value):
+def test_of_two_bad_blocks_the_first_is_named(monkeypatch, value):
     # an int64 limit shifted down to the entry width is that width's limit
     kp = level_pair(3)
     cells = kp.z * kp.z
@@ -494,59 +493,64 @@ def test_only_the_first_bad_block_takes_the_per_block_route(monkeypatch, value):
     blocks[2][7] = blocks[2][7] + 1 if value is None else value >> (64 - 8 * kp.entry_bytes)
     assert value is None or blocks[2][7] in width_limits(kp.entry_bytes)
     blocks[4][0] += 1
-    calls = []
+    forbid_decrypt_block(monkeypatch)
+    lifted = []
+    real_lift = blockcipher._lift_row
 
-    def recording_decrypt_block(cipher, kp, counter=None):
-        calls.append(cipher)
-        return decrypt_block(cipher, kp, counter)
+    def recording_lift(row, kp):
+        lifted.append(tuple(row))
+        return real_lift(row, kp)
 
-    monkeypatch.setattr(blockcipher, "decrypt_block", recording_decrypt_block)
+    monkeypatch.setattr(blockcipher, "_lift_row", recording_lift)
     wire = pack_blocks(blocks, kp.entry_bytes)
     with pytest.raises(CorruptionError):
         decrypt_message(wire, kp, len(data))
-    assert calls == [tuple(blocks[2])]
+    # entry 7 is in block 2's first row, and only that row is lifted
+    assert lifted == [tuple(blocks[2][: kp.z])]
 
 
-def recording_decrypt_blocks(monkeypatch) -> list:
-    """The blocks that ``decrypt_message`` hands to ``decrypt_block`` from now on."""
-    calls = []
-
-    def recording_decrypt_block(cipher, kp, counter=None):
-        calls.append(tuple(cipher))
-        return decrypt_block(cipher, kp, counter)
-
-    monkeypatch.setattr(blockcipher, "decrypt_block", recording_decrypt_block)
-    return calls
+def test_a_padding_fault_before_a_non_integer_entry_is_named_first(monkeypatch):
+    # block 0 decrypts exactly but holds -1 in its data region, and block 1
+    # has an entry that is not an integer: the first fault in wire order wins
+    kp = level_pair(2)
+    cells = kp.z * kp.z
+    padded = encrypt_block((7, PAD) + tuple(range(cells - 2)), kp)
+    nudged = list(encrypt_block(tuple(range(cells)), kp))
+    nudged[5] += 1
+    with pytest.raises(CorruptionError, match="^decrypted entry is not an integer$"):
+        decrypt_block(nudged, kp)
+    forbid_decrypt_block(monkeypatch)
+    with pytest.raises(CorruptionError, match="^padding marker inside the data region$"):
+        decrypt_message(pack_blocks([padded, nudged], kp.entry_bytes), kp, 2 * cells)
 
 
 @pytest.mark.parametrize("tail", [0, 5])
-def test_an_overlong_byte_count_hands_off_at_most_the_padded_block(monkeypatch, tail):
-    # whole blocks hold no padding, so every pass succeeds and the count is
-    # refused without the per-block route; otherwise it starts at the
-    # padded last block
+def test_an_overlong_byte_count_is_refused_before_any_pass(monkeypatch, tail):
+    # refused from the body's length alone, whether or not the last block is padded
     kp = level_pair(6)
     cells = kp.z * kp.z
     data = random.Random(6).randbytes(2 * cells - tail)
     body = encrypt_message(data, kp)
-    blocks = [tuple(b) for b in body_blocks(body, kp.z, kp.entry_bytes)]
-    calls = recording_decrypt_blocks(monkeypatch)
+
+    def no_pass(*args):
+        raise AssertionError("decrypt_message ran a packed pass")
+
+    monkeypatch.setattr(blockcipher, "_decrypt_pass", no_pass)
+    forbid_decrypt_block(monkeypatch)
     with pytest.raises(CorruptionError, match="^fewer block entries than the recorded byte count$"):
         decrypt_message(body, kp, 2 * cells + 1)
-    assert calls == ([] if tail == 0 else blocks[-1:])
 
 
 @pytest.mark.parametrize("level, block_count", [(3, 4), (2, CHUNK_ENTRIES // 16 + 3)])
-def test_a_count_one_byte_short_hands_off_only_the_last_block(monkeypatch, level, block_count):
+def test_a_count_one_byte_short_is_a_padding_fault(monkeypatch, level, block_count):
     # with Z = 4, CHUNK_ENTRIES // 16 + 3 blocks take two passes
     kp = level_pair(level)
     cells = kp.z * kp.z
     data = random.Random(level).randbytes(block_count * cells - 3)
     body = encrypt_message(data, kp)
-    last = tuple(list(body_blocks(body, kp.z, kp.entry_bytes))[-1])
-    calls = recording_decrypt_blocks(monkeypatch)
+    forbid_decrypt_block(monkeypatch)
     with pytest.raises(CorruptionError, match="^block tail is not all padding$"):
         decrypt_message(body, kp, len(data) - 1)
-    assert calls == [last]
 
 
 def test_a_data_region_that_ends_before_the_first_faulty_block_leaves_only_padding(monkeypatch):
@@ -556,10 +560,9 @@ def test_a_data_region_that_ends_before_the_first_faulty_block_leaves_only_paddi
     pad = encrypt_block((PAD,) * cells, kp)
     data = encrypt_block(tuple(range(cells)), kp)
     body = pack_blocks([pad, pad, data], kp.entry_bytes)
-    calls = recording_decrypt_blocks(monkeypatch)
+    forbid_decrypt_block(monkeypatch)
     with pytest.raises(CorruptionError, match="^block tail is not all padding$"):
         decrypt_message(body, kp, 0)
-    assert calls == [data]
     assert decrypt_message(pack_blocks([pad, pad], kp.entry_bytes), kp, 0) == b""
 
 
@@ -583,13 +586,7 @@ def test_wide_decryption_slots_name_the_first_bad_block(monkeypatch):
     entry = struct.Struct(">4q")
     data = bytes([255, 5, 0, 7, 128, 9, 1, 250, 0, 0, 255, 1])
     blocks = [list(b) for b in entry.iter_unpack(encrypt_message(data, kp))]
-    calls = []
-
-    def recording_decrypt_block(cipher, kp, counter=None):
-        calls.append(cipher)
-        return decrypt_block(cipher, kp, counter)
-
-    monkeypatch.setattr(blockcipher, "decrypt_block", recording_decrypt_block)
+    forbid_decrypt_block(monkeypatch)
     for b in range(3):
         for i in range(4):
             for delta in (1, -1, 1 << 62):
@@ -597,13 +594,11 @@ def test_wide_decryption_slots_name_the_first_bad_block(monkeypatch):
                 tampered[b][i] = max(INT64_MIN, min(INT64_MAX, tampered[b][i] + delta))
                 if tampered == blocks:
                     continue
-                expected = outcome(lambda: unpartition([decrypt_block(x, kp) for x in tampered], 12))
-                del calls[:]
-                wire = b"".join(entry.pack(*x) for x in tampered)
-                assert outcome(decrypt_message, wire, kp, len(data)) == expected
                 # a nudged column-1 entry can be another valid ciphertext, or
                 # one with -1 in the data region that unpartition must name
-                assert calls[:1] == ([] if isinstance(expected, bytes) else [tuple(tampered[b])])
+                expected = outcome(lambda: unpartition([decrypt_block(x, kp) for x in tampered], 12))
+                wire = b"".join(entry.pack(*x) for x in tampered)
+                assert outcome(decrypt_message, wire, kp, len(data)) == expected
 
 
 # --- decrypt_block against the exact adjugate -------------------------------

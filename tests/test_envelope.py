@@ -16,6 +16,7 @@ from gchw.errors import (
     AuthenticationError,
     CorruptionError,
     GchwError,
+    ParameterError,
     ParseError,
     ShapeError,
 )
@@ -249,6 +250,24 @@ RANDOM = random.Random(3).randbytes(4096)
 # FGK codes these 33 bytes in exactly 264 bits, so with the version byte
 # flipped to 3 the header is still a valid stored one
 EXACT_FIT = b"And block secret compression the "
+
+
+@pytest.mark.parametrize("message", ["abc", [300], None, [1, 2, 3], memoryview(b"abc")])
+def test_a_message_that_is_not_bytes_is_refused_before_any_work(monkeypatch, key, message):
+    encoded = []
+    monkeypatch.setattr(envelope.ahuffman, "encode", encoded.append)
+    with pytest.raises(ParameterError, match="^message must be bytes or bytearray, got "):
+        envelope.seal(message, key)
+    with pytest.raises(ParameterError, match="^message must be bytes or bytearray, got "):
+        analyze_message(message, key)
+    assert encoded == []
+
+
+@pytest.mark.parametrize("message", [MESSAGE, RANDOM], ids=["fgk", "stored"])
+def test_a_bytearray_message_round_trips(key, message):
+    env = envelope.seal(bytearray(message), key)
+    assert env == envelope.seal(message, key)
+    assert envelope.open(env, key) == message
 
 
 def test_random_bytes_are_stored_and_open_neither_unpacks_nor_decodes(monkeypatch, key):

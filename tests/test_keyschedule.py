@@ -341,6 +341,9 @@ def test_cipher_key_validation(kwargs):
         dict(seed="s" * 32),
         dict(seed=bytearray(32)),
         dict(mac_key=bytearray(32)),
+        dict(n=True),
+        dict(level=True),
+        dict(p=False),
     ],
 )
 def test_cipher_key_refuses_a_field_of_the_wrong_type(kwargs):

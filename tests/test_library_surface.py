@@ -22,6 +22,9 @@ ALLOWED = {
     "blockcipher.partition",
     # criterion 10's cost-model oracle (exactly Z**3 multiplies); bench/spans.py imports it
     "blockcipher.encrypt_block",
+    # the per-block reference for decrypt_message and criterion 10's
+    # cost-model oracle (Z**3 or 2 * Z**3 multiplies); bench/spans.py imports it
+    "blockcipher.decrypt_block",
     # the paper's rational Haar transform: criteria 1 and 5 assert on it and
     # bench/spans.py imports it
     "wavelet.haar2d_forward",
