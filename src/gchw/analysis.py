@@ -1,10 +1,17 @@
 """Plain/cipher statistics: Pearson correlation, t-tests, contrast series.
 
 Ciphertext series are the flattened block entries as real numbers (scaled
-integers divided by 2**scale_exp).  When a paired statistic needs equal
-lengths, the two series are truncated to the shorter one - normally the
-plaintext, since encryption inflates the compressed stream back up with
-block padding.
+integers divided by 2**scale_exp).  A paired statistic truncates both
+series to the shorter one: the plaintext of a stored message, whose last
+block is padded, and most often the cipher series of one FGK shortens.
+
+The seed variants of :func:`analyze_message` share the payload and Z, so
+their series share one length and one paired plaintext sample, which is
+centred once.  Each variant's cipher sample is centred once, for the
+correlation and, when it is the whole series, for the unpaired test.
+Each shared value comes from the same operations on the same floats, in
+the same order, as in :func:`correlation`, :func:`paired_t` and
+:func:`unpaired_t`, so the reports are bit-identical to theirs.
 """
 
 from __future__ import annotations
@@ -13,11 +20,12 @@ import csv
 import io
 import math
 from dataclasses import dataclass, replace
-from itertools import chain, repeat, zip_longest
+from itertools import chain, repeat
 from operator import mul, pow, sub, truediv
 
 from . import auth
-from .envelope import CipherEnvelope, _compress, _seal_packed
+from .blockcipher import _entries
+from .envelope import CipherEnvelope, _check, _compress, _seal_packed
 from .errors import ParameterError, StatisticsError
 from .keyschedule import CipherKey
 
@@ -36,29 +44,30 @@ class AnalysisReport:
     n_pairs: int
 
 
-def _deviations(x, mean: float) -> list[float]:
-    return [a - mean for a in x]
+def _centred(x) -> tuple[list[float], float, float]:
+    """Deviations from the mean, their sum of ``v ** 2`` (which can round
+    differently from ``v * v``) and the mean."""
+    mean = sum(x) / len(x)
+    d = list(map(sub, x, repeat(mean)))
+    return d, sum(map(pow, d, repeat(2.0))), mean
 
 
-def _sum_squares(d) -> float:
-    """Sum of ``v ** 2``, which can round differently from ``v * v``."""
-    return sum(map(pow, d, repeat(2.0)))
+def _pearson(dx, sxx: float, dy, syy: float) -> float:
+    """:func:`correlation` from each sample's deviations and sum of squares."""
+    if sxx == 0 or syy == 0:
+        raise StatisticsError("zero variance")
+    return sum(map(mul, dx, dy)) / math.sqrt(sxx * syy)
 
 
 def correlation(x, y) -> float:
     """Pearson product-moment correlation coefficient."""
     if len(x) != len(y):
         raise StatisticsError(f"length mismatch: {len(x)} vs {len(y)}")
-    n = len(x)
-    if n < 2:
+    if len(x) < 2:
         raise StatisticsError("need at least two pairs")
-    dx = _deviations(x, sum(x) / n)
-    dy = _deviations(y, sum(y) / n)
-    sxx = _sum_squares(dx)
-    syy = _sum_squares(dy)
-    if sxx == 0 or syy == 0:
-        raise StatisticsError("zero variance")
-    return sum(map(mul, dx, dy)) / math.sqrt(sxx * syy)
+    dx, sxx, _ = _centred(x)
+    dy, syy, _ = _centred(y)
+    return _pearson(dx, sxx, dy, syy)
 
 
 def paired_t(x, y) -> tuple[float, float]:
@@ -68,9 +77,7 @@ def paired_t(x, y) -> tuple[float, float]:
     n = len(x)
     if n < 2:
         raise StatisticsError("need at least two pairs")
-    d = list(map(sub, x, y))
-    md = sum(d) / n
-    ss = _sum_squares(_deviations(d, md))
+    _, ss, md = _centred(list(map(sub, x, y)))
     if ss == 0:
         raise StatisticsError("zero variance of differences")
     sd = math.sqrt(ss / (n - 1))
@@ -83,8 +90,8 @@ def _moments(x) -> tuple[int, float, float]:
     n = len(x)
     if n < 2:
         raise StatisticsError("need at least two values per sample")
-    m = sum(x) / n
-    return n, m, _sum_squares(_deviations(x, m)) / (n - 1)
+    _, ss, mean = _centred(x)
+    return n, mean, ss / (n - 1)
 
 
 def unpaired_t(x, y) -> tuple[float, float]:
@@ -166,7 +173,8 @@ def _regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 
 def cipher_series(env: CipherEnvelope) -> list[float]:
     """The body's ciphertext entries, in wire order, as reals (scaled ints / 2**scale_exp)."""
-    return list(map(truediv, chain.from_iterable(env.blocks), repeat(float(1 << env.scale_exp))))
+    _check(env)
+    return list(map(truediv, _entries(env.body, env.entry_bytes), repeat(float(1 << env.scale_exp))))
 
 
 def seed_variant(key: CipherKey, index: int) -> CipherKey:
@@ -192,20 +200,27 @@ def _analyze(message: bytes, key: CipherKey, seeds: int) -> tuple[list[AnalysisR
     if type(seeds) is not int or not 1 <= seeds <= MAX_SEEDS:
         raise StatisticsError(f"seeds must be in 1..{MAX_SEEDS}, got {seeds!r}")
     unkeyed = _compress(message)
-    message_values = list(map(float, message))
+    envelopes = (_seal_packed(*unkeyed, len(message), seed_variant(key, i)) for i in range(seeds))
+    first = next(envelopes)
+    # the variants share the payload and Z, so every series has this size
+    size = len(first.body) // first.entry_bytes
+    n = min(len(message), size)
+    if n < 2:
+        raise StatisticsError("need at least two pairs")
+    plain = list(map(float, message[:n]))
+    dx, sxx, _ = _centred(plain)
     reports = []
-    for index in range(seeds):
-        env = _seal_packed(*unkeyed, len(message), seed_variant(key, index))
+    for env in chain([first], envelopes):
         series = cipher_series(env)
-        n = min(len(message), len(series))
-        plain = message_values[:n]
         cipher = series[:n]
-        corr = correlation(plain, cipher)
+        dy, syy, mean = _centred(cipher)
+        corr = _pearson(dx, sxx, dy, syy)
         t, p = paired_t(plain, cipher)
-        moments = _moments(series)
-        if index == 0:
+        # when the paired sample is the whole series, it has the series' moments
+        moments = (n, mean, syy / (n - 1)) if n == size else _moments(series)
+        if env is first:
             # every variant's unpaired t compares with variant 0's series
-            first, baseline = env, moments
+            baseline = moments
         ut, up = _welch(moments, baseline)
         reports.append(AnalysisReport(corr, t, p, ut, up, n))
     return reports, first
@@ -217,17 +232,20 @@ def contrast_csv(plain: bytes, env: CipherEnvelope, char: str | None = None) -> 
     When ``char`` is given, one extra row ``char,position,cipher_value`` is
     appended per occurrence of that character in the plaintext.
     """
+    if not isinstance(plain, (bytes, bytearray)):
+        raise ParameterError(f"plain must be bytes or bytearray, got {type(plain).__name__}")
     if char is not None and (type(char) is not str or len(char) != 1):
         raise ParameterError(f"char must be exactly one character, got {char!r}")
     cipher = list(map(repr, cipher_series(env)))
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["index", "plain_value", "cipher_value"])
-    rows = max(len(plain), len(cipher))
-    writer.writerows(zip_longest(range(rows), plain, cipher, fillvalue=""))
+    out.write("index,plain_value,cipher_value\n")
+    # ints and float reprs never need quoting; a missing value is an empty field
+    columns = [chain(column, repeat("")) for column in (plain, cipher)]
+    rows = zip(range(max(len(plain), len(cipher))), *columns)
+    out.write("".join([f"{index},{byte},{value}\n" for index, byte, value in rows]))
     if char is not None:
         target = ord(char)
-        writer.writerows(
+        csv.writer(out, lineterminator="\n").writerows(
             (char, position, cipher[position] if position < len(cipher) else "")
             for position, byte in enumerate(plain)
             if byte == target

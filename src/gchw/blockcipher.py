@@ -209,6 +209,11 @@ def _widen(body: bytes, entry_bytes: int) -> bytes:
     return bytes(out)
 
 
+def _entries(body: bytes, entry_bytes: int) -> tuple[int, ...]:
+    """``body``'s ``entry_bytes``-wide signed big-endian entries, in wire order."""
+    return struct.unpack(f">{len(body) // entry_bytes}q", _widen(body, entry_bytes))
+
+
 def body_blocks(body: bytes, z: int, entry_bytes: int):
     """The blocks of a wire body of whole blocks: an iterator of tuples of z*z scaled entries."""
     return struct.Struct(f">{z * z}q").iter_unpack(_widen(body, entry_bytes))
@@ -285,8 +290,8 @@ def decrypt_message(body: bytes, kp: KeyMatrixPair, byte_count: int) -> bytes:
         if isinstance(part, int):
             # entries `at` on are the first faulty row: _lift_row or unpartition raises
             at = start + part * z
-            row = struct.unpack(f">{z}q", _widen(body[at * w : (at + z) * w], w))
-            unpartition([_lift_row(row, kp)], max(0, min(z, byte_count - at)))
+            row = _lift_row(_entries(body[at * w : (at + z) * w], w), kp)
+            unpartition([row], max(0, min(z, byte_count - at)))
         parts.append(part)
     return b"".join(parts)
 

@@ -8,12 +8,13 @@ where the encoder stopped.  Opening checks the header against the key and
 verifies the tag before anything is decrypted, so a forged envelope costs
 one HMAC; only then does it decrypt, unpack and decode.
 
-A message that FGK would not shorten, by the fixed rule of ``_compress``,
-is stored instead, as DEFLATE stores a block it cannot compress (RFC 1951,
-section 3.2.4): the envelope carries version 3, its body encrypts the
-message bytes themselves, and its bit count must be 8 * plain_byte_count.
-Opening it decrypts and neither unpacks nor decodes.  Every FGK envelope
-is version 2.
+A non-empty message that FGK would not shorten, by the fixed rule of
+``_compress`` or by the exact length of its FGK stream, is stored instead,
+as DEFLATE stores a block it cannot compress (RFC 1951, section 3.2.4):
+the envelope carries version 3, its body encrypts the message bytes
+themselves, and its bit count must be 8 * plain_byte_count.  Opening it
+decrypts and neither unpacks nor decodes.  Every FGK envelope is version
+2, and its packed stream is shorter than its message unless both are empty.
 
 Wire layout, big-endian throughout::
 
@@ -127,17 +128,20 @@ def _compress(message: bytes) -> tuple[int, bytes, int]:
     A strided sample of at most 4096 of the message's bytes, k in all, is
     costed as a static order-0 code plus one 8-bit literal per distinct
     byte, ``sum(c * log2(k / c)) + 8 * distinct`` bits over the byte counts
-    c.  At ``8 * k`` bits or more the message is stored (version 3);
-    otherwise it is FGK-coded, as is the empty message.
+    c.  At ``8 * k`` bits or more the message is stored (version 3).
+    Otherwise it is FGK-coded, and then stored after all if its packed
+    stream is not shorter than the message: the sample's cost leaves out
+    FGK's NYT codes.  The empty message is FGK-coded.
     """
     if not isinstance(message, (bytes, bytearray)):
         raise ParameterError(f"message must be bytes or bytearray, got {type(message).__name__}")
     sample = message[:: len(message) // 4096 + 1]
     k, counts = len(sample), Counter(sample).values()
-    if k and sum(c * log2(k / c) for c in counts) + 8 * len(counts) >= 8 * k:
-        return STORED, message, 8 * len(message)
-    bits = ahuffman.encode(message)
-    return VERSION, bits.pack(), len(bits)
+    if not k or sum(c * log2(k / c) for c in counts) + 8 * len(counts) < 8 * k:
+        bits = ahuffman.encode(message)
+        if not message or (len(bits) + 7) // 8 < len(message):
+            return VERSION, bits.pack(), len(bits)
+    return STORED, message, 8 * len(message)
 
 
 def seal(message: bytes, key: CipherKey) -> CipherEnvelope:

@@ -1,16 +1,18 @@
 """Statistics against quadrature oracles, plus the replication properties."""
 
+import csv
 import dataclasses
 import hashlib
+import io
 import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 from conftest import make_key
-from gchw import ahuffman, envelope
+from gchw import ahuffman, analysis, envelope
 from gchw.analysis import (
     MAX_SEEDS,
     AnalysisReport,
@@ -31,6 +33,8 @@ MESSAGE = b"Cryptographist is the science of overt secret writing"
 MESSAGE_2 = b"meet me after party"
 # random bytes, which seal stores rather than compresses
 RANDOM = random.Random(4).randbytes(2048)
+# each character that the CSV writer must quote, at positions 1, 3 and 7 first
+QUOTED = b'a,b"cde\nf, "g"\n'
 
 
 def t_density(u, df):
@@ -217,6 +221,53 @@ def test_contrast_csv_refuses_a_char_that_is_not_one_character(key, char):
         contrast_csv(MESSAGE, env, char)
 
 
+# the char rows of contrast_csv(QUOTED, seal(QUOTED, key), char), and the
+# digest of the whole CSV, as csv.writer wrote every row
+QUOTED_ROWS = [
+    (
+        ",",
+        '",",1,26874.375\n",",9,14585.25\n',
+        "620d128ea1f814ccd1366321f27c97dc25d2dc620ab19a222251d0c6347b2c40",
+    ),
+    (
+        '"',
+        '"""",3,32910.0\n"""",11,29420.0\n"""",13,1513.125\n',
+        "00ea45294c5dded7133ffa0e0ae8cd55e683f01d45775dd291a8c4e249a668eb",
+    ),
+    (
+        "\n",
+        '"\n",7,44625.0\n"\n",14,120.5\n',
+        "e4507e8584825c67fe95f902b0b1ae9c5524ea5c0e85ed514145508f2365ddc4",
+    ),
+]
+
+
+@pytest.mark.parametrize("char, rows, digest", QUOTED_ROWS, ids=["comma", "quote", "newline"])
+def test_contrast_csv_quotes_the_char_rows_that_need_it(key, char, rows, digest):
+    env = envelope.seal(QUOTED, key)
+    text = contrast_csv(QUOTED, env, char)
+    assert text == contrast_csv(QUOTED, env) + rows
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    parsed = list(csv.reader(io.StringIO(text)))
+    char_rows = parsed[1 + max(len(QUOTED), len(cipher_series(env))) :]
+    assert [row[0] for row in char_rows] == [char] * QUOTED.count(char.encode())
+
+
+@pytest.mark.parametrize(
+    "plain", ["abc", [300, 1], None, memoryview(MESSAGE)], ids=["str", "list", "None", "memoryview"]
+)
+def test_contrast_csv_refuses_a_plain_that_is_not_bytes_before_any_work(monkeypatch, key, plain):
+    env = envelope.seal(MESSAGE, key)
+    monkeypatch.setattr(analysis, "cipher_series", None)
+    with pytest.raises(ParameterError, match="^plain must be bytes or bytearray, got "):
+        contrast_csv(plain, env)
+
+
+def test_contrast_csv_of_a_bytearray_is_that_of_the_bytes(key):
+    env = envelope.seal(MESSAGE, key)
+    assert contrast_csv(bytearray(MESSAGE), env, "e") == contrast_csv(MESSAGE, env, "e")
+
+
 def test_analyze_message_compresses_once(monkeypatch, key):
     encoded = []
     real_encode = ahuffman.encode
@@ -247,6 +298,51 @@ def test_analyze_message_matches_one_seal_per_variant(key, message):
         ut, up = unpaired_t(series, baseline)
         reports.append(AnalysisReport(corr, t, p, ut, up, n))
     assert analyze_message(message, key, seeds=4) == reports
+
+
+def public_reports(message, key, seeds):
+    """The public statistics of each variant's sealed series against the plaintext."""
+    reports, baseline = [], None
+    for index in range(seeds):
+        series = cipher_series(envelope.seal(message, seed_variant(key, index)))
+        n = min(len(message), len(series))
+        plain = list(map(float, message[:n]))
+        corr = correlation(plain, series[:n])
+        t, p = paired_t(plain, series[:n])
+        baseline = series if baseline is None else baseline
+        reports.append(AnalysisReport(corr, t, p, *unpaired_t(series, baseline), n))
+    return reports
+
+
+PROPERTY_KEY = make_key()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    message=st.binary(max_size=600)
+    | st.builds(lambda byte, size: bytes([byte]) * size, st.integers(0, 255), st.integers(0, 600))
+    | st.lists(st.sampled_from(b"the golden matrix cipher "), max_size=600).map(bytes)
+)
+# no pair (lengths 0 and 1), a pair of one constant byte, and a pair that varies
+@example(message=b"")
+@example(message=b"a")
+@example(message=b"aa")
+@example(message=b"ab")
+# compressed: the paired sample is the whole series
+@example(message=MESSAGE * 4)
+# stored, and exactly whole blocks: again the whole series
+@example(message=RANDOM[:64])
+# stored with padding: the series is longer than the message
+@example(message=RANDOM[:63])
+def test_analyze_message_is_the_public_statistics_of_each_variant(message):
+    try:
+        expected = public_reports(message, PROPERTY_KEY, 3)
+    except StatisticsError as exc:
+        with pytest.raises(StatisticsError) as raised:
+            analyze_message(message, PROPERTY_KEY, seeds=3)
+        assert str(raised.value) == str(exc)
+    else:
+        assert analyze_message(message, PROPERTY_KEY, seeds=3) == expected
 
 
 @pytest.mark.parametrize("seeds", [1, 3])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_key
-from gchw import blockcipher, envelope, keyschedule
+from gchw import ahuffman, blockcipher, envelope, keyschedule
 from gchw.analysis import analyze_message, cipher_series, contrast_csv, seed_variant
 from gchw.blockcipher import body_blocks, decrypt_block, decrypt_message, unpartition
 from gchw.errors import (
@@ -284,11 +284,40 @@ def test_random_bytes_are_stored_and_open_neither_unpacks_nor_decodes(monkeypatc
 
 @pytest.mark.parametrize("message, version", [(RANDOM, 3), (EXACT_FIT, 2)], ids=["stored", "fgk"])
 def test_the_tag_covers_the_version_byte(key, message, version):
-    env = envelope.seal(message, key)
+    # seal stores EXACT_FIT, which FGK does not shorten, so its FGK envelope
+    # is sealed from the FGK stream directly
+    payload = message if version == 3 else ahuffman.encode(message).pack()
+    env = envelope._seal_packed(version, payload, 8 * len(message), len(message), key)
     assert (env.version, env.compressed_bit_count) == (version, 8 * len(message))
+    assert version == 2 or env == envelope.seal(message, key)
     wire = envelope.serialize(dataclasses.replace(env, version=5 - version))
     with pytest.raises(AuthenticationError):
         envelope.open(envelope.deserialize(wire), key)
+
+
+def test_a_message_fgk_does_not_shorten_is_stored(key):
+    # the sample rule picks FGK for EXACT_FIT, but its stream is 33 bytes too
+    assert len(ahuffman.encode(EXACT_FIT)) == 8 * len(EXACT_FIT)
+    env = envelope.seal(EXACT_FIT, key)
+    assert (env.version, env.compressed_bit_count) == (envelope.STORED, 8 * len(EXACT_FIT))
+    assert envelope.open(envelope.deserialize(envelope.serialize(env)), key) == EXACT_FIT
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    message=st.binary(max_size=2048)
+    | st.lists(st.sampled_from(b"etaoin shrdlu"), max_size=2048).map(bytes)
+    | st.lists(st.sampled_from(b"And block secret compression the "), max_size=64).map(bytes)
+)
+@example(message=b"")
+@example(message=EXACT_FIT)
+def test_every_fgk_payload_is_shorter_than_its_message(message):
+    version, payload, bit_count = envelope._compress(message)
+    if version == envelope.VERSION:
+        assert len(payload) == (bit_count + 7) // 8
+        assert len(payload) < len(message) or message == b""
+    else:
+        assert (version, payload, bit_count) == (envelope.STORED, message, 8 * len(message))
 
 
 @pytest.mark.parametrize(
