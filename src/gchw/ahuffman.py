@@ -22,10 +22,24 @@ each number is its own leader and the update only climbs the code path, so
 the encoder walks each symbol once, reading the code bit and incrementing
 at each number.  At that first number nothing above has moved: it reads the
 rest of the code there and hands the number to ``_climb``, which finishes
-the update.  ``decode`` reads every code and literal from one iterator over
-the bits, descending from the root one bit at a time to a leaf, and inlines
-the same climb up to the same hand-off; like the encoder's, the climb stops
-at the root, which never swaps and only has its weight incremented.
+the update.
+
+Only a swap changes a code, so the encoder keeps the code it spells for a
+symbol whose update did not climb, by the leaf's number, and sends it again
+unspelled (still running the update) until a swap may have changed it.  A
+swap with leader L changes codes only at numbers <= L: both moved subtrees
+lie at or below L, as descendants are numbered below their ancestors, and
+the parent's 0-child fix-up flips only the codes of the two swapped
+numbers when they are siblings.  Increments change no code, and a spawn
+splits only the NYT, whose code is never kept.  ``_climb`` returns its last
+(highest) leader, and the encoder drops the kept codes up to it.  A young
+tree swaps too often for a kept code to pay, so only a message of at least
+``_KEEP_FROM`` bytes keeps codes.
+
+``decode`` reads every code and literal from one iterator over the bits,
+descending from the root one bit at a time to a leaf, and inlines the same
+climb up to the same hand-off; like the encoder's, the climb stops at the
+root, which never swaps and only has its weight incremented.
 """
 
 from __future__ import annotations
@@ -42,6 +56,11 @@ NYT = ALPHABET_SIZE  # the symbol of the not-yet-transmitted leaf
 # At most 257 leaves, hence 2*257 - 1 numbers.  The root keeps the top one;
 # each NYT spawn claims the two numbers directly below the old NYT's.
 _TOP_NUMBER = 2 * ALPHABET_SIZE
+# A young tree swaps so often that a kept code is seldom sent again before
+# a swap drops it, so for text shorter than about 4 KiB keeping codes costs
+# more time than it saves.  The encoder keeps codes only in a message of at
+# least this many bytes.
+_KEEP_FROM = 4096
 # each byte's 8-bit literal as 0/1 values, least significant bit first
 # (product counts up from 00000000, so the index is the byte)
 _LITERAL_REVERSED = [bytes(bits[::-1]) for bits in product((0, 1), repeat=8)]
@@ -87,7 +106,7 @@ class AdaptiveHuffmanTree:
         q = self.leaf_at[byte]
         self._climb(self._spawn(byte) if q == -1 else q)
 
-    def _climb(self, q: int) -> None:
+    def _climb(self, q: int) -> int:
         """Run the update from number ``q`` to the root.
 
         At each number whose next number holds the same weight, the leader is
@@ -95,12 +114,16 @@ class AdaptiveHuffmanTree:
         parent; a leader other than ``q`` swaps contents with it, and the
         climb goes on from the leader's number.  Then the weight there, still
         the same as a swap moves an equal weight, is incremented.
+
+        Returns the last swap's leader, the highest number whose contents
+        changed as the climb only goes up, or -1 when nothing swapped.
         """
         # hottest loop in the codec: arrays bound to locals
         weight_at = self.weight_at
         up = self.up
         kid = self.kid
         leaf_at = self.leaf_at
+        top = -1
         while q != -1:
             w = weight_at[q]
             if weight_at[q + 1] == w:
@@ -122,9 +145,10 @@ class AdaptiveHuffmanTree:
                     if up[lead] == p:
                         # siblings: the moved node is the 0-child
                         kid[p] = lead
-                    q = lead
+                    q = top = lead
             weight_at[q] = w + 1
             q = up[q]
+        return top
 
 
 def encode(data: bytes) -> BitString:
@@ -141,12 +165,36 @@ def encode(data: bytes) -> BitString:
     climb = tree._climb
     path = bytearray()
     step = path.append
+    # code_at[n]: the code of the leaf at number n, spelled in an update
+    # that did not climb and kept until a swap with a leader at n or above;
+    # no slot below low holds one
+    code_at = [None] * (_TOP_NUMBER + 2)
+    low = _TOP_NUMBER + 1
+    # a message shorter than _KEEP_FROM keeps no code (no leaf number
+    # reaches keep); a longer one keeps every code it may
+    keep = 0 if len(data) >= _KEEP_FROM else _TOP_NUMBER + 1
     for byte in data:
-        q = leaf_at[byte]
+        leaf = q = leaf_at[byte]
         if q == -1:
             # the literal goes in first, reversed, so it follows the code
             path += _LITERAL_REVERSED[byte]
             q = tree._spawn(byte)
+        elif (code := code_at[q]) is not None:
+            emit(code)
+            # the update alone, up to the same hand-off as below
+            while q != _TOP_NUMBER:
+                w = weight_at[q]
+                if weight_at[q + 1] == w:
+                    top = climb(q)
+                    if top >= low:
+                        code_at[low : top + 1] = [None] * (top + 1 - low)
+                        low = top + 1
+                    break
+                weight_at[q] = w + 1
+                q = up[q]
+            else:
+                weight_at[q] += 1
+            continue
         # one walk: each number's code bit and increment, up to the first
         # number whose next number holds the same weight
         while q != _TOP_NUMBER:
@@ -159,7 +207,11 @@ def encode(data: bytes) -> BitString:
                     step(r ^ kid[s])
                     r = s
                     s = up[r]
-                climb(q)
+                top = climb(q)
+                if top >= low:
+                    code_at[low : top + 1] = [None] * (top + 1 - low)
+                    low = top + 1
+                leaf = -1  # a swap may have moved it: keep no code
                 break
             step(q ^ kid[p])
             weight_at[q] = w + 1
@@ -167,6 +219,10 @@ def encode(data: bytes) -> BitString:
         else:
             weight_at[q] += 1
         path.reverse()
+        if leaf >= keep:
+            code_at[leaf] = bytes(path)
+            if leaf < low:
+                low = leaf
         emit(path)
         path.clear()
     return out

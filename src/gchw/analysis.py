@@ -195,8 +195,8 @@ def analyze_message(message: bytes, key: CipherKey, seeds: int = 1) -> list[Anal
     return _analyze(message, key, seeds)[0]
 
 
-def _analyze(message: bytes, key: CipherKey, seeds: int) -> tuple[list[AnalysisReport], CipherEnvelope]:
-    """:func:`analyze_message`, plus variant 0's envelope, which is ``seal(message, key)``."""
+def _analyze(message: bytes, key: CipherKey, seeds: int) -> tuple[list[AnalysisReport], list[float]]:
+    """:func:`analyze_message`, plus variant 0's cipher series, that of ``seal(message, key)``."""
     if type(seeds) is not int or not 1 <= seeds <= MAX_SEEDS:
         raise StatisticsError(f"seeds must be in 1..{MAX_SEEDS}, got {seeds!r}")
     unkeyed = _compress(message)
@@ -220,10 +220,10 @@ def _analyze(message: bytes, key: CipherKey, seeds: int) -> tuple[list[AnalysisR
         moments = (n, mean, syy / (n - 1)) if n == size else _moments(series)
         if env is first:
             # every variant's unpaired t compares with variant 0's series
-            baseline = moments
+            baseline, first_series = moments, series
         ut, up = _welch(moments, baseline)
         reports.append(AnalysisReport(corr, t, p, ut, up, n))
-    return reports, first
+    return reports, first_series
 
 
 def contrast_csv(plain: bytes, env: CipherEnvelope, char: str | None = None) -> str:
@@ -236,7 +236,12 @@ def contrast_csv(plain: bytes, env: CipherEnvelope, char: str | None = None) -> 
         raise ParameterError(f"plain must be bytes or bytearray, got {type(plain).__name__}")
     if char is not None and (type(char) is not str or len(char) != 1):
         raise ParameterError(f"char must be exactly one character, got {char!r}")
-    cipher = list(map(repr, cipher_series(env)))
+    return _contrast_csv(plain, cipher_series(env), char)
+
+
+def _contrast_csv(plain: bytes, series: list[float], char: str | None) -> str:
+    """:func:`contrast_csv` from the cipher series, with its arguments checked."""
+    cipher = list(map(repr, series))
     out = io.StringIO()
     out.write("index,plain_value,cipher_value\n")
     # ints and float reprs never need quoting; a missing value is an empty field

@@ -174,7 +174,7 @@ def _cmd_analyze(args) -> int:
     key = load_key_file(args.key)
     with open(args.input, "rb") as fh:
         message = fh.read()
-    reports, env = analysis._analyze(message, key, args.seeds)
+    reports, series = analysis._analyze(message, key, args.seeds)
     lines = [
         "# cipher series = flattened block entries / 2^scale_exp,"
         " truncated to the plaintext length for paired statistics",
@@ -185,7 +185,7 @@ def _cmd_analyze(args) -> int:
             f"{index},{r.correlation!r},{r.paired_t!r},{r.paired_p!r},"
             f"{r.unpaired_t!r},{r.unpaired_p!r},{r.n_pairs}"
         )
-    report_text = "\n".join(lines) + "\n" + analysis.contrast_csv(message, env, args.char)
+    report_text = "\n".join(lines) + "\n" + analysis._contrast_csv(message, series, args.char)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(report_text)
     return EXIT_OK

@@ -1,11 +1,13 @@
 """FGK codec: bit-exact traces, roundtrips, and the sibling property."""
 
+import random
 from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gchw.ahuffman import (
+    _KEEP_FROM,
     _TOP_NUMBER,
     NYT,
     AdaptiveHuffmanTree,
@@ -21,12 +23,13 @@ from helpers import (
     code_for,
     contains,
     nyt_code,
+    path,
     reference_decode,
     reference_encode,
     reference_update,
     snapshot,
 )
-from test_golden_vectors import english_like
+from test_golden_vectors import english_like, skewed
 
 
 def test_encode_empty():
@@ -242,7 +245,9 @@ def test_encode_matches_two_walk_reference_on_skewed_bytes(rng):
 
 
 def test_encode_matches_two_walk_reference_on_text():
-    assert_encodes_like_reference(english_like(6000, 8))
+    # the longest message that keeps no code, and the shortest that keeps codes
+    for size in (_KEEP_FROM - 1, _KEEP_FROM, 6000):
+        assert_encodes_like_reference(english_like(size, 8))
 
 
 def test_encode_matches_two_walk_reference_on_every_literal(rng):
@@ -264,6 +269,76 @@ def test_encode_matches_two_walk_reference_when_parent_tops_block():
 )
 def test_encode_matches_two_walk_reference_on_small_alphabets(symbols):
     assert_encodes_like_reference(bytes(symbols))
+
+
+@st.composite
+def shifted_runs(draw) -> bytes:
+    """Two seeded skewed runs over two different small alphabets, 4-6 KiB in all.
+
+    At least ``_KEEP_FROM`` bytes, so the encoder keeps codes.
+    """
+    alphabets = st.lists(st.integers(0, 255), min_size=1, max_size=8, unique=True)
+    first = draw(alphabets)
+    second = draw(alphabets.filter(lambda alphabet: alphabet != first))
+    seed = draw(st.integers(0, 2**32 - 1))
+    half = _KEEP_FROM // 2
+    return b"".join(skewed(draw(st.integers(half, 3 * half // 2)), bytes(a), seed) for a in (first, second))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shifted_runs())
+def test_encode_matches_two_walk_reference_when_the_alphabet_shifts(data):
+    # the second run's symbols overtake the first's, so swaps reach high
+    # numbers after a long stretch of kept codes
+    assert_encodes_like_reference(data)
+
+
+def copy_of(tree: AdaptiveHuffmanTree) -> AdaptiveHuffmanTree:
+    copy = AdaptiveHuffmanTree()
+    for name in AdaptiveHuffmanTree.__slots__:
+        setattr(copy, name, getattr(tree, name)[:])
+    return copy
+
+
+def held(tree: AdaptiveHuffmanTree) -> list[int]:
+    """What each number holds: ``~symbol`` at a leaf, else the sibling pair of its children.
+
+    The pair, not the 0-child's number: when a swap's two numbers are
+    siblings, their parent's 0-child follows the moved node, so the parent
+    holds the same pair and its own code does not change.
+    """
+    return [k if k < 0 else k >> 1 for k in tree.kid]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        random.Random(1).randbytes(700),
+        english_like(2500, 3),
+        skewed(1200, b"xyz", 4),
+        skewed(600, b"abcdef", 5) + skewed(600, b"uvw", 6),
+    ],
+    ids=["random", "text", "three-symbols", "shifted"],
+)
+def test_climb_returns_the_highest_number_it_changed(data):
+    tree = AdaptiveHuffmanTree()
+    tops = []
+    for byte in data:
+        q = tree.leaf_at[byte]
+        if q == -1:
+            q = tree._spawn(byte)
+        before = copy_of(tree)
+        top = tree._climb(q)
+        tops.append(top)
+        changed = [n for n, (a, b) in enumerate(zip(held(before), held(tree))) if a != b]
+        moved = [n for a, b in zip(before.leaf_at, tree.leaf_at) if a != b for n in (a, b)]
+        assert max(changed + moved, default=-1) == top
+        # what the encoder's kept codes rest on: every leaf above top keeps its code
+        for leaf in before.leaf_at:
+            if leaf > top:
+                assert path(tree, leaf) == path(before, leaf)
+    # both kinds of climb occur: one that swaps and one that does not
+    assert -1 in tops and max(tops) > -1
 
 
 def decode_outcome(decoder, bits: BitString, symbol_count: int):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from gchw import envelope
+from gchw import analysis, envelope
 from gchw.analysis import analyze_message, contrast_csv
 from gchw.cli import main
 from gchw.keyschedule import load_key_file
@@ -244,6 +244,25 @@ def test_analyze_report_is_the_reports_plus_the_sealed_contrast(tmp_path, keyfil
     )
     assert code == 0
     assert report.read_bytes() == expected.encode("ascii")
+
+
+def test_analyze_builds_each_variant_series_once(tmp_path, keyfile, monkeypatch):
+    # the contrast CSV reuses variant 0's series from the statistics
+    plain = tmp_path / "m.txt"
+    plain.write_bytes(b"meet me after party, meet me after the party")
+    built = []
+    real_series = analysis.cipher_series
+
+    def counting_series(env):
+        built.append(env)
+        return real_series(env)
+
+    monkeypatch.setattr(analysis, "cipher_series", counting_series)
+    report = tmp_path / "report.csv"
+    code = run("analyze", "--key", str(keyfile), "--in", str(plain), "--seeds", "3", "--out", str(report))
+    assert code == 0
+    assert len(built) == 3
+    assert report.read_text().endswith(contrast_csv(plain.read_bytes(), built[0]))
 
 
 def test_analyze_rejects_multichar(tmp_path, keyfile):

@@ -59,6 +59,12 @@ def shuffled_byte_values(seed: int) -> bytes:
     return bytes(values)
 
 
+def skewed(size: int, alphabet: bytes, seed: int) -> bytes:
+    """Seeded bytes of ``alphabet``, the value of rank r drawn with weight 1 / (r + 1)."""
+    weights = [1 / (rank + 1) for rank in range(len(alphabet))]
+    return bytes(random.Random(seed).choices(alphabet, weights, k=size))
+
+
 # (payload, compressed bit count, SHA-256 of the packed stream)
 BULK_VECTORS = {
     "text-64KiB": (
@@ -75,6 +81,15 @@ BULK_VECTORS = {
         lambda: shuffled_byte_values(2015),
         4088,
         "195ef54e6164c23e894a5cb8f596fbfb6608d9d3d7287c77d3ad9187e4c95d7f",
+    ),
+    # a long stable stretch, then a shift in the byte distribution: the
+    # new symbols' weights overtake the old ones, which swaps high in the tree
+    "text-then-digits-and-capitals-then-all-bytes": (
+        lambda: english_like(1 << 15, 2015)
+        + skewed(1 << 14, b"0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ", 2015)
+        + shuffled_byte_values(2015),
+        259542,
+        "f16dec1ea2498c00e5ed31ff2f25b01276f58c9029181208cb90f8e821d66b17",
     ),
     "random-300B": (
         lambda: random.Random(2015).randbytes(300),
