@@ -37,9 +37,21 @@ tree swaps too often for a kept code to pay, so only a message of at least
 ``_KEEP_FROM`` bytes keeps codes.
 
 ``decode`` reads every code and literal from one iterator over the bits,
-descending from the root one bit at a time to a leaf, and inlines the same
-climb up to the same hand-off; like the encoder's, the climb stops at the
-root, which never swaps and only has its weight incremented.
+in two phases.  For its first ``_KEEP_FROM`` symbols it descends from the
+root one bit at a time to a leaf, then inlines the same climb up to the same
+hand-off; like the encoder's, the climb stops at the root, which never swaps
+and only has its weight incremented.  From then on the tree swaps on few
+symbols, and one flat loop over the bits descends and updates at once: the
+root is incremented as a symbol starts, and each number stepped to is
+checked for a tie with its next number and incremented at once.  Every tie
+is read on the weights from before the symbol, as the bottom-up walk reads
+them, with one exception.  The numbers already incremented are ancestors,
+and an ancestor can be the next number and weigh the same only when it is
+the parent and the sibling is the zero-weight NYT: the NYT's sibling at
+``nyt + 1`` under a parent at ``nyt + 2`` always ties, and one test per
+symbol restores that tie.  At the leaf, if some number tied, the increments
+from the lowest tie up to the root are undone and the tie is handed to
+``_climb``, which leaves the tree the bottom-up walk would.
 """
 
 from __future__ import annotations
@@ -57,13 +69,20 @@ NYT = ALPHABET_SIZE  # the symbol of the not-yet-transmitted leaf
 # each NYT spawn claims the two numbers directly below the old NYT's.
 _TOP_NUMBER = 2 * ALPHABET_SIZE
 # A young tree swaps so often that a kept code is seldom sent again before
-# a swap drops it, so for text shorter than about 4 KiB keeping codes costs
-# more time than it saves.  The encoder keeps codes only in a message of at
-# least this many bytes.
+# a swap drops it, and a decoder's one-pass update must often be undone
+# before a climb, so on text of less than about 4 KiB both cost more time
+# than they save.  The encoder keeps codes only in a message of at least this
+# many bytes, and the decoder runs its one-pass loop only from this many
+# decoded symbols on.
 _KEEP_FROM = 4096
 # each byte's 8-bit literal as 0/1 values, least significant bit first
 # (product counts up from 00000000, so the index is the byte)
 _LITERAL_REVERSED = [bytes(bits[::-1]) for bits in product((0, 1), repeat=8)]
+# a new tree's four arrays, copied by each tree rather than built again
+_WEIGHT_AT = [-1] * _TOP_NUMBER + [0, inf]
+_UP = [-1] * (_TOP_NUMBER + 1)
+_KID = [0] * _TOP_NUMBER + [~NYT]
+_LEAF_AT = [-1] * ALPHABET_SIZE + [_TOP_NUMBER]
 
 
 class AdaptiveHuffmanTree:
@@ -80,10 +99,10 @@ class AdaptiveHuffmanTree:
     __slots__ = ("weight_at", "up", "kid", "leaf_at")
 
     def __init__(self):
-        self.weight_at = [-1] * _TOP_NUMBER + [0, inf]
-        self.up = [-1] * (_TOP_NUMBER + 1)
-        self.kid = [0] * _TOP_NUMBER + [~NYT]
-        self.leaf_at = [-1] * ALPHABET_SIZE + [_TOP_NUMBER]
+        self.weight_at = _WEIGHT_AT.copy()
+        self.up = _UP.copy()
+        self.kid = _KID.copy()
+        self.leaf_at = _LEAF_AT.copy()
 
     def _spawn(self, byte: int) -> int:
         """The NYT becomes the parent of a new NYT (0-child) and the byte's leaf.
@@ -242,7 +261,7 @@ def decode(bits: BitString, symbol_count: int) -> bytes:
     # one iterator over the bits, shared by every code and literal
     it = iter(bits)
     bit_of = next  # bound to a local for the eight reads of a literal
-    for _ in range(symbol_count):
+    for _ in range(min(symbol_count, _KEEP_FROM)):
         k = kid[_TOP_NUMBER]
         if k >= 0:  # the root is a leaf only before the first symbol
             for bit in it:
@@ -278,6 +297,56 @@ def decode(bits: BitString, symbol_count: int) -> bytes:
             q = up[q]
         else:
             weight_at[_TOP_NUMBER] += 1
+    left = symbol_count - _KEEP_FROM
+    if left > 0:
+        # one pass per symbol: each number stepped to is checked for a tie
+        # on the weights from before the symbol and incremented at once; the
+        # root, internal by now, is incremented before each descent
+        weight_at[_TOP_NUMBER] += 1
+        k = kid[_TOP_NUMBER]
+        tie = -1
+        for bit in it:
+            q = k ^ bit
+            w = weight_at[q]
+            if weight_at[q + 1] == w:
+                tie = q  # the lowest tie yet, as numbers fall on the way down
+            weight_at[q] = w + 1
+            k = kid[q]
+            if k >= 0:
+                continue
+            byte = ~k
+            if byte == NYT:
+                # the literal, read as in the loop above
+                try:
+                    byte = (
+                        bit_of(it) << 7 | bit_of(it) << 6 | bit_of(it) << 5 | bit_of(it) << 4
+                        | bit_of(it) << 3 | bit_of(it) << 2 | bit_of(it) << 1 | bit_of(it)
+                    )
+                except StopIteration:
+                    raise CorruptStreamError("bit stream ended mid-literal") from None
+                if leaf_at[byte] != -1:
+                    raise CorruptStreamError("literal of a byte that already has a code")
+                tree._spawn(byte)  # the old NYT's number, q, is already incremented
+            elif q == leaf_at[NYT] + 1 and up[q] == q + 1:
+                # the NYT's sibling ties its parent, which was incremented a
+                # step ago
+                tie = q
+            out.append(byte)
+            if tie != -1:
+                # undo the increments from the tie up, then climb from it
+                r = tie
+                while r != -1:
+                    weight_at[r] -= 1
+                    r = up[r]
+                climb(tie)
+                tie = -1
+            left -= 1
+            if not left:
+                break
+            weight_at[_TOP_NUMBER] += 1
+            k = kid[_TOP_NUMBER]
+        else:
+            raise CorruptStreamError("bit stream ended mid-code")
     if next(it, None) is not None:
         raise CorruptStreamError("trailing bits after the final symbol")
     return bytes(out)

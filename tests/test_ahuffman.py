@@ -2,13 +2,18 @@
 
 import random
 from bisect import bisect_left
+from math import inf
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gchw.ahuffman import (
     _KEEP_FROM,
+    _KID,
+    _LEAF_AT,
     _TOP_NUMBER,
+    _UP,
+    _WEIGHT_AT,
     NYT,
     AdaptiveHuffmanTree,
     decode,
@@ -18,6 +23,7 @@ from gchw.bits import BitString
 from gchw.errors import CorruptStreamError, ParameterError
 from helpers import (
     ReferenceTree,
+    append_uint,
     bits_from01,
     check_sibling_property,
     code_for,
@@ -372,10 +378,13 @@ def test_decode_matches_index_reference_on_skewed_bytes(rng):
 
 
 def test_decode_matches_index_reference_on_text():
-    data = english_like(6000, 8)
-    bits = encode(data)
-    assert_decodes_like_reference(bits, len(data))
-    assert reference_decode(bits, len(data)) == data
+    # both sides of the phase switch: the first phase decodes 4096 symbols at most
+    for size in (_KEEP_FROM - 1, _KEEP_FROM, _KEEP_FROM + 1, 6000):
+        data = english_like(size, 8)
+        bits = encode(data)
+        assert reference_decode(bits, size) == data
+        for count in (size - 1, size, size + 1):
+            assert_decodes_like_reference(bits, count)
 
 
 def test_decode_matches_index_reference_on_every_literal(rng):
@@ -411,6 +420,95 @@ def test_decode_matches_index_reference_on_altered_encodings(data, cut, appended
     stream = encode(data)
     bits = BitString(stream[: len(stream) - cut] + bytes(appended))
     assert_decodes_like_reference(bits, max(0, len(data) + delta))
+
+
+def tree_after(data: bytes) -> AdaptiveHuffmanTree:
+    tree = AdaptiveHuffmanTree()
+    for byte in data:
+        tree.update(byte)
+    return tree
+
+
+# Past the gate, a byte new to the text ("#") comes twice in a row.  The
+# second time its leaf, the NYT's sibling at nyt + 1, ties its parent at
+# nyt + 2, which the one-pass loop has already incremented, and another
+# weight-1 leaf lies above, so the update swaps.
+NYT_SIBLING_TIE = english_like(4200, 1) + b"##" + english_like(300, 9)
+
+
+def test_decode_restores_the_tie_of_the_nyt_sibling_past_the_gate():
+    tree = tree_after(NYT_SIBLING_TIE[:4201])
+    leaf = tree.leaf_at[ord("#")]
+    assert leaf == tree.leaf_at[NYT] + 1 and tree.up[leaf] == leaf + 1
+    assert tree.weight_at[leaf] == tree.weight_at[leaf + 1] == 1
+    lead = bisect_left(tree.weight_at, 2, leaf + 2) - 1
+    assert lead > leaf + 1 and tree.kid[lead] < 0
+    data = NYT_SIBLING_TIE
+    bits = encode(data)
+    assert decode(bits, len(data)) == data
+    assert_decodes_like_reference(bits, len(data))
+    assert decode_outcome(decode, bits, len(data) - 1) == "trailing bits after the final symbol"
+    assert decode_outcome(decode, bits, len(data) + 1) == "bit stream ended mid-code"
+
+
+def test_decode_reads_a_literal_as_the_first_symbol_past_the_gate():
+    data = english_like(_KEEP_FROM, 4) + b"#"
+    bits = encode(data)
+    assert decode(bits, len(data)) == data
+    # the literal cut short, and spelled for a byte that already has a code
+    cut = BitString(bits[:-3])
+    seen = BitString(bits[:-8])
+    append_uint(seen, ord("e"), 8)
+    assert decode_outcome(decode, cut, len(data)) == "bit stream ended mid-literal"
+    assert decode_outcome(decode, seen, len(data)) == "literal of a byte that already has a code"
+    for stream in (bits, cut, seen):
+        assert_decodes_like_reference(stream, len(data))
+
+
+@st.composite
+def altered_encodings_past_the_gate(draw) -> tuple[BitString, int]:
+    """An encoding of at least ``_KEEP_FROM`` symbols, altered at its end.
+
+    Text, then a few arbitrary bytes; then maybe the NYT code and the literal
+    of a new byte or of one that already has a code; then cut by up to 12
+    bits, extended by up to 12 and read for a symbol count up to 2 away.
+    """
+    text = english_like(draw(st.integers(_KEEP_FROM, _KEEP_FROM + 200)), draw(st.integers(0, 3)))
+    data = text + draw(st.binary(max_size=30))
+    stream = encode(data)
+    count = len(data)
+    if draw(st.booleans()):
+        stream += bytes(nyt_code(tree_after(data)))
+        append_uint(stream, draw(st.integers(0, 255)), 8)
+        count += 1
+    cut = draw(st.integers(0, 12))
+    appended = bytes(draw(st.lists(st.integers(0, 1), max_size=12)))
+    return BitString(stream[: len(stream) - cut] + appended), count + draw(st.integers(-2, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(altered_encodings_past_the_gate())
+def test_decode_matches_index_reference_on_altered_encodings_past_the_gate(case):
+    assert_decodes_like_reference(*case)
+
+
+def test_each_tree_starts_from_its_own_copy_of_the_initial_arrays():
+    initial = {
+        "weight_at": [-1] * _TOP_NUMBER + [0, inf],
+        "up": [-1] * (_TOP_NUMBER + 1),
+        "kid": [0] * _TOP_NUMBER + [~NYT],
+        "leaf_at": [-1] * (_TOP_NUMBER // 2) + [_TOP_NUMBER],
+    }
+    first, second = AdaptiveHuffmanTree(), AdaptiveHuffmanTree()
+    lists = [getattr(tree, name) for tree in (first, second) for name in initial]
+    lists += [_WEIGHT_AT, _UP, _KID, _LEAF_AT]
+    assert len({id(array) for array in lists}) == len(lists)
+    for byte in b"mutated":
+        first.update(byte)
+    data = english_like(_KEEP_FROM + 100, 2)
+    assert decode(encode(data), len(data)) == data
+    for tree in (second, AdaptiveHuffmanTree()):
+        assert {name: getattr(tree, name) for name in initial} == initial
 
 
 def test_a_new_leaf_never_swaps(rng):
