@@ -36,22 +36,19 @@ splits only the NYT, whose code is never kept.  ``_climb`` returns its last
 tree swaps too often for a kept code to pay, so only a message of at least
 ``_KEEP_FROM`` bytes keeps codes.
 
-``decode`` reads every code and literal from one iterator over the bits,
-in two phases.  For its first ``_KEEP_FROM`` symbols it descends from the
-root one bit at a time to a leaf, then inlines the same climb up to the same
-hand-off; like the encoder's, the climb stops at the root, which never swaps
-and only has its weight incremented.  From then on the tree swaps on few
-symbols, and one flat loop over the bits descends and updates at once: the
-root is incremented as a symbol starts, and each number stepped to is
-checked for a tie with its next number and incremented at once.  Every tie
-is read on the weights from before the symbol, as the bottom-up walk reads
-them, with one exception.  The numbers already incremented are ancestors,
-and an ancestor can be the next number and weigh the same only when it is
-the parent and the sibling is the zero-weight NYT: the NYT's sibling at
-``nyt + 1`` under a parent at ``nyt + 2`` always ties, and one test per
-symbol restores that tie.  At the leaf, if some number tied, the increments
-from the lowest tie up to the root are undone and the tie is handed to
-``_climb``, which leaves the tree the bottom-up walk would.
+``decode`` reads every code and literal from one iterator over the bits.
+The first symbol is a literal with no code, as the root is still the NYT
+leaf.  From then on one flat loop over the bits descends and updates at
+once: the root is incremented as a symbol starts, and each number stepped
+to is checked for a tie with its next number and incremented at once.
+Every tie is read on the weights from before the symbol, as the bottom-up
+walk reads them, with one exception.  The numbers already incremented are
+ancestors, and an ancestor can be the next number and weigh the same only
+when it is the parent and the sibling is the zero-weight NYT: the NYT's
+sibling at ``nyt + 1`` under a parent at ``nyt + 2`` always ties, and one
+test per symbol restores that tie.  At the leaf, if some number tied, the
+increments from the lowest tie up to the root are undone and the tie is
+handed to ``_climb``, which leaves the tree the bottom-up walk would.
 """
 
 from __future__ import annotations
@@ -69,11 +66,9 @@ NYT = ALPHABET_SIZE  # the symbol of the not-yet-transmitted leaf
 # each NYT spawn claims the two numbers directly below the old NYT's.
 _TOP_NUMBER = 2 * ALPHABET_SIZE
 # A young tree swaps so often that a kept code is seldom sent again before
-# a swap drops it, and a decoder's one-pass update must often be undone
-# before a climb, so on text of less than about 4 KiB both cost more time
-# than they save.  The encoder keeps codes only in a message of at least this
-# many bytes, and the decoder runs its one-pass loop only from this many
-# decoded symbols on.
+# a swap drops it, so for text shorter than about 4 KiB keeping codes costs
+# more time than it saves.  The encoder keeps codes only in a message of at
+# least this many bytes.
 _KEEP_FROM = 4096
 # each byte's 8-bit literal as 0/1 values, least significant bit first
 # (product counts up from 00000000, so the index is the byte)
@@ -247,6 +242,17 @@ def encode(data: bytes) -> BitString:
     return out
 
 
+def _literal(it) -> int:
+    """Read an 8-bit literal, MSB first, from the bit iterator ``it``."""
+    try:
+        return (
+            next(it) << 7 | next(it) << 6 | next(it) << 5 | next(it) << 4
+            | next(it) << 3 | next(it) << 2 | next(it) << 1 | next(it)
+        )
+    except StopIteration:
+        raise CorruptStreamError("bit stream ended mid-literal") from None
+
+
 def decode(bits: BitString, symbol_count: int) -> bytes:
     """Exact inverse of :func:`encode`; consumes every bit of ``bits``."""
     if symbol_count < 0:
@@ -260,48 +266,16 @@ def decode(bits: BitString, symbol_count: int) -> bytes:
     out = bytearray()
     # one iterator over the bits, shared by every code and literal
     it = iter(bits)
-    bit_of = next  # bound to a local for the eight reads of a literal
-    for _ in range(min(symbol_count, _KEEP_FROM)):
-        k = kid[_TOP_NUMBER]
-        if k >= 0:  # the root is a leaf only before the first symbol
-            for bit in it:
-                k = kid[k ^ bit]
-                if k < 0:
-                    break
-            else:
-                raise CorruptStreamError("bit stream ended mid-code")
-        byte = ~k
-        if byte == NYT:
-            # the 8-bit literal, MSB first; eight calls cost less than
-            # gathering the bits with islice and looking them up
-            try:
-                byte = (
-                    bit_of(it) << 7 | bit_of(it) << 6 | bit_of(it) << 5 | bit_of(it) << 4
-                    | bit_of(it) << 3 | bit_of(it) << 2 | bit_of(it) << 1 | bit_of(it)
-                )
-            except StopIteration:
-                raise CorruptStreamError("bit stream ended mid-literal") from None
-            if leaf_at[byte] != -1:
-                raise CorruptStreamError("literal of a byte that already has a code")
-            q = tree._spawn(byte)
-        else:
-            q = leaf_at[byte]
+    if symbol_count:
+        # the root is the NYT leaf: the first symbol is a literal with no code
+        byte = _literal(it)
         out.append(byte)
-        # the update, inlined up to the hand-off; the root never swaps
-        while q != _TOP_NUMBER:
-            w = weight_at[q]
-            if weight_at[q + 1] == w:
-                climb(q)
-                break
-            weight_at[q] = w + 1
-            q = up[q]
-        else:
-            weight_at[_TOP_NUMBER] += 1
-    left = symbol_count - _KEEP_FROM
+        tree.update(byte)
+    left = symbol_count - 1
     if left > 0:
         # one pass per symbol: each number stepped to is checked for a tie
         # on the weights from before the symbol and incremented at once; the
-        # root, internal by now, is incremented before each descent
+        # root is incremented before each descent
         weight_at[_TOP_NUMBER] += 1
         k = kid[_TOP_NUMBER]
         tie = -1
@@ -316,14 +290,7 @@ def decode(bits: BitString, symbol_count: int) -> bytes:
                 continue
             byte = ~k
             if byte == NYT:
-                # the literal, read as in the loop above
-                try:
-                    byte = (
-                        bit_of(it) << 7 | bit_of(it) << 6 | bit_of(it) << 5 | bit_of(it) << 4
-                        | bit_of(it) << 3 | bit_of(it) << 2 | bit_of(it) << 1 | bit_of(it)
-                    )
-                except StopIteration:
-                    raise CorruptStreamError("bit stream ended mid-literal") from None
+                byte = _literal(it)
                 if leaf_at[byte] != -1:
                     raise CorruptStreamError("literal of a byte that already has a code")
                 tree._spawn(byte)  # the old NYT's number, q, is already incremented

@@ -378,7 +378,7 @@ def test_decode_matches_index_reference_on_skewed_bytes(rng):
 
 
 def test_decode_matches_index_reference_on_text():
-    # both sides of the phase switch: the first phase decodes 4096 symbols at most
+    # both sides of the encoder's switch to kept codes, one symbol past it, and more
     for size in (_KEEP_FROM - 1, _KEEP_FROM, _KEEP_FROM + 1, 6000):
         data = english_like(size, 8)
         bits = encode(data)
@@ -429,14 +429,14 @@ def tree_after(data: bytes) -> AdaptiveHuffmanTree:
     return tree
 
 
-# Past the gate, a byte new to the text ("#") comes twice in a row.  The
-# second time its leaf, the NYT's sibling at nyt + 1, ties its parent at
-# nyt + 2, which the one-pass loop has already incremented, and another
+# After 4200 bytes of text, a byte new to it ("#") comes twice in a row.
+# The second time its leaf, the NYT's sibling at nyt + 1, ties its parent
+# at nyt + 2, which the one-pass loop has already incremented, and another
 # weight-1 leaf lies above, so the update swaps.
 NYT_SIBLING_TIE = english_like(4200, 1) + b"##" + english_like(300, 9)
 
 
-def test_decode_restores_the_tie_of_the_nyt_sibling_past_the_gate():
+def test_decode_restores_the_tie_of_the_nyt_sibling_in_a_mature_tree():
     tree = tree_after(NYT_SIBLING_TIE[:4201])
     leaf = tree.leaf_at[ord("#")]
     assert leaf == tree.leaf_at[NYT] + 1 and tree.up[leaf] == leaf + 1
@@ -451,7 +451,7 @@ def test_decode_restores_the_tie_of_the_nyt_sibling_past_the_gate():
     assert decode_outcome(decode, bits, len(data) + 1) == "bit stream ended mid-code"
 
 
-def test_decode_reads_a_literal_as_the_first_symbol_past_the_gate():
+def test_decode_reads_a_literal_as_symbol_4097():
     data = english_like(_KEEP_FROM, 4) + b"#"
     bits = encode(data)
     assert decode(bits, len(data)) == data
@@ -466,7 +466,7 @@ def test_decode_reads_a_literal_as_the_first_symbol_past_the_gate():
 
 
 @st.composite
-def altered_encodings_past_the_gate(draw) -> tuple[BitString, int]:
+def altered_long_encodings(draw) -> tuple[BitString, int]:
     """An encoding of at least ``_KEEP_FROM`` symbols, altered at its end.
 
     Text, then a few arbitrary bytes; then maybe the NYT code and the literal
@@ -487,8 +487,8 @@ def altered_encodings_past_the_gate(draw) -> tuple[BitString, int]:
 
 
 @settings(max_examples=80, deadline=None)
-@given(altered_encodings_past_the_gate())
-def test_decode_matches_index_reference_on_altered_encodings_past_the_gate(case):
+@given(altered_long_encodings())
+def test_decode_matches_index_reference_on_altered_long_encodings(case):
     assert_decodes_like_reference(*case)
 
 
