@@ -24,11 +24,11 @@ check holds.  For a key whose ``entry_bound`` is below 2^30 (n = 5 at
 levels 1-4), every received entry must lie in [-2^30, 2^30): the
 ciphertext minus the candidates' product with E_scaled is then 0 mod p
 and smaller than p in magnitude, so it is 0 (the CRT bound).  Any other
-key (levels 5 and 6, larger n) checks that the exact re-encryption of the
-candidates equals the received columns.  Either check makes the result
-exact: E_scaled is nonsingular, so the true plaintext is the only matrix
-whose product with E_scaled is the ciphertext, and a candidate that passes
-is that plaintext (Dixon's modular solving with an exact check).
+key (levels 5 and 6, larger n) re-encrypts the candidates at the wire
+width with :func:`encrypt_message` and compares bytes.  Either check
+makes the result exact: E_scaled is nonsingular, so only the true
+plaintext re-encrypts to the ciphertext, and a candidate that passes is
+that plaintext (Dixon's modular solving with an exact check).
 
 When a pass fails, p-adic lifting of its first faulty row through the same
 inverse (``_lift_row``) names the fault: an entry that is not an integer, an
@@ -299,23 +299,22 @@ def decrypt_message(body: bytes, kp: KeyMatrixPair, byte_count: int) -> bytes:
 def _decrypt_pass(chunk: bytes, kp: KeyMatrixPair, data_count: int):
     """The first ``data_count`` plaintext bytes of one pass, or the index of its first bad row.
 
-    The candidate q solves q @ E_scaled = c mod p; once the masks pass,
+    The candidate q solves q @ E_scaled = c mod p; in a row the masks pass,
     every entry of q is in {-1} | 0..255, so |q @ E_scaled| <= 255/256 *
     entry_bound.  If entry_bound < 2**30 and every received entry lies in
     [-2**30, 2**30), the difference c - q @ E_scaled is 0 mod p and below
     2**31 - 2**22 < p in magnitude, so it is 0 and q is exact; a received
     entry outside that range cannot equal q @ E_scaled, which is below 2**30
-    in magnitude, so its row is faulty.  Those keys (n = 5 at levels 1-4) check that range
-    instead of re-encrypting.  Keys with entry_bound >= 2**30 (levels 5
-    and 6, and large n) admit no such range and check the exact
-    re-encryption q @ E_scaled == c.  Either way the same rows fail.
+    in magnitude, so its row is faulty.  Those keys (n = 5 at levels 1-4)
+    check that range.  Other keys (levels 5 and 6, and large n) re-encrypt
+    q at the wire width with :func:`encrypt_message` and compare bytes with
+    c; a row moved by a multiple of p passes the masks and fails only this.
     """
     z, w = kp.z, kp.entry_bytes
     rows = len(chunk) // (z * w)
-    # one slot per row, wide enough for the lifted modular sums, and so for
-    # an entry plus 2**30 and for a re-encrypted slot, even of a faulty entry
-    # (bounds below); the 64-bit floor is for the folds by 2**62 and 2**31,
-    # which every key runs, not for the re-encryption
+    # one slot per row, wide enough for the lifted modular sums (bounds below)
+    # and so for an entry plus 2**30, and at least 64 bits for the folds by
+    # 2**62 and 2**31; keys that re-encrypt do so at the wire width instead
     width = -(-max(64, 8 * w + 31 + z.bit_length()) // 8)
     slot_bits = 8 * width
     ones = _ones(width, rows)
@@ -324,11 +323,10 @@ def _decrypt_pass(chunk: bytes, kp: KeyMatrixPair, data_count: int):
     entries = memoryview(chunk).cast(fmt)
     # top: the highest bit at which a check differs from what it expects
     top = 0
-    reencrypt = kp.entry_bound >= 1 << 30
     # the unsigned w-byte entry u lies in [-2**30, 2**30) iff u + 2**30 has no
     # bit set in 31..8w-1 (a carry out of 8w bits is a negative entry); it
     # stays inside its slot, since width > w, and w <= 3 is always in range
-    span = 0 if reencrypt or w <= 3 else (ones << 8 * w) - (ones << 31)
+    span = 0 if w <= 3 or kp.entry_bound >= 1 << 30 else (ones << 8 * w) - (ones << 31)
     offset = ones << 30
     received = []  # signed entries, one slot per row
     for j in range(z):
@@ -366,17 +364,18 @@ def _decrypt_pass(chunk: bytes, kp: KeyMatrixPair, data_count: int):
             masks[n] = ((ones << slot_bits) - ((ones - pad) << 8) - pad, (ones << 8) - pad)
         mask, expect = masks[n]
         top = max(top, (t & mask ^ expect).bit_length())
-    if reencrypt:
-        # exact re-encryption: |again| < entry_bound * 2**24 < 2**(8w + 23)
-        # per slot, so with 2**(slot_bits - 2) on both sides no slot borrows
-        slack = ones << (slot_bits - 2)
-        for col, c in zip(kp.e_scaled_cols, received):
-            again = sum(map(mul, col, plain)) + slack
-            top = max(top, (again ^ c + slack + 256 * sum(col) * ones).bit_length())
-    if top:
-        # the highest differing bit lies in the first faulty row's slot
-        return rows - 1 - (top - 1) // slot_bits
+    # the highest differing bit lies in the first faulty row's slot (rows if none)
+    bad = rows - 1 - (top - 1) // slot_bits
+    if bad < rows and kp.entry_bound < 1 << 30:
+        return bad
     out = bytearray(rows * z)
     for k, t in enumerate(plain):
         out[k::z] = t.to_bytes(rows * width, "big")[width - 1 :: width]
-    return out[:data_count]
+    if kp.entry_bound >= 1 << 30:
+        # rows before `bad` hold bytes and -1, so their re-encryption fits the
+        # wire width; then all-padding rows (entry j is -sum(column j)) to spare
+        pad = b"".join((-sum(col)).to_bytes(w, "big", signed=True) for col in kp.e_scaled_cols)
+        again = encrypt_message(out[:data_count], kp) + pad * rows
+        if not again.startswith(chunk):
+            bad = min(bad, next(i for i, b in enumerate(chunk) if b != again[i]) // (z * w))
+    return out[:data_count] if bad == rows else bad

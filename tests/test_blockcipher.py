@@ -408,6 +408,19 @@ def forbid_decrypt_block(monkeypatch) -> None:
     monkeypatch.setattr(blockcipher, "decrypt_block", per_block)
 
 
+def record_lifts(monkeypatch) -> list[tuple[int, ...]]:
+    """The rows that ``blockcipher._lift_row`` is called with, in call order."""
+    lifted = []
+    real_lift = blockcipher._lift_row
+
+    def recording_lift(row, kp):
+        lifted.append(tuple(row))
+        return real_lift(row, kp)
+
+    monkeypatch.setattr(blockcipher, "_lift_row", recording_lift)
+    return lifted
+
+
 @pytest.mark.parametrize("level", range(1, 7))
 def test_decrypt_message_fails_like_the_per_block_route(monkeypatch, level):
     # entries of a three-block body nudged or set, then each region boundary
@@ -494,19 +507,37 @@ def test_of_two_bad_blocks_the_first_is_named(monkeypatch, value):
     assert value is None or blocks[2][7] in width_limits(kp.entry_bytes)
     blocks[4][0] += 1
     forbid_decrypt_block(monkeypatch)
-    lifted = []
-    real_lift = blockcipher._lift_row
-
-    def recording_lift(row, kp):
-        lifted.append(tuple(row))
-        return real_lift(row, kp)
-
-    monkeypatch.setattr(blockcipher, "_lift_row", recording_lift)
+    lifted = record_lifts(monkeypatch)
     wire = pack_blocks(blocks, kp.entry_bytes)
     with pytest.raises(CorruptionError):
         decrypt_message(wire, kp, len(data))
     # entry 7 is in block 2's first row, and only that row is lifted
     assert lifted == [tuple(blocks[2][: kp.z])]
+
+
+@pytest.mark.parametrize("level", [5, 6])
+def test_a_row_only_the_re_encryption_rejects_is_named_before_a_later_mask_fault(
+    monkeypatch, level
+):
+    # block 0, row 1 moved by p keeps its candidates mod p, so only the
+    # re-encryption rejects it; block 2, entry 0 plus 1 fails the masks.
+    # Both lie in one pass, and the earlier row is the one lifted
+    kp = level_pair(level)
+    assert kp.entry_bound >= 1 << 30
+    cells = kp.z * kp.z
+    assert 3 * cells <= blockcipher._pass_cells(cells)
+    data = random.Random(level).randbytes(3 * cells)
+    blocks = [list(b) for b in body_blocks(encrypt_message(data, kp), kp.z, kp.entry_bytes)]
+    entry = blocks[0][kp.z]
+    blocks[0][kp.z] = entry - MODULUS if entry >= 0 else entry + MODULUS
+    blocks[2][0] += 1
+    low, high = width_limits(kp.entry_bytes)
+    assert low <= blocks[0][kp.z] and blocks[2][0] <= high
+    forbid_decrypt_block(monkeypatch)
+    lifted = record_lifts(monkeypatch)
+    with pytest.raises(CorruptionError, match="^decrypted entry is not an integer$"):
+        decrypt_message(pack_blocks(blocks, kp.entry_bytes), kp, len(data))
+    assert lifted == [tuple(blocks[0][kp.z : 2 * kp.z])]
 
 
 def test_a_padding_fault_before_a_non_integer_entry_is_named_first(monkeypatch):
@@ -553,12 +584,16 @@ def test_a_count_one_byte_short_is_a_padding_fault(monkeypatch, level, block_cou
         decrypt_message(body, kp, len(data) - 1)
 
 
-def test_a_data_region_that_ends_before_the_first_faulty_block_leaves_only_padding(monkeypatch):
-    # two all-padding blocks pass for byte count 0, then a data block fails
-    kp = level_pair(2)
+@pytest.mark.parametrize("level", [2, 5, 6])
+def test_a_data_region_that_ends_before_the_first_faulty_block_leaves_only_padding(
+    monkeypatch, level
+):
+    # two all-padding blocks pass for byte count 0, then a data block fails;
+    # levels 5 and 6 compare all-padding rows with their re-encryption
+    kp = level_pair(level)
     cells = kp.z * kp.z
     pad = encrypt_block((PAD,) * cells, kp)
-    data = encrypt_block(tuple(range(cells)), kp)
+    data = encrypt_block(tuple(i % 256 for i in range(cells)), kp)
     body = pack_blocks([pad, pad, data], kp.entry_bytes)
     forbid_decrypt_block(monkeypatch)
     with pytest.raises(CorruptionError, match="^block tail is not all padding$"):
