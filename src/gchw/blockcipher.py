@@ -11,32 +11,48 @@ product block @ E_scaled.
 Messages take the packed route, and its wire body stores each entry as a
 signed big-endian integer of ``kp.entry_bytes`` bytes, the narrowest
 width that holds every entry the key can produce (at most 8: the key
-schedule refuses a key whose entries could need more).  Stacking
-the rows of all blocks gives a tall plaintext matrix; :func:`encrypt_message`
-stores each of its columns in one integer, one slot of that width per
-row, so a ciphertext column is Z big-integer multiply-adds with entries
-of E_scaled (Kronecker substitution).  :func:`decrypt_message` reads the
-compact entries into wider slots and multiplies the received columns by
-E_scaled^-1 modulo the Mersenne prime p = 2^31 - 1, folds every slot back
-below p, and reads a candidate entry from each.  It accepts the candidates
-only if each is a byte in the data region and -1 after it, and one more
-check holds.  For a key whose ``entry_bound`` is below 2^30 (n = 5 at
-levels 1-4), every received entry must lie in [-2^30, 2^30): the
-ciphertext minus the candidates' product with E_scaled is then 0 mod p
-and smaller than p in magnitude, so it is 0 (the CRT bound).  Any other
-key (levels 5 and 6, larger n) re-encrypts the candidates at the wire
-width with :func:`encrypt_message` and compares bytes.  Either check
-makes the result exact: E_scaled is nonsingular, so only the true
-plaintext re-encrypts to the ciphertext, and a candidate that passes is
-that plaintext (Dixon's modular solving with an exact check).
+schedule refuses a key whose entries could need more).  Messages are
+handled in passes of whole blocks, and each pass is packed one of two
+ways (Kronecker substitution), whichever takes fewer Python-level steps:
 
-When a pass fails, p-adic lifting of its first faulty row through the same
-inverse (``_lift_row``) names the fault: an entry that is not an integer, an
-integer outside {-1} | 0..255, or else -1 or a byte on the wrong side of the
-byte count; so the first fault in wire order is named.  The per-block route,
-:func:`encrypt_block` and :func:`decrypt_block`, multiplies one block by
-E_scaled and by E_scaled^-1 mod p, with the same exactness rule, and counts
-its multiplies: it is the reference for the packed route and the cost model.
+* By column, when the pass's data fills Z rows or more.  Stacking the
+  rows of its blocks gives a tall plaintext matrix; :func:`encrypt_message`
+  stores each of its columns in one integer, one slot of that width per
+  row, so a ciphertext column is Z big-integer multiply-adds with
+  entries of E_scaled.
+* By row, when the data fills fewer than Z rows: a message of at most
+  Z^2 - Z bytes, or the tail of a longer one.  Each data row is one
+  multiply-add against the rows of E_scaled packed into Z slots
+  (``kp.wire_rows``).  All-padding rows are never multiplied: each is
+  the key's all-padding row ciphertext, ``kp.pad_row``.
+
+:func:`decrypt_message` multiplies the received entries, in slots wider
+than the wire's, by E_scaled^-1 modulo the Mersenne prime p = 2^31 - 1
+(by its columns, or by its rows ``kp.wide_inverse_rows`` when the pass
+is packed by row), folds every slot back below p, and reads a candidate
+entry from each.  A pass packed by row compares its all-padding rows with
+``kp.pad_row`` byte for byte instead: E_scaled is nonsingular, so no
+other row decrypts to all -1.  It accepts the candidates only if each is
+a byte in the data region and -1 after it, and one more check holds.
+For a key whose ``entry_bound`` is below 2^30 (n = 5 at levels 1-4),
+every received entry must lie in [-2^30, 2^30): the ciphertext minus the
+candidates' product with E_scaled is then 0 mod p and smaller than p in
+magnitude, so it is 0 (the CRT bound).  Any other key (levels 5 and 6,
+larger n) re-encrypts the candidates at the wire width and compares
+bytes.  Either check makes the result exact: E_scaled is nonsingular, so
+only the true plaintext re-encrypts to the ciphertext, and a candidate
+that passes is that plaintext (Dixon's modular solving with an exact
+check).
+
+When a pass fails, p-adic lifting of its first faulty row (``_lift_row``),
+two packed row products per step through the same rows of E_scaled^-1
+mod p and of E_scaled, names the fault: an entry that is not an integer,
+an integer outside {-1} | 0..255, or else -1 or a byte on the wrong side
+of the byte count; so the first fault in wire order is named.  The
+per-block route, :func:`encrypt_block` and :func:`decrypt_block`,
+multiplies one block by E_scaled and by E_scaled^-1 mod p, with the same
+exactness rule, and counts its multiplies: it is the reference for the
+packed route and the cost model.
 """
 
 from __future__ import annotations
@@ -48,7 +64,7 @@ from math import isqrt, prod
 from operator import mul
 
 from .errors import CorruptionError, ParameterError, ShapeError
-from .keyschedule import MODULUS, KeyMatrixPair
+from .keyschedule import MODULUS, KeyMatrixPair, pack_rows
 
 PAD = -1
 CHUNK_ENTRIES = 1 << 14  # entries per packed pass; bounds the big-integer working set
@@ -157,15 +173,31 @@ def _lift_row(row, kp: KeyMatrixPair) -> list[int]:
     bounding every numerator of x (Cramer).  Then an entry is an integer iff
     its residue s mod p**K of least magnitude has |s| <= N, and then it is s:
     s * det minus the numerator is a multiple of p**K smaller than p**K / 2, so 0.
+
+    Each step is two packed row products (Kronecker substitution): r times
+    the rows of E_scaled^-1 mod p gives d, and d times the rows of E_scaled
+    is subtracted from r, kept packed, which one exact division by p ends.
     """
-    p, half = MODULUS, MODULUS // 2
-    h2 = prod(sum(v * v for v in e_row) for e_row in kp.e_scaled)
-    h, n = isqrt(h2) + 1, isqrt(h2 * sum(v * v for v in row)) + 1
-    r, x, scale = row, [0] * kp.z, 1
-    while any(r) and scale <= 2 * n * (h + 1):
+    p, half, z = MODULUS, MODULUS // 2, kp.z
+    h2 = prod(sum(map(mul, e_row, e_row)) for e_row in kp.e_scaled)
+    h, n = isqrt(h2) + 1, isqrt(h2 * sum(map(mul, row, row))) + 1
+    # every |r| stays below max(|row|, entry_bound / 511), so a slot of
+    # 32 + bit_length(z) bits more than |row| holds r @ E_scaled^-1 mod p
+    # (entries below 2**30), d @ E_scaled and r; a row that fits the wire
+    # fits the key's wide slots
+    width = max(kp.wide_bytes, -(-(max(map(abs, row)).bit_length() + 32 + z.bit_length()) // 8))
+    if width == kp.wide_bytes:
+        e_rows, inverse_rows = kp.wide_rows, kp.wide_inverse_rows
+    else:
+        e_rows = pack_rows(kp.e_scaled, 8 * width)
+        inverse_rows = pack_rows(zip(*kp.inverse_cols_mod_p), 8 * width)
+    r, packed, x, scale = row, pack_rows([row], 8 * width)[0], [0] * z, 1
+    while packed and scale <= 2 * n * (h + 1):
         # digits of least magnitude sum to the residue of least magnitude mod scale * p
-        d = [(sum(map(mul, col, r)) + half) % p - half for col in kp.inverse_cols_mod_p]
-        r = [(v - sum(map(mul, col, d))) // p for v, col in zip(r, kp.e_scaled_cols)]
+        d = [(v + half) % p - half for v in _slots(sum(map(mul, r, inverse_rows)), z, width)]
+        # r - d @ E_scaled is 0 mod p in every slot, so p divides the packed residual exactly
+        packed = (packed - sum(map(mul, d, e_rows))) // p
+        r = _slots(packed, z, width)
         x = [a + scale * b for a, b in zip(x, d)]
         scale *= p
     for s in x:
@@ -179,6 +211,50 @@ def _lift_row(row, kp: KeyMatrixPair) -> list[int]:
 def _ones(width: int, rows: int) -> int:
     """``rows`` adjacent ``width``-byte slots, each holding 1; other slot masks are its shifts."""
     return int.from_bytes((1).to_bytes(width, "big") * rows, "big")
+
+
+def _slots(v: int, count: int, width: int) -> list[int]:
+    """The ``count`` signed ``width``-byte slots of ``v``, top slot first.
+
+    ``v`` is a sum of signed slot values that each fit their slot; adding
+    2**(8 * width - 1) to each makes every slot a plain unsigned digit.
+    """
+    flip = _ones(width, count) << (8 * width - 1)
+    raw = ((v + flip) ^ flip).to_bytes(count * width, "big")
+    return [int.from_bytes(raw[k : k + width], "big", signed=True) for k in range(0, len(raw), width)]
+
+
+def _residue_folds(ones: int, slot_bits: int, w: int, z: int):
+    """The map from packed sums to slots that hold 256 + q for a byte or -1 q.
+
+    Each ``slot_bits``-bit slot of a sum, one per slot of ``ones``, is Z
+    ``w``-byte received entries times entries of E_scaled^-1 mod p, so
+    |sum| < z * 2**(8w + 29); adding p * 2**e (0 mod p) keeps every slot
+    positive, and 256 makes a slot end as 256 + q.  Slot bounds for w <= 8
+    and z <= 64: 2**(8w + 31 + z.bit_length()) <= 2**102, then 2**62 +
+    2**40 (2**62 is 1 mod p), 2**32 + 2**9 and 2**31 + 3, so a slot that
+    ends in 255..511 is exact.  Slots of ``kp.wide_bytes`` bytes hold the
+    sums and have the 64 bits the folds by 2**62 and 2**31 need.
+    """
+    e = 8 * w - 1 + z.bit_length()
+    lift = (ones << (e + 31)) - (ones << e) + (ones << 8)
+    low62, rest62 = (ones << 62) - ones, (ones << (slot_bits - 62)) - ones
+    low31, rest31 = (ones << 31) - ones, (ones << (slot_bits - 31)) - ones
+
+    def fold(v: int) -> int:
+        v += lift
+        v = (v & low62) + ((v >> 62) & rest62)
+        v = (v & low31) + ((v >> 31) & rest31)
+        return (v & low31) + ((v >> 31) & rest31)
+
+    return fold
+
+
+def _slot_masks(ones: int, slot_bits: int, n: int) -> tuple[int, int]:
+    """(mask, expect): ``slot & mask == expect`` in every slot of ``ones``
+    iff the first ``n`` slots hold 256..511 (a byte) and the rest exactly 255 (-1)."""
+    pad = ones >> (slot_bits * n)  # the slots after the first n
+    return (ones << slot_bits) - ((ones - pad) << 8) - pad, (ones << 8) - pad
 
 
 def _copy_unit(w: int, width: int) -> tuple[int, str]:
@@ -230,6 +306,9 @@ def encrypt_message(data: bytes, kp: KeyMatrixPair) -> bytes:
     Column k of the tall plaintext matrix (all block rows stacked) is one
     integer with a fixed-width slot per row, so each ciphertext column is
     Z big-integer multiply-adds per pass of whole blocks (``_pass_cells``).
+    A pass whose data fills fewer than Z rows is one block, packed by row
+    instead (``_encrypt_rows``): a multiply-add per data row, then the
+    key's all-padding row for each row left.
     """
     z, w = kp.z, kp.entry_bytes
     slot_bits = 8 * w
@@ -238,6 +317,11 @@ def encrypt_message(data: bytes, kp: KeyMatrixPair) -> bytes:
     parts = []
     for start in range(0, len(data), step):
         chunk = data[start : start + step]
+        data_rows = -(-len(chunk) // z)
+        if data_rows < z:
+            # one block: its data rows packed by row, then all-padding rows
+            parts.append(_encrypt_rows(chunk, kp) + kp.pad_row * (z - data_rows))
+            continue
         rows = -(-len(chunk) // (z * z)) * z
         ones = _ones(w, rows)
         plain = []
@@ -262,12 +346,33 @@ def encrypt_message(data: bytes, kp: KeyMatrixPair) -> bytes:
     return b"".join(parts)
 
 
+def _encrypt_rows(data: bytes, kp: KeyMatrixPair) -> bytes:
+    """The wire entries of ``data``'s rows, the last padded with -1: one multiply-add per row.
+
+    Row i of the result is sum_j x_ij * (row j of E_scaled), with the rows
+    packed into ``kp.entry_bytes``-wide slots (``kp.wire_rows``); the rows
+    are stacked in one integer, the first in its top slots.
+    """
+    z, w, e_rows = kp.z, kp.entry_bytes, kp.wire_rows
+    acc = 0
+    for base in range(0, len(data), z):
+        row = data[base : base + z]
+        # the -1 padding of a short last row subtracts the rows it meets
+        acc = (acc << 8 * w * z) + sum(map(mul, row, e_rows)) - sum(e_rows[len(row) :])
+    cells = -(-len(data) // z) * z
+    # as in encrypt_message: each entry plus 2**(8w - 1) fills its slot
+    flip = _ones(w, cells) << (8 * w - 1)
+    return ((acc + flip) ^ flip).to_bytes(cells * w, "big")
+
+
 def decrypt_message(body: bytes, kp: KeyMatrixPair, byte_count: int) -> bytes:
     """Invert :func:`encrypt_message`, with :func:`decrypt_block`'s result and errors.
 
     Each pass of whole blocks multiplies the received columns by
     E_scaled^-1 mod p and accepts only exact bytes in the data region and
-    -1 after it (``_decrypt_pass`` has the checks).  A failed pass's first
+    -1 after it (``_decrypt_pass`` has the checks); a pass whose data fills
+    fewer than Z rows multiplies each data row instead, and compares the
+    rest with the all-padding row (``_decrypt_rows``).  A failed pass's first
     faulty row alone names the fault, the first in wire order: ``_lift_row``
     names an entry that is not an integer or a byte, and :func:`unpartition`
     of the exact row a padding fault.
@@ -286,7 +391,8 @@ def decrypt_message(body: bytes, kp: KeyMatrixPair, byte_count: int) -> bytes:
     for start in range(0, total, step):
         chunk = body[start * w : (start + step) * w]
         data_count = max(0, min(byte_count - start, len(chunk) // w))
-        part = _decrypt_pass(chunk, kp, data_count)
+        # fewer than Z data rows: packed by row, the padding rows compared
+        part = (_decrypt_rows if -(-data_count // z) < z else _decrypt_pass)(chunk, kp, data_count)
         if isinstance(part, int):
             # entries `at` on are the first faulty row: _lift_row or unpartition raises
             at = start + part * z
@@ -312,10 +418,9 @@ def _decrypt_pass(chunk: bytes, kp: KeyMatrixPair, data_count: int):
     """
     z, w = kp.z, kp.entry_bytes
     rows = len(chunk) // (z * w)
-    # one slot per row, wide enough for the lifted modular sums (bounds below)
-    # and so for an entry plus 2**30, and at least 64 bits for the folds by
-    # 2**62 and 2**31; keys that re-encrypt do so at the wire width instead
-    width = -(-max(64, 8 * w + 31 + z.bit_length()) // 8)
+    # one slot per row, kp.wide_bytes wide: room for the lifted modular sums
+    # (``_residue_folds``) and so for an entry plus 2**30
+    width = kp.wide_bytes
     slot_bits = 8 * width
     ones = _ones(width, rows)
     sign = ones << (8 * w - 1)
@@ -340,28 +445,14 @@ def _decrypt_pass(chunk: bytes, kp: KeyMatrixPair, data_count: int):
         if span:
             top = max(top, (u + offset & span).bit_length())
         received.append((u ^ sign) - sign)
-    # |sum| < z * 2**(8w + 29) per slot; lift adds p * 2**e (0 mod p) to
-    # keep every slot positive, and 256 so a slot ends as 256 + q
-    e = 8 * w - 1 + z.bit_length()
-    lift = (ones << (e + 31)) - (ones << e) + (ones << 8)
-    low62, rest62 = (ones << 62) - ones, (ones << (slot_bits - 62)) - ones
-    low31, rest31 = (ones << 31) - ones, (ones << (slot_bits - 31)) - ones
-    plain = []
-    for col in kp.inverse_cols_mod_p:
-        # slot bounds for w <= 8 and z <= 64: 2**(8w + 31 + z.bit_length())
-        # <= 2**102, then 2**62 + 2**40 (2**62 is 1 mod p), 2**32 + 2**9 and
-        # 2**31 + 3, so a residue 255..511 is exact
-        v = sum(map(mul, col, received)) + lift
-        v = (v & low62) + ((v >> 62) & rest62)
-        v = (v & low31) + ((v >> 31) & rest31)
-        plain.append((v & low31) + ((v >> 31) & rest31))
+    fold = _residue_folds(ones, slot_bits, w, z)
+    plain = [fold(sum(map(mul, col, received))) for col in kp.inverse_cols_mod_p]
     # a data slot must hold 256..511 (a byte), a padding slot exactly 255 (-1)
     masks = {}
     for k, t in enumerate(plain):
         n = len(range(k, data_count, z))
         if n not in masks:
-            pad = ones >> (slot_bits * n)  # the last rows - n slots
-            masks[n] = ((ones << slot_bits) - ((ones - pad) << 8) - pad, (ones << 8) - pad)
+            masks[n] = _slot_masks(ones, slot_bits, n)
         mask, expect = masks[n]
         top = max(top, (t & mask ^ expect).bit_length())
     # the highest differing bit lies in the first faulty row's slot (rows if none)
@@ -373,9 +464,49 @@ def _decrypt_pass(chunk: bytes, kp: KeyMatrixPair, data_count: int):
         out[k::z] = t.to_bytes(rows * width, "big")[width - 1 :: width]
     if kp.entry_bound >= 1 << 30:
         # rows before `bad` hold bytes and -1, so their re-encryption fits the
-        # wire width; then all-padding rows (entry j is -sum(column j)) to spare
-        pad = b"".join((-sum(col)).to_bytes(w, "big", signed=True) for col in kp.e_scaled_cols)
-        again = encrypt_message(out[:data_count], kp) + pad * rows
-        if not again.startswith(chunk):
-            bad = min(bad, next(i for i, b in enumerate(chunk) if b != again[i]) // (z * w))
+        # wire width; then all-padding rows to spare
+        again = encrypt_message(out[:data_count], kp) + kp.pad_row * rows
+        bad = min(bad, _first_differing_row(chunk, again, z * w))
     return out[:data_count] if bad == rows else bad
+
+
+def _decrypt_rows(chunk: bytes, kp: KeyMatrixPair, data_count: int):
+    """``_decrypt_pass`` for a pass whose data fills fewer than Z rows, packed by row.
+
+    Each data row's candidates are one multiply-add against the rows of
+    E_scaled^-1 mod p (``kp.wide_inverse_rows``), with ``_decrypt_pass``'s
+    slot width, folds and masks; the data rows are stacked in one integer,
+    so the masks are those of one column of that many slots.  A key below
+    2**30 checks the received entries' range, any other re-encrypts the
+    candidates.  Every row after the data must be ``kp.pad_row`` byte for
+    byte: the only row that decrypts to all -1, since E_scaled is nonsingular.
+    """
+    z, w, width = kp.z, kp.entry_bytes, kp.wide_bytes
+    rows, data_rows = len(chunk) // (z * w), -(-data_count // z)
+    cut = data_rows * z * w
+    received = _entries(chunk[:cut], w)
+    checks_range = kp.entry_bound < 1 << 30
+    bad, acc, inverse_rows = rows, 0, kp.wide_inverse_rows
+    for i, base in enumerate(range(0, data_rows * z, z)):
+        row = received[base : base + z]
+        if checks_range and bad == rows and (min(row) < -(1 << 30) or max(row) >= 1 << 30):
+            bad = i
+        acc = (acc << 8 * width * z) + sum(map(mul, row, inverse_rows))
+    slot_bits, ones = 8 * width, _ones(width, data_rows * z)
+    t = _residue_folds(ones, slot_bits, w, z)(acc)
+    mask, expect = _slot_masks(ones, slot_bits, data_count)
+    top = (t & mask ^ expect).bit_length()
+    if top:
+        # the highest differing bit lies in the first faulty slot
+        bad = min(bad, (data_rows * z - 1 - (top - 1) // slot_bits) // z)
+    out = t.to_bytes(data_rows * z * width, "big")[width - 1 :: width]
+    head = chunk[:cut] if checks_range else _encrypt_rows(out[:data_count], kp)
+    bad = min(bad, _first_differing_row(chunk, head + kp.pad_row * (rows - data_rows), z * w))
+    return out[:data_count] if bad == rows else bad
+
+
+def _first_differing_row(chunk: bytes, again: bytes, row_bytes: int) -> int:
+    """The first ``row_bytes``-byte row of ``chunk`` that ``again`` does not repeat, or the row count."""
+    if again.startswith(chunk):
+        return len(chunk) // row_bytes
+    return next(i for i, (a, b) in enumerate(zip(chunk, again)) if a != b) // row_bytes

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterator
 
 from . import auth
@@ -146,6 +146,35 @@ class KeyMatrixPair:
         return tuple(zip(*self.e_scaled))
 
     @cached_property
+    def pad_row(self) -> bytes:
+        """The wire entries of the all-padding row (-1, ..., -1) @ E_scaled.
+
+        E_scaled is nonsingular, so this is the only row that decrypts to all -1.
+        """
+        w = self.entry_bytes
+        return b"".join((-sum(col)).to_bytes(w, "big", signed=True) for col in zip(*self.e_scaled))
+
+    @property
+    def wide_bytes(self) -> int:
+        """Bytes per slot of a packed decryption sum (``blockcipher._residue_folds`` has the bounds)."""
+        return -(-max(64, 8 * self.entry_bytes + 31 + self.z.bit_length()) // 8)
+
+    @cached_property
+    def wire_rows(self) -> tuple[int, ...]:
+        """The rows of E_scaled packed into ``entry_bytes``-wide slots (:func:`pack_rows`)."""
+        return pack_rows(self.e_scaled, 8 * self.entry_bytes)
+
+    @cached_property
+    def wide_rows(self) -> tuple[int, ...]:
+        """The rows of E_scaled packed into ``wide_bytes``-wide slots."""
+        return pack_rows(self.e_scaled, 8 * self.wide_bytes)
+
+    @cached_property
+    def wide_inverse_rows(self) -> tuple[int, ...]:
+        """The rows of E_scaled^-1 mod p packed into ``wide_bytes``-wide slots."""
+        return pack_rows(zip(*self.inverse_cols_mod_p), 8 * self.wide_bytes)
+
+    @cached_property
     def entry_bytes(self) -> int:
         """Bytes per wire entry: the narrowest signed big-endian width that holds ``entry_bound``.
 
@@ -153,6 +182,16 @@ class KeyMatrixPair:
         never more than 8.
         """
         return (self.entry_bound.bit_length() + 8) // 8
+
+
+def pack_rows(rows, slot_bits: int) -> tuple[int, ...]:
+    """Each row as one integer, its entries in ``slot_bits``-bit slots, the first in the top slot.
+
+    The entries are signed digits: a sum of multiples of packed rows holds
+    each column's sum in that column's slot, as long as every sum fits its
+    slot (Kronecker substitution).
+    """
+    return tuple(reduce(lambda acc, v: (acc << slot_bits) + v, row, 0) for row in rows)
 
 
 def golden_base(key: CipherKey) -> SquareMatrix:

@@ -268,6 +268,20 @@ def test_packed_route_matches_per_block_on_random_data(data, level):
     assert decrypt_message(body, kp, len(data)) == data
 
 
+@pytest.mark.parametrize("level", range(1, 7))
+def test_row_and_column_packing_match_the_per_block_route(level):
+    # up to Z**2 - Z bytes a block has fewer than Z data rows and is packed
+    # by row; from Z**2 - Z + 1 on, by column
+    kp = level_pair(level)
+    z = kp.z
+    rng = random.Random(level)
+    for length in (0, 1, z - 1, z, z + 1, z * z - z, z * z - 1, z * z, z * z + 1):
+        for data in (rng.randbytes(length), b"\xff" * length):
+            body = encrypt_message(data, kp)
+            assert body == per_block_body(data, kp), length
+            assert decrypt_message(body, kp, length) == data, length
+
+
 def test_keys_past_the_int64_limit_are_rejected_at_derive():
     # n = 77 is the largest Fibonacci n at level 1 whose entries fit the wire
     assert derive(make_key(n=77, level=1)).entry_bytes == 8
@@ -473,6 +487,49 @@ def test_decrypt_message_fails_like_the_per_block_route(monkeypatch, level):
         expected = outcome(reference, tampered, byte_count)
         wire = pack_blocks(tampered, kp.entry_bytes)
         assert outcome(decrypt_message, wire, kp, byte_count) == expected
+
+
+def moved_by_p(entry: int) -> int:
+    """``entry`` moved by p toward zero, which keeps it inside the entry width."""
+    return entry - MODULUS if entry >= 0 else entry + MODULUS
+
+
+@pytest.mark.parametrize("level", range(1, 7))
+def test_a_block_packed_by_row_fails_like_the_per_block_route(monkeypatch, level):
+    # one block whose data ends one entry into row Z/2 - 1: an entry of a
+    # data row, of that row's -1 tail and of an all-padding row changed by
+    # 1, and at L5 and L6 moved by p, which only the re-encryption sees;
+    # then two all-padding rows changed, of which the first is named
+    kp = level_pair(level)
+    z, w = kp.z, kp.entry_bytes
+    data_rows = max(1, z // 2)
+    length = (data_rows - 1) * z + 1
+    data = random.Random(level).randbytes(length)
+    (block,) = body_blocks(encrypt_message(data, kp), z, w)
+    first_pad = data_rows * z  # entry 0 of the first all-padding row
+    changes = [{0: 1}, {data_rows * z - 1: 1}, {first_pad: 1}, {first_pad: 1, z * z - 1: -1}]
+    if level >= 5:
+        changes += [{i: moved_by_p(block[i]) - block[i]} for i in (0, data_rows * z - 1, first_pad)]
+    cases = []
+    for change in changes:
+        tampered = list(block)
+        for i, delta in change.items():
+            tampered[i] += delta
+        want = outcome(lambda: unpartition([decrypt_block(tampered, kp)], length))
+        cases.append((change, tampered, want))
+
+    def column_pass(*args):
+        raise AssertionError("a block with fewer than Z data rows was packed by column")
+
+    monkeypatch.setattr(blockcipher, "_decrypt_pass", column_pass)
+    forbid_decrypt_block(monkeypatch)
+    for change, tampered, want in cases:
+        assert want[0] is CorruptionError, change
+        lifted = record_lifts(monkeypatch)
+        assert outcome(decrypt_message, pack_blocks([tampered], w), kp, length) == want, change
+        # only the first changed row is lifted
+        first = min(change) // z * z
+        assert lifted == [tuple(tampered[first : first + z])], change
 
 
 def test_only_keys_with_entries_past_2_to_the_30_re_encrypt(monkeypatch):
