@@ -257,13 +257,14 @@ def _slot_masks(ones: int, slot_bits: int, n: int) -> tuple[int, int]:
     return (ones << slot_bits) - ((ones - pad) << 8) - pad, (ones << 8) - pad
 
 
-def _copy_unit(w: int, width: int) -> tuple[int, str]:
-    """The widest of 1, 2, 4 or 8 bytes that divides w and width, and its memoryview format.
+def _copy_unit(w: int) -> tuple[int, str]:
+    """The widest of 1, 2, 4 or 8 bytes that divides w, and its memoryview format.
 
-    Moving w-byte entries between w-byte and width-byte slots in that unit
-    takes w // unit slice assignments per column, one for w = 2, 4 or 8.
+    :func:`encrypt_message` scatters each column's w-byte slots into the
+    wire in that unit: w // unit slice assignments per column, one for
+    w = 2, 4 or 8.
     """
-    unit = (w | width | 8) & -(w | width | 8)
+    unit = (w | 8) & -(w | 8)
     return unit, {1: "B", 2: "H", 4: "I", 8: "Q"}[unit]
 
 
@@ -312,7 +313,7 @@ def encrypt_message(data: bytes, kp: KeyMatrixPair) -> bytes:
     """
     z, w = kp.z, kp.entry_bytes
     slot_bits = 8 * w
-    unit, fmt = _copy_unit(w, w)
+    unit, fmt = _copy_unit(w)
     step = _pass_cells(z * z)
     parts = []
     for start in range(0, len(data), step):
@@ -424,8 +425,6 @@ def _decrypt_pass(chunk: bytes, kp: KeyMatrixPair, data_count: int):
     slot_bits = 8 * width
     ones = _ones(width, rows)
     sign = ones << (8 * w - 1)
-    unit, fmt = _copy_unit(w, width)
-    entries = memoryview(chunk).cast(fmt)
     # top: the highest bit at which a check differs from what it expects
     top = 0
     # the unsigned w-byte entry u lies in [-2**30, 2**30) iff u + 2**30 has no
@@ -436,11 +435,9 @@ def _decrypt_pass(chunk: bytes, kp: KeyMatrixPair, data_count: int):
     received = []  # signed entries, one slot per row
     for j in range(z):
         buf = bytearray(rows * width)
-        slots = memoryview(buf).cast(fmt)
-        for b in range(0, w, unit):
-            # entry j of each row into the low w bytes of its slot
-            entry, slot = (j * w + b) // unit, (width - w + b) // unit
-            slots[slot :: width // unit] = entries[entry :: z * w // unit]
+        for b in range(w):
+            # byte b of entry j of each row into the low w bytes of its slot
+            buf[width - w + b :: width] = chunk[j * w + b :: z * w]
         u = int.from_bytes(buf, "big")
         if span:
             top = max(top, (u + offset & span).bit_length())

@@ -156,7 +156,7 @@ def _seal_packed(
     kp = key.matrix_pair
     header = (version, kp.z, kp.scale_exp, kp.entry_bytes, byte_count, bit_count)
     body = blockcipher.encrypt_message(payload, kp)
-    tag = auth.mac(key.mac_key, _header(CipherEnvelope(*header, body, b"")) + body)
+    tag = auth.mac(key.mac_key, (_header(CipherEnvelope(*header, body, b"")), body))
     return CipherEnvelope(*header, body, tag)
 
 
@@ -169,7 +169,7 @@ def open(env: CipherEnvelope, key: CipherKey) -> bytes:  # noqa: A001 - mirrors 
     if (env.z, env.scale_exp, env.entry_bytes) != (kp.z, kp.scale_exp, kp.entry_bytes):
         raise CorruptionError("envelope was sealed under different key parameters")
     _check(env)
-    if not auth.verify(key.mac_key, _header(env) + env.body, env.tag):
+    if not auth.verify(key.mac_key, (_header(env), env.body), env.tag):
         raise AuthenticationError("MAC tag mismatch: data attack or wrong key")
     payload = blockcipher.decrypt_message(env.body, kp, (env.compressed_bit_count + 7) // 8)
     if env.version == STORED:

@@ -4,9 +4,9 @@ The pipeline is: build the golden base matrix from the shared secret,
 zero-pad it to the power-of-two order Z, run the multi-level 2-D Haar
 transform, then repair singularity by adding secret-derived integers.
 Attempt 0 adds them only where the transformed matrix is exactly zero
-(covering the zeros); attempts 1 and up perturb every position, because
-some transformed matrices (the 2x2 base case included) are singular
-without containing any zero at all.
+(covering the zeros), or at every position when it has no zero, so the
+seed reaches every key; attempts 1 and up perturb every position, because
+covering the zeros alone can leave a matrix singular.
 
 The additive integers come from HMAC-SHA-256 in counter mode keyed by the
 secret seed, so the receiver reconstructs E bit-for-bit without any
@@ -231,14 +231,14 @@ def derive(key: CipherKey) -> KeyMatrixPair:
     # the Haar transform of the padded golden matrix, times 4**level, lifted in integers
     t = haar2d_forward_scaled([[v << shift for v in row] for row in padded.rows], key.level)
     z = len(t)
+    everywhere = [(i, j) for i in range(z) for j in range(z)]
+    # attempt 0 covers the zeros, or perturbs every position of a matrix
+    # with none, so that the seed reaches every key
+    first = [(i, j) for i, j in everywhere if t[i][j] == 0] or everywhere
     for attempt in range(MAX_ATTEMPTS):
         rows = [list(row) for row in t]
         stream = _randomization_stream(key.seed, attempt)
-        if attempt == 0:
-            positions = [(i, j) for i in range(z) for j in range(z) if rows[i][j] == 0]
-        else:
-            positions = [(i, j) for i in range(z) for j in range(z)]
-        for i, j in positions:
+        for i, j in first if attempt == 0 else everywhere:
             rows[i][j] += (next(stream) % 255 + 1) << shift
         try:
             return KeyMatrixPair.from_scaled(rows, scale_exp=shift, attempt=attempt)

@@ -465,12 +465,14 @@ def reference_derive(key) -> SimpleNamespace:
     t = reference_haar2d_forward(pad_to_z(golden_base(key), key.level), key.level)
     z = t.order
     scale = 1 << (2 * key.level)
+    zeros = [(i, j) for i in range(z) for j in range(z) if t.rows[i][j] == 0]
     for attempt in range(MAX_ATTEMPTS):
         rows = [list(row) for row in t.rows]
         stream = _randomization_stream(key.seed, attempt)
-        if attempt == 0:
-            positions = [(i, j) for i in range(z) for j in range(z) if rows[i][j] == 0]
+        if attempt == 0 and zeros:
+            positions = zeros
         else:
+            # every attempt after the first, and the first when there is no zero
             positions = [(i, j) for i in range(z) for j in range(z)]
         for i, j in positions:
             rows[i][j] += next(stream) % 255 + 1

@@ -75,6 +75,16 @@ def test_verify_accepts_and_rejects():
     assert not auth.verify(b"\x08" * 32, b"payload", tag)
 
 
+@given(
+    key=st.binary(min_size=32, max_size=32),
+    parts=st.lists(st.binary(max_size=100), max_size=4),
+)
+def test_parts_are_tagged_as_their_concatenation(key, parts):
+    tag = auth.mac(key, b"".join(parts))
+    assert auth.mac(key, tuple(parts)) == tag
+    assert auth.verify(key, tuple(parts), tag)
+
+
 def test_tag_is_32_bytes():
     assert len(auth.mac(b"", b"")) == auth.TAG_SIZE == 32
 

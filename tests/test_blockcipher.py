@@ -344,6 +344,42 @@ def test_entry_width_steps_at_the_sign_bit(width):
         assert decrypt_message(body, kp, len(data)) == data
 
 
+@pytest.mark.parametrize("width", range(2, 9))
+def test_every_byte_of_a_received_entry_reaches_its_slot(monkeypatch, width):
+    # the key of test_entry_width_steps_at_the_sign_bit whose entries fill
+    # w bytes, over two passes packed by column.  A middle row of the first
+    # pass holds (255, 255); its ciphertext (255 * t, 255) decrypts as
+    # (c1, c0 - (t - 1) * c1), so each byte change below leaves the bytes
+    t = (1 << (8 * width - 9)) - 1
+    kp = KeyMatrixPair.from_scaled([[t - 1, 1], [1, 0]], 2)
+    z, w, cells = kp.z, kp.entry_bytes, kp.z * kp.z
+    assert w == width
+    step = blockcipher._pass_cells(cells)
+    # the second pass holds 5 rows, at least Z, so it is packed by column too
+    data = bytearray(random.Random(width).randbytes(step + 5 * z))
+    row = step // z // 2
+    data[row * z : (row + 1) * z] = (255, 255)
+    body = encrypt_message(bytes(data), kp)
+    assert decrypt_message(body, kp, len(data)) == data
+    block = row * z // cells
+    cases = []
+    for at in range(row * z * w, (row + 1) * z * w):
+        tampered = bytearray(body)
+        tampered[at] = (tampered[at] + 1) % 256
+        (cipher,) = body_blocks(tampered[block * cells * w : (block + 1) * cells * w], z, w)
+        want = outcome(lambda: unpartition([decrypt_block(cipher, kp)], cells))
+        assert want[0] is CorruptionError, at
+        entries = tampered[row * z * w : (row + 1) * z * w]
+        lift = [int.from_bytes(entries[k : k + w], "big", signed=True) for k in range(0, z * w, w)]
+        cases.append((bytes(tampered), want, tuple(lift)))
+    forbid_decrypt_block(monkeypatch)
+    lifted = record_lifts(monkeypatch)
+    for tampered, want, lift in cases:
+        del lifted[:]
+        assert outcome(decrypt_message, tampered, kp, len(data)) == want
+        assert lifted == [lift]
+
+
 def test_entry_width_is_at_most_eight_bytes():
     # entry_bound = 256 * top_left: 2**63 - 256 fits 8 signed bytes, 2**63 does not
     kp = diagonal_pair((1 << 55) - 1)

@@ -34,6 +34,23 @@ def test_experiment_messages_roundtrip(message, key):
     assert envelope.open(env, key) == message
 
 
+def test_open_tags_the_body_without_copying_it():
+    # a stored 1 MiB message at level 3 has a 4 MiB body; open allocates
+    # the decrypted payload and its joined copy, 2 MiB, and joining header
+    # and body to tag them would cost another 4 MiB
+    message = random.Random(3).randbytes(1 << 20)
+    key = make_key(level=3)
+    env = envelope.seal(message, key)
+    assert env.version == envelope.STORED and len(env.body) == 4 * len(message)
+    tracemalloc.start()
+    try:
+        assert envelope.open(env, key) == message
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * len(message), peak
+
+
 def test_empty_message(key):
     env = envelope.seal(b"", key)
     assert env.blocks == ()

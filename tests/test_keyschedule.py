@@ -1,6 +1,7 @@
 """Key validation, the enciphering-matrix derivation, and the key file format."""
 
 import dataclasses
+import random
 import time
 from fractions import Fraction as F
 
@@ -9,6 +10,8 @@ import pytest
 from conftest import make_key
 from gchw import keyschedule
 from gchw.blockcipher import body_blocks, decrypt_message, encrypt_message
+from gchw.envelope import open as open_envelope
+from gchw.envelope import seal
 from gchw.errors import CorruptionError, ParameterError, ParseError, SingularMatrixError
 from gchw.keyschedule import (
     MAX_LEVEL,
@@ -82,18 +85,64 @@ def test_base_transform_known_answers():
     )
 
 
-def test_derive_escalates_when_base_is_singular():
+def test_derive_escalates_when_base_is_singular(monkeypatch):
     # the 2x2 transformed matrix has det 0 and no zero to cover, so attempt 0
-    # must fail and attempt 1 perturbs every position
+    # perturbs every position, as attempt 1 does when attempt 0 is refused
     key = make_key(n=1, p=0, level=1)
     assert LEVEL1_KEY_MATRIX.det() == 0
-    kp = derive(key)
-    assert kp.attempt >= 1
-    e = rational_e(kp)
-    for i in range(2):
-        for j in range(2):
-            delta = e.rows[i][j] - LEVEL1_KEY_MATRIX.rows[i][j]
-            assert delta.denominator == 1 and 1 <= delta <= 255
+    assert all(v != 0 for row in LEVEL1_KEY_MATRIX.rows for v in row)
+    first = derive(key)
+    real = KeyMatrixPair.from_scaled
+
+    def refuse_attempt_0(rows, scale_exp, attempt=0):
+        if attempt == 0:
+            raise SingularMatrixError("attempt 0 refused")
+        return real(rows, scale_exp, attempt)
+
+    monkeypatch.setattr(KeyMatrixPair, "from_scaled", refuse_attempt_0)
+    escalated = derive(key)
+    assert (first.attempt, escalated.attempt) == (0, 1)
+    assert first.e_scaled != escalated.e_scaled
+    for kp in (first, escalated):
+        e = rational_e(kp)
+        for i in range(2):
+            for j in range(2):
+                delta = e.rows[i][j] - LEVEL1_KEY_MATRIX.rows[i][j]
+                assert delta.denominator == 1 and 1 <= delta <= 255
+
+
+# one key of each family whose Haar-transformed matrix has no zero; attempt
+# 0 once covered only the zeros, so these keys read no seed byte and any
+# seed opened their envelopes
+ZERO_FREE_KEYS = [
+    (RecurrenceKind.LUCAS, 5, 1, 1),
+    (RecurrenceKind.ELC, 3, 1, 1),
+    (RecurrenceKind.FIBONACCI, 5, 1, 1),
+    (RecurrenceKind.FIBONACCI, 11, 3, 1),
+    (RecurrenceKind.FIBONACCI, 40, 7, 1),
+    (RecurrenceKind.FIBONACCI, 100, 15, 1),
+    (RecurrenceKind.FIBONACCI, 6, 2, 2),
+    (RecurrenceKind.FIBONACCI, 11, 3, 2),
+    (RecurrenceKind.FIBONACCI, 22, 6, 2),
+    (RecurrenceKind.FIBONACCI, 40, 7, 2),
+    (RecurrenceKind.FIBONACCI, 100, 15, 2),
+    (RecurrenceKind.FIBONACCI, 22, 6, 3),
+    (RecurrenceKind.FIBONACCI, 40, 7, 3),
+    (RecurrenceKind.FIBONACCI, 100, 15, 4),
+]
+
+
+@pytest.mark.parametrize("kind, n, p, level", ZERO_FREE_KEYS)
+def test_the_seed_reaches_a_key_whose_transform_has_no_zero(kind, n, p, level):
+    key, other = (make_key(kind=kind, n=n, p=p, level=level, seed=bytes([s]) * 32) for s in (1, 3))
+    assert all(v != 0 for row in base_transform(key).rows for v in row)
+    assert key.matrix_pair.e_scaled != other.matrix_pair.e_scaled
+    # the keys share the MAC key and the header fields, so only decryption can object
+    env = seal(random.Random(level).randbytes(100), key)
+    kp = other.matrix_pair
+    assert (env.z, env.scale_exp, env.entry_bytes) == (kp.z, kp.scale_exp, kp.entry_bytes)
+    with pytest.raises(CorruptionError, match="^decrypted entry"):
+        open_envelope(env, other)
 
 
 def test_derive_covers_exactly_the_zeros():
