@@ -1,4 +1,4 @@
-"""One-pass adaptive Huffman (FGK) codec over the byte alphabet.
+"""Adaptive Huffman (FGK) codec over the byte alphabet.
 
 The tree starts as a single zero-weight NYT leaf standing for every symbol
 not yet transmitted.  A known symbol emits its current code; an unseen
@@ -32,23 +32,33 @@ lie at or below L, as descendants are numbered below their ancestors, and
 the parent's 0-child fix-up flips only the codes of the two swapped
 numbers when they are siblings.  Increments change no code, and a spawn
 splits only the NYT, whose code is never kept.  ``_climb`` returns its last
-(highest) leader, and the encoder drops the kept codes up to it.  A young
-tree swaps too often for a kept code to pay, so only a message of at least
-``_KEEP_FROM`` bytes keeps codes.
+(highest) leader, and the encoder drops the kept codes up to it.
 
-``decode`` reads every code and literal from one iterator over the bits.
-The first symbol is a literal with no code, as the root is still the NYT
-leaf.  From then on one flat loop over the bits descends and updates at
-once: the root is incremented as a symbol starts, and each number stepped
-to is checked for a tie with its next number and incremented at once.
-Every tie is read on the weights from before the symbol, as the bottom-up
-walk reads them, with one exception.  The numbers already incremented are
-ancestors, and an ancestor can be the next number and weigh the same only
-when it is the parent and the sibling is the zero-weight NYT: the NYT's
-sibling at ``nyt + 1`` under a parent at ``nyt + 2`` always ties, and one
-test per symbol restores that tie.  At the leaf, if some number tied, the
-increments from the lowest tie up to the root are undone and the tie is
-handed to ``_climb``, which leaves the tree the bottom-up walk would.
+Both directions read symbols before index ``_MATURE_AT`` as young and the
+rest as mature.  A young tree swaps often: 44% of the symbols of 16 B -
+1 KiB messages of text reach ``_climb``, against 2.3% of 64 KiB of text.
+So a kept code seldom pays there, and the encoder keeps codes only for
+mature symbols.  The decoder reads a young symbol in two walks: a bare
+descent to the leaf, then the update from the leaf, inlined up to the
+hand-off to ``_climb``.  The first symbol is read there too; the root is
+still the NYT leaf, so it is a literal with no code.
+
+A mature symbol is read in one flat loop over the bits that descends and
+updates at once: the root is incremented as a symbol starts, and each
+number stepped to is checked for a tie with its next number and
+incremented at once.  Every tie is read on the weights from before the
+symbol, as the bottom-up walk reads them, with one exception.  The numbers
+already incremented are ancestors, and an ancestor can be the next number
+and weigh the same only when it is the parent and the sibling is the
+zero-weight NYT: the NYT's sibling at ``nyt + 1`` under a parent at
+``nyt + 2`` always ties, and one test per symbol restores that tie.  At the
+leaf, if some number tied, the increments from the lowest tie up to the
+root are undone and the tie is handed to ``_climb``, which leaves the tree
+the bottom-up walk would.  A young tree pays that undo on most symbols,
+hence the two walks: against the one-pass loop alone, they decode text of
+64 B - 1 KiB in 78-87% of the time, and cost nothing measurable at 64 KiB.
+Both loops decode any tree whose root is not a leaf, so ``_MATURE_AT``
+moves only the time, never the bits.
 """
 
 from __future__ import annotations
@@ -65,11 +75,10 @@ NYT = ALPHABET_SIZE  # the symbol of the not-yet-transmitted leaf
 # At most 257 leaves, hence 2*257 - 1 numbers.  The root keeps the top one;
 # each NYT spawn claims the two numbers directly below the old NYT's.
 _TOP_NUMBER = 2 * ALPHABET_SIZE
-# A young tree swaps so often that a kept code is seldom sent again before
-# a swap drops it, so for text shorter than about 4 KiB keeping codes costs
-# more time than it saves.  The encoder keeps codes only in a message of at
-# least this many bytes.
-_KEEP_FROM = 4096
+# The index of the first mature symbol (see the module docstring), at
+# least 1 as the mature loop needs a root that is not a leaf.  Of 256, 512,
+# 1024, 2048 and 4096, 1024 decoded text of 64 B - 4 KiB fastest.
+_MATURE_AT = 1024
 # each byte's 8-bit literal as 0/1 values, least significant bit first
 # (product counts up from 00000000, so the index is the byte)
 _LITERAL_REVERSED = [bytes(bits[::-1]) for bits in product((0, 1), repeat=8)]
@@ -138,7 +147,7 @@ class AdaptiveHuffmanTree:
         kid = self.kid
         leaf_at = self.leaf_at
         top = -1
-        while q != -1:
+        while q != _TOP_NUMBER:
             w = weight_at[q]
             if weight_at[q + 1] == w:
                 p = up[q]
@@ -162,6 +171,8 @@ class AdaptiveHuffmanTree:
                     q = top = lead
             weight_at[q] = w + 1
             q = up[q]
+        # the root never ties: the infinite sentinel sits above it
+        weight_at[q] += 1
         return top
 
 
@@ -184,61 +195,61 @@ def encode(data: bytes) -> BitString:
     # no slot below low holds one
     code_at = [None] * (_TOP_NUMBER + 2)
     low = _TOP_NUMBER + 1
-    # a message shorter than _KEEP_FROM keeps no code (no leaf number
-    # reaches keep); a longer one keeps every code it may
-    keep = 0 if len(data) >= _KEEP_FROM else _TOP_NUMBER + 1
-    for byte in data:
-        leaf = q = leaf_at[byte]
-        if q == -1:
-            # the literal goes in first, reversed, so it follows the code
-            path += _LITERAL_REVERSED[byte]
-            q = tree._spawn(byte)
-        elif (code := code_at[q]) is not None:
-            emit(code)
-            # the update alone, up to the same hand-off as below
+    # the young symbols keep no code (no leaf number reaches keep); the
+    # mature ones keep every code they may
+    for keep, part in ((_TOP_NUMBER + 1, data[:_MATURE_AT]), (0, data[_MATURE_AT:])):
+        for byte in part:
+            leaf = q = leaf_at[byte]
+            if q == -1:
+                # the literal goes in first, reversed, so it follows the code
+                path += _LITERAL_REVERSED[byte]
+                q = tree._spawn(byte)
+            elif (code := code_at[q]) is not None:
+                emit(code)
+                # the update alone, up to the same hand-off as below
+                while q != _TOP_NUMBER:
+                    w = weight_at[q]
+                    if weight_at[q + 1] == w:
+                        top = climb(q)
+                        if top >= low:
+                            code_at[low : top + 1] = [None] * (top + 1 - low)
+                            low = top + 1
+                        break
+                    weight_at[q] = w + 1
+                    q = up[q]
+                else:
+                    weight_at[q] += 1
+                continue
+            # one walk: each number's code bit and increment, up to the first
+            # number whose next number holds the same weight
             while q != _TOP_NUMBER:
                 w = weight_at[q]
+                p = up[q]
                 if weight_at[q + 1] == w:
+                    # nothing above q has moved yet: finish the code, then climb
+                    r, s = q, p
+                    while s != -1:
+                        step(r ^ kid[s])
+                        r = s
+                        s = up[r]
                     top = climb(q)
                     if top >= low:
                         code_at[low : top + 1] = [None] * (top + 1 - low)
                         low = top + 1
+                    leaf = -1  # a swap may have moved it: keep no code
                     break
+                step(q ^ kid[p])
                 weight_at[q] = w + 1
-                q = up[q]
+                q = p
             else:
                 weight_at[q] += 1
-            continue
-        # one walk: each number's code bit and increment, up to the first
-        # number whose next number holds the same weight
-        while q != _TOP_NUMBER:
-            w = weight_at[q]
-            p = up[q]
-            if weight_at[q + 1] == w:
-                # nothing above q has moved yet: finish the code, then climb
-                r, s = q, p
-                while s != -1:
-                    step(r ^ kid[s])
-                    r = s
-                    s = up[r]
-                top = climb(q)
-                if top >= low:
-                    code_at[low : top + 1] = [None] * (top + 1 - low)
-                    low = top + 1
-                leaf = -1  # a swap may have moved it: keep no code
-                break
-            step(q ^ kid[p])
-            weight_at[q] = w + 1
-            q = p
-        else:
-            weight_at[q] += 1
-        path.reverse()
-        if leaf >= keep:
-            code_at[leaf] = bytes(path)
-            if leaf < low:
-                low = leaf
-        emit(path)
-        path.clear()
+            path.reverse()
+            if leaf >= keep:
+                code_at[leaf] = bytes(path)
+                if leaf < low:
+                    low = leaf
+            emit(path)
+            path.clear()
     return out
 
 
@@ -266,12 +277,37 @@ def decode(bits: BitString, symbol_count: int) -> bytes:
     out = bytearray()
     # one iterator over the bits, shared by every code and literal
     it = iter(bits)
-    if symbol_count:
-        # the root is the NYT leaf: the first symbol is a literal with no code
-        byte = _literal(it)
+    young = min(symbol_count, _MATURE_AT)
+    for _ in range(young):
+        # a bare descent to the leaf, then the update from it
+        k = kid[_TOP_NUMBER]
+        if k >= 0:  # the root is a leaf only before the first symbol
+            for bit in it:
+                k = kid[k ^ bit]
+                if k < 0:
+                    break
+            else:
+                raise CorruptStreamError("bit stream ended mid-code")
+        byte = ~k
+        if byte == NYT:
+            byte = _literal(it)
+            if leaf_at[byte] != -1:
+                raise CorruptStreamError("literal of a byte that already has a code")
+            q = tree._spawn(byte)
+        else:
+            q = leaf_at[byte]
         out.append(byte)
-        tree.update(byte)
-    left = symbol_count - 1
+        # the update, inlined up to the hand-off; the root never ties
+        while q != _TOP_NUMBER:
+            w = weight_at[q]
+            if weight_at[q + 1] == w:
+                climb(q)
+                break
+            weight_at[q] = w + 1
+            q = up[q]
+        else:
+            weight_at[q] += 1
+    left = symbol_count - young
     if left > 0:
         # one pass per symbol: each number stepped to is checked for a tie
         # on the weights from before the symbol and incremented at once; the

@@ -257,15 +257,17 @@ def _slot_masks(ones: int, slot_bits: int, n: int) -> tuple[int, int]:
     return (ones << slot_bits) - ((ones - pad) << 8) - pad, (ones << 8) - pad
 
 
-def _copy_unit(w: int) -> tuple[int, str]:
+def _copy_unit(w: int) -> tuple[int, str | None]:
     """The widest of 1, 2, 4 or 8 bytes that divides w, and its memoryview format.
 
     :func:`encrypt_message` scatters each column's w-byte slots into the
     wire in that unit: w // unit slice assignments per column, one for
-    w = 2, 4 or 8.
+    w = 2, 4 or 8.  1-byte units (odd w) have no format: ``bytes`` and
+    ``bytearray`` extended slices copy them faster than memoryview's
+    generic strided path.
     """
     unit = (w | 8) & -(w | 8)
-    return unit, {1: "B", 2: "H", 4: "I", 8: "Q"}[unit]
+    return unit, {1: None, 2: "H", 4: "I", 8: "Q"}[unit]
 
 
 # the byte that sign-extends an entry whose top byte is the index
@@ -336,10 +338,12 @@ def encrypt_message(data: bytes, kp: KeyMatrixPair) -> bytes:
         # its slot without a carry: the w-byte entry with its sign bit flipped
         flip = ones << (slot_bits - 1)
         out = bytearray(rows * z * w)
-        out_units = memoryview(out).cast(fmt)
+        out_units = memoryview(out).cast(fmt) if fmt else out
         for j, col in enumerate(kp.e_scaled_cols):
             acc = sum(map(mul, col, plain)) + flip
-            slots = memoryview((acc ^ flip).to_bytes(rows * w, "big")).cast(fmt)
+            slots = (acc ^ flip).to_bytes(rows * w, "big")
+            if fmt:
+                slots = memoryview(slots).cast(fmt)
             for b in range(0, w, unit):
                 # each row's slot into entry j of that row
                 out_units[(j * w + b) // unit :: z * w // unit] = slots[b // unit :: w // unit]

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gchw.ahuffman import (
-    _KEEP_FROM,
     _KID,
     _LEAF_AT,
+    _MATURE_AT,
     _TOP_NUMBER,
     _UP,
     _WEIGHT_AT,
@@ -251,8 +251,8 @@ def test_encode_matches_two_walk_reference_on_skewed_bytes(rng):
 
 
 def test_encode_matches_two_walk_reference_on_text():
-    # the longest message that keeps no code, and the shortest that keeps codes
-    for size in (_KEEP_FROM - 1, _KEEP_FROM, 6000):
+    # every symbol young, then one and two mature symbols, and more
+    for size in (_MATURE_AT, _MATURE_AT + 1, _MATURE_AT + 2, 6000):
         assert_encodes_like_reference(english_like(size, 8))
 
 
@@ -279,16 +279,19 @@ def test_encode_matches_two_walk_reference_on_small_alphabets(symbols):
 
 @st.composite
 def shifted_runs(draw) -> bytes:
-    """Two seeded skewed runs over two different small alphabets, 4-6 KiB in all.
+    """Two seeded skewed runs over two different small alphabets.
 
-    At least ``_KEEP_FROM`` bytes, so the encoder keeps codes.
+    The first run is 1.5 to 2 times ``_MATURE_AT`` bytes, so the encoder
+    keeps codes for a while before the alphabet shifts; the second is 1 to
+    1.5 times.
     """
     alphabets = st.lists(st.integers(0, 255), min_size=1, max_size=8, unique=True)
     first = draw(alphabets)
     second = draw(alphabets.filter(lambda alphabet: alphabet != first))
     seed = draw(st.integers(0, 2**32 - 1))
-    half = _KEEP_FROM // 2
-    return b"".join(skewed(draw(st.integers(half, 3 * half // 2)), bytes(a), seed) for a in (first, second))
+    half = _MATURE_AT // 2
+    sizes = (draw(st.integers(3 * half, 4 * half)), draw(st.integers(2 * half, 3 * half)))
+    return b"".join(skewed(size, bytes(a), seed) for size, a in zip(sizes, (first, second)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -378,8 +381,9 @@ def test_decode_matches_index_reference_on_skewed_bytes(rng):
 
 
 def test_decode_matches_index_reference_on_text():
-    # both sides of the encoder's switch to kept codes, one symbol past it, and more
-    for size in (_KEEP_FROM - 1, _KEEP_FROM, _KEEP_FROM + 1, 6000):
+    # T - 1, T and T + 1 symbols, T = _MATURE_AT: the young loop alone for
+    # the first two, then one mature symbol; each also read at count -1 and +1
+    for size in (_MATURE_AT - 1, _MATURE_AT, _MATURE_AT + 1, 6000):
         data = english_like(size, 8)
         bits = encode(data)
         assert reference_decode(bits, size) == data
@@ -429,21 +433,20 @@ def tree_after(data: bytes) -> AdaptiveHuffmanTree:
     return tree
 
 
-# After 4200 bytes of text, a byte new to it ("#") comes twice in a row.
-# The second time its leaf, the NYT's sibling at nyt + 1, ties its parent
-# at nyt + 2, which the one-pass loop has already incremented, and another
-# weight-1 leaf lies above, so the update swaps.
-NYT_SIBLING_TIE = english_like(4200, 1) + b"##" + english_like(300, 9)
-
-
-def test_decode_restores_the_tie_of_the_nyt_sibling_in_a_mature_tree():
-    tree = tree_after(NYT_SIBLING_TIE[:4201])
+@pytest.mark.parametrize("prefix", [_MATURE_AT - 1, 4200], ids=["first-mature-symbol", "deep"])
+def test_decode_restores_the_tie_of_the_nyt_sibling_in_a_mature_tree(prefix):
+    # After some text, a byte new to it ("#") comes twice in a row, the
+    # second time as the first mature symbol or long after.  Its leaf, the
+    # NYT's sibling at nyt + 1, then ties its parent at nyt + 2, which the
+    # one-pass loop has already incremented, and another weight-1 leaf lies
+    # above, so the update swaps.
+    data = english_like(prefix, 1) + b"##" + english_like(300, 9)
+    tree = tree_after(data[: prefix + 1])
     leaf = tree.leaf_at[ord("#")]
     assert leaf == tree.leaf_at[NYT] + 1 and tree.up[leaf] == leaf + 1
     assert tree.weight_at[leaf] == tree.weight_at[leaf + 1] == 1
     lead = bisect_left(tree.weight_at, 2, leaf + 2) - 1
     assert lead > leaf + 1 and tree.kid[lead] < 0
-    data = NYT_SIBLING_TIE
     bits = encode(data)
     assert decode(bits, len(data)) == data
     assert_decodes_like_reference(bits, len(data))
@@ -451,8 +454,10 @@ def test_decode_restores_the_tie_of_the_nyt_sibling_in_a_mature_tree():
     assert decode_outcome(decode, bits, len(data) + 1) == "bit stream ended mid-code"
 
 
-def test_decode_reads_a_literal_as_symbol_4097():
-    data = english_like(_KEEP_FROM, 4) + b"#"
+@pytest.mark.parametrize("young", [_MATURE_AT - 1, _MATURE_AT], ids=["symbol-T", "symbol-T+1"])
+def test_decode_reads_a_literal_on_either_side_of_the_switch(young):
+    # a byte new to the text, as the last young symbol and as the first mature one
+    data = english_like(young, 4) + b"#"
     bits = encode(data)
     assert decode(bits, len(data)) == data
     # the literal cut short, and spelled for a byte that already has a code
@@ -467,13 +472,13 @@ def test_decode_reads_a_literal_as_symbol_4097():
 
 @st.composite
 def altered_long_encodings(draw) -> tuple[BitString, int]:
-    """An encoding of at least ``_KEEP_FROM`` symbols, altered at its end.
+    """An encoding of text of 50 bytes fewer to 200 more than ``_MATURE_AT``, altered at its end.
 
-    Text, then a few arbitrary bytes; then maybe the NYT code and the literal
+    The text, then a few arbitrary bytes; then maybe the NYT code and the literal
     of a new byte or of one that already has a code; then cut by up to 12
     bits, extended by up to 12 and read for a symbol count up to 2 away.
     """
-    text = english_like(draw(st.integers(_KEEP_FROM, _KEEP_FROM + 200)), draw(st.integers(0, 3)))
+    text = english_like(draw(st.integers(_MATURE_AT - 50, _MATURE_AT + 200)), draw(st.integers(0, 3)))
     data = text + draw(st.binary(max_size=30))
     stream = encode(data)
     count = len(data)
@@ -505,7 +510,7 @@ def test_each_tree_starts_from_its_own_copy_of_the_initial_arrays():
     assert len({id(array) for array in lists}) == len(lists)
     for byte in b"mutated":
         first.update(byte)
-    data = english_like(_KEEP_FROM + 100, 2)
+    data = english_like(_MATURE_AT + 100, 2)
     assert decode(encode(data), len(data)) == data
     for tree in (second, AdaptiveHuffmanTree()):
         assert {name: getattr(tree, name) for name in initial} == initial

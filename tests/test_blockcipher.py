@@ -345,6 +345,22 @@ def test_entry_width_steps_at_the_sign_bit(width):
 
 
 @pytest.mark.parametrize("width", range(2, 9))
+def test_the_scatter_places_every_byte_of_every_entry_width(width):
+    # the keys of test_every_byte_of_a_received_entry_reaches_its_slot, over
+    # two passes packed by column: odd widths scatter in 1-byte units through
+    # byte slices, the others in 2-, 4- or 8-byte memoryview units
+    t = (1 << (8 * width - 9)) - 1
+    kp = KeyMatrixPair.from_scaled([[t - 1, 1], [1, 0]], 2)
+    assert kp.entry_bytes == width
+    step = blockcipher._pass_cells(kp.z * kp.z)
+    # random bytes, then a row of 255s that fills each entry's top byte
+    data = random.Random(width).randbytes(step + 5 * kp.z - 2) + b"\xff\xff"
+    body = encrypt_message(data, kp)
+    assert body == per_block_body(data, kp)
+    assert decrypt_message(body, kp, len(data)) == data
+
+
+@pytest.mark.parametrize("width", range(2, 9))
 def test_every_byte_of_a_received_entry_reaches_its_slot(monkeypatch, width):
     # the key of test_entry_width_steps_at_the_sign_bit whose entries fill
     # w bytes, over two passes packed by column.  A middle row of the first

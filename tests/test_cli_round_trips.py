@@ -1,17 +1,25 @@
 """Console round trips through ``gchw.cli.main``: short messages at levels 1-6,
-64 KiB at levels 5 and 6 and at the level-1 wire limit, and wrong keys that
-share the MAC key.
+64 KiB at levels 5 and 6 and at the level-1 wire limit, wrong keys that
+share the MAC key, ``compress`` and ``decompress`` against the reference
+FGK codec, and the envelope version a message is sealed under.
 
 Every call reads its key file again, so each derives the key as a fresh
 ``gchw`` process would.  Random inputs are seeded, so a failure reproduces.
 """
 
 import random
+import struct
 import time
+from pathlib import Path
 
 import pytest
 
+from gchw.bits import BitString
+from gchw.errors import CorruptStreamError
+from helpers import reference_decode, reference_encode
 from test_cli import run
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def secret(value: int) -> str:
@@ -103,3 +111,92 @@ def test_a_key_past_the_wire_is_refused_and_the_level_1_limit_round_trips(tmp_pa
     sealed = round_trip(tmp_path, tmp_path / "limit.key", plain, "limit")
     assert time.perf_counter() - start < 60
     assert sealed.read_bytes()[8] == 8  # entry_bytes follows "GCHW", version, z and scale_exp
+
+
+@pytest.fixture(scope="module")
+def corpus() -> bytes:
+    """README.md, ROADMAP.md and the library's sources: prose, then Python source."""
+    paths = [ROOT / "README.md", ROOT / "ROADMAP.md", *sorted((ROOT / "src" / "gchw").glob("*.py"))]
+    return b"".join(path.read_bytes() for path in paths)
+
+
+@pytest.fixture(scope="module")
+def corpus_ahc(corpus, tmp_path_factory) -> bytes:
+    """The corpus as ``gchw compress`` writes it, after a round trip through ``decompress``."""
+    folder = tmp_path_factory.mktemp("corpus")
+    plain, ahc, unz = folder / "corpus.txt", folder / "corpus.ahc", folder / "corpus.unz"
+    plain.write_bytes(corpus)
+    assert run("compress", "--in", str(plain), "--out", str(ahc)) == 0
+    assert run("decompress", "--in", str(ahc), "--out", str(unz)) == 0
+    assert unz.read_bytes() == corpus
+    return ahc.read_bytes()
+
+
+def decompress(tmp_path, capsys, ahc: bytes, name: str):
+    """Exit code, stderr and output bytes (None if no file) of ``gchw decompress`` on ``ahc``."""
+    packed, out = tmp_path / f"{name}.ahc", tmp_path / f"{name}.unz"
+    packed.write_bytes(ahc)
+    capsys.readouterr()
+    status = run("decompress", "--in", str(packed), "--out", str(out))
+    return status, capsys.readouterr().err, out.read_bytes() if out.exists() else None
+
+
+def test_compress_round_trips_64_kib_of_random_bytes_and_of_text(tmp_path, corpus):
+    inputs = {"random": random.Random(16).randbytes(1 << 16), "text": corpus[: 1 << 16]}
+    for name, data in inputs.items():
+        assert len(data) == 1 << 16
+        plain, ahc, unz = (tmp_path / f"{name}.{ext}" for ext in ("bin", "ahc", "unz"))
+        plain.write_bytes(data)
+        assert run("compress", "--in", str(plain), "--out", str(ahc)) == 0
+        assert run("decompress", "--in", str(ahc), "--out", str(unz)) == 0
+        assert unz.read_bytes() == data
+
+
+def test_the_corpus_compresses_to_the_reference_encoding(corpus, corpus_ahc):
+    # the byte distribution shifts from prose to source, so the encoder
+    # drops kept codes high in the tree
+    bits = reference_encode(corpus)
+    assert corpus_ahc[:16] == struct.pack(">QQ", len(corpus), len(bits))
+    assert corpus_ahc[16:] == bits.pack()
+
+
+@pytest.mark.parametrize(
+    "delta, message", [(1, "bit stream ended mid-code"), (-1, "trailing bits after the final symbol")]
+)
+def test_the_corpus_miscounted_by_one_symbol_is_rejected(
+    tmp_path, capsys, corpus_ahc, delta, message
+):
+    ahc = bytearray(corpus_ahc)
+    ahc[:8] = (int.from_bytes(ahc[:8], "big") + delta).to_bytes(8, "big")
+    status, err, out = decompress(tmp_path, capsys, bytes(ahc), "miscounted")
+    assert status == 3
+    assert message in err
+    assert out is None
+
+
+def test_a_flipped_bit_in_the_corpus_decodes_as_the_reference_decoder_does(
+    tmp_path, capsys, corpus_ahc
+):
+    # one bit of the body's last eighth, in the mature tree
+    ahc = bytearray(corpus_ahc)
+    count, bits = struct.unpack(">QQ", ahc[:16])
+    at = bits - bits // 8
+    ahc[16 + at // 8] ^= 0x80 >> at % 8
+    status, err, out = decompress(tmp_path, capsys, bytes(ahc), "bitflip")
+    try:
+        expected = reference_decode(BitString.unpack(ahc[16:], bits), count)
+    except CorruptStreamError as exc:
+        assert status == 3 and str(exc) in err, (status, err, str(exc))
+    else:
+        assert status == 0 and out == expected, (status, err)
+
+
+def test_random_bytes_are_stored_and_text_is_compressed(tmp_path, corpus):
+    key = tmp_path / "mode.key"
+    keygen(key, 2, "--seed", secret(7), "--mac-key", secret(8))
+    inputs = {"random": (random.Random(16).randbytes(1 << 16), 3), "text": (corpus[: 1 << 16], 2)}
+    for name, (data, version) in inputs.items():
+        plain = tmp_path / f"{name}.bin"
+        plain.write_bytes(data)
+        sealed = round_trip(tmp_path, key, plain, name)
+        assert sealed.read_bytes()[4] == version  # the version byte follows the 4-byte magic
