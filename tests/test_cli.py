@@ -1,9 +1,13 @@
 """End-to-end CLI behaviour, including exit codes."""
 
+import csv
+import io
+import struct
+
 import pytest
 
 from gchw import analysis, envelope
-from gchw.analysis import analyze_message, contrast_csv
+from gchw.analysis import analyze_message, cipher_series, contrast_csv
 from gchw.cli import main
 from gchw.keyschedule import load_key_file
 
@@ -108,7 +112,7 @@ def test_encrypt_decrypt_roundtrip(tmp_path, keyfile):
     assert opened.read_bytes() == payload
 
 
-def test_decrypt_with_wrong_key_fails(tmp_path, keyfile):
+def test_decrypt_with_wrong_key_fails(tmp_path, keyfile, capsys):
     plain = tmp_path / "m.txt"
     sealed = tmp_path / "m.gchw"
     plain.write_bytes(b"meet me after party")
@@ -116,32 +120,66 @@ def test_decrypt_with_wrong_key_fails(tmp_path, keyfile):
     other = tmp_path / "other.key"
     assert run(
         "keygen", "--kind", "fibonacci", "--n", "5", "--level", "2",
-        "--out", str(other),
+        "--seed", "33" * 32, "--mac-key", "44" * 32, "--out", str(other),
     ) == 0
-    code = run("decrypt", "--key", str(other), "--in", str(sealed), "--out", str(tmp_path / "x"))
-    assert code in (2, 3)
+    out = tmp_path / "x"
+    capsys.readouterr()
+    assert run("decrypt", "--key", str(other), "--in", str(sealed), "--out", str(out)) == 2
+    assert "authentication failure" in capsys.readouterr().err
+    assert not out.exists()
 
 
-def test_decrypt_tampered_envelope(tmp_path, keyfile):
+def flip(at):
+    """A tamper that flips the lowest bit of wire byte ``at``."""
+
+    def tamper(wire):
+        wire = bytearray(wire)
+        wire[at] ^= 1
+        return bytes(wire)
+
+    return tamper
+
+
+def set_field(index, value):
+    """A tamper that sets field ``index`` of the wire header to ``value(old)``."""
+
+    def tamper(wire):
+        fields = list(envelope._HEADER.unpack_from(wire))
+        fields[index] = value(fields[index])
+        return envelope._HEADER.pack(*fields) + wire[envelope._HEADER.size :]
+
+    return tamper
+
+
+# the tag covers header and body, so a flipped tag or body byte fails
+# authentication; a truncated wire or a malformed header field is a parse
+# error.  The header fields are "GCHW", version, z, scale_exp, entry_bytes,
+# the two counts and block_count
+TAMPERS = {
+    "tag": (flip(-1), 2, "authentication failure"),
+    "first-body-byte": (flip(envelope._HEADER.size), 2, "authentication failure"),
+    "truncated": (lambda wire: wire[:-5], 4, "parse error"),
+    "version": (set_field(1, lambda old: 1), 4, "parse error"),
+    "z": (set_field(2, lambda old: 3), 4, "parse error"),
+    "scale_exp": (set_field(3, lambda old: 3), 4, "parse error"),
+    "entry_bytes": (set_field(4, lambda old: 0), 4, "parse error"),
+    "block_count": (set_field(7, lambda old: old + 1), 4, "parse error"),
+}
+
+
+@pytest.mark.parametrize("name", TAMPERS)
+def test_decrypt_tampered_envelope(tmp_path, keyfile, capsys, name):
+    tamper, code, message = TAMPERS[name]
     plain = tmp_path / "m.txt"
     sealed = tmp_path / "m.gchw"
     plain.write_bytes(b"attack at dawn")
     assert run("encrypt", "--key", str(keyfile), "--in", str(plain), "--out", str(sealed)) == 0
-    data = bytearray(sealed.read_bytes())
-    data[-1] ^= 0x01  # inside the MAC tag
-    sealed.write_bytes(bytes(data))
-    code = run("decrypt", "--key", str(keyfile), "--in", str(sealed), "--out", str(tmp_path / "x"))
-    assert code == 2
-
-
-def test_decrypt_truncated_envelope(tmp_path, keyfile):
-    plain = tmp_path / "m.txt"
-    sealed = tmp_path / "m.gchw"
-    plain.write_bytes(b"attack at dawn")
-    assert run("encrypt", "--key", str(keyfile), "--in", str(plain), "--out", str(sealed)) == 0
-    sealed.write_bytes(sealed.read_bytes()[:-5])
-    code = run("decrypt", "--key", str(keyfile), "--in", str(sealed), "--out", str(tmp_path / "x"))
-    assert code == 4
+    sealed.write_bytes(tamper(sealed.read_bytes()))
+    out = tmp_path / "x"
+    capsys.readouterr()
+    assert run("decrypt", "--key", str(keyfile), "--in", str(sealed), "--out", str(out)) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compress_decompress_roundtrip(tmp_path):
@@ -167,50 +205,71 @@ def test_compressed_file_layout(tmp_path):
     assert data[16:] == bytes([0b01100001, 0b10000000])
 
 
-def test_decompress_rejects_set_padding_bits(tmp_path):
-    plain = tmp_path / "two.bin"
-    packed = tmp_path / "two.ahc"
-    plain.write_bytes(b"aa")
-    assert run("compress", "--in", str(plain), "--out", str(packed)) == 0
-    data = bytearray(packed.read_bytes())
-    data[-1] |= 0x01  # a bit past the 9-bit stream
-    packed.write_bytes(bytes(data))
-    out = tmp_path / "x"
-    assert run("decompress", "--in", str(packed), "--out", str(out)) == 3
-    assert not out.exists()
-
-
 def test_decompress_corrupt_header(tmp_path):
     bad = tmp_path / "bad.ahc"
     bad.write_bytes(b"\x00" * 10)
     assert run("decompress", "--in", str(bad), "--out", str(tmp_path / "x")) == 4
 
 
-def test_decompress_rejects_a_body_longer_than_its_bit_count(tmp_path, capsys):
-    bad = tmp_path / "long.ahc"
-    # one symbol in 8 bits, then one byte more than they need
-    bad.write_bytes((1).to_bytes(8, "big") + (8).to_bytes(8, "big") + b"a\x00")
+# (symbol count, bit count, body) of streams that end wrong, with the exit
+# code and the message that names how
+CRAFTED = {
+    # "aa" as the encoder writes it, with a bit past the 9-bit stream set
+    "padding": (2, 9, "6181", 3, "non-zero padding bits after the bit count"),
+    # "a" as a literal, the one-bit NYT code, then "a" as a literal again:
+    # 17 bits that decode to "aa", which the encoder writes as 011000011
+    "repeated-literal": (2, 17, "613080", 3, "literal of a byte that already has a code"),
+    # "a" as a literal, then one stray bit
+    "trailing": (1, 9, "6100", 3, "trailing bits after the final symbol"),
+    # "a", the one-bit NYT code, then three bits of a literal
+    "mid-literal": (2, 12, "6130", 3, "bit stream ended mid-literal"),
+    # "a", then no bit of the second symbol's code
+    "mid-code": (2, 8, "61", 3, "bit stream ended mid-code"),
+    # "a" as a literal, then a whole byte the 8-bit count does not need:
+    # the file's framing is wrong, a parse error
+    "overlong": (1, 8, "6100", 4, "compressed body length disagrees with the bit count"),
+}
+
+
+@pytest.mark.parametrize("name", CRAFTED)
+def test_decompress_rejects_a_crafted_stream(tmp_path, capsys, name):
+    count, bits, body, code, message = CRAFTED[name]
+    bad = tmp_path / "crafted.ahc"
+    bad.write_bytes(struct.pack(">QQ", count, bits) + bytes.fromhex(body))
     out = tmp_path / "x"
-    assert run("decompress", "--in", str(bad), "--out", str(out)) == 4
-    assert "compressed body length disagrees with the bit count" in capsys.readouterr().err
+    assert run("decompress", "--in", str(bad), "--out", str(out)) == code
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_analyze_writes_report(tmp_path, keyfile):
+QUOTED = b"".join(f'row {i}, "quoted, twice", then more\n'.encode() for i in range(1, 41))
+
+
+@pytest.mark.parametrize(
+    "message, char", [(b"meet me after party", "e"), (QUOTED, ",")], ids=["e", "comma"]
+)
+def test_analyze_writes_report(tmp_path, keyfile, message, char):
     plain = tmp_path / "m.txt"
     report = tmp_path / "report.csv"
-    plain.write_bytes(b"meet me after party")
+    plain.write_bytes(message)
     code = run(
         "analyze", "--key", str(keyfile), "--in", str(plain),
-        "--seeds", "3", "--char", "e", "--out", str(report),
+        "--seeds", "3", "--char", char, "--out", str(report),
     )
     assert code == 0
-    text = report.read_text()
-    lines = text.strip().split("\n")
+    text = report.read_text(encoding="ascii")
+    lines = text.split("\n")
     assert lines[0].startswith("#")  # documents the cipher-series convention
     assert lines[1].startswith("seed_index,correlation,paired_t")
-    assert sum(1 for line in lines if line.startswith("e,")) == 4  # 'e' x4 in message
-    assert any(line.startswith("index,plain_value,cipher_value") for line in lines)
+    # the contrast CSV follows the seed reports: a numeric row per index,
+    # then a row per occurrence of the char, quoted where csv needs it
+    contrast = text[text.index("index,plain_value,cipher_value\n") :]
+    rows = list(csv.reader(io.StringIO(contrast)))
+    series = cipher_series(envelope.seal(message, load_key_file(keyfile)))
+    numeric = max(len(message), len(series))
+    assert rows[0] == ["index", "plain_value", "cipher_value"]
+    indexes = [str(i) for i in range(numeric)]
+    assert [row[0] for row in rows[1:]] == indexes + [char] * message.count(char.encode())
 
 
 def test_analyze_report_is_the_reports_plus_the_sealed_contrast(tmp_path, keyfile, monkeypatch):
@@ -289,12 +348,17 @@ def test_analyze_refuses_seeds_past_the_cap_and_writes_no_report(tmp_path, keyfi
         assert not report.exists()
 
 
-def test_attack_demo_output(capsys):
-    assert run("attack-demo", "--x", "2.5") == 0
+# 2.5 is recovered exactly, 1.5 to within rounding
+@pytest.mark.parametrize("x, error", [(2.5, 0.0), (1.5, 1e-12)])
+def test_attack_demo_output(capsys, x, error):
+    assert run("attack-demo", "--x", str(x)) == 0
     out = capsys.readouterr().out
-    assert "recovered x = 2.5" in out
+    recovered = float(out.split("recovered x = ")[1].split("\n")[0])
+    assert recovered == pytest.approx(x, rel=0, abs=error)
     assert "k1 = sFs(2x)" in out
     assert "residual" in out
+    # one ciphertext per chosen unit plaintext
+    assert sum("->" in line for line in out.splitlines()) == 4
 
 
 def test_attack_demo_refuses_a_nan_key_before_encrypting(capsys):

@@ -1,12 +1,14 @@
 """Console round trips through ``gchw.cli.main``: short messages at levels 1-6,
 64 KiB at levels 5 and 6 and at the level-1 wire limit, wrong keys that
-share the MAC key, ``compress`` and ``decompress`` against the reference
+share the MAC key, envelopes tagged again after a body entry or the bit
+count was changed, ``compress`` and ``decompress`` against the reference
 FGK codec, and the envelope version a message is sealed under.
 
 Every call reads its key file again, so each derives the key as a fresh
 ``gchw`` process would.  Random inputs are seeded, so a failure reproduces.
 """
 
+import dataclasses
 import random
 import struct
 import time
@@ -14,8 +16,10 @@ from pathlib import Path
 
 import pytest
 
+from gchw import auth, envelope
 from gchw.bits import BitString
 from gchw.errors import CorruptStreamError
+from gchw.matrix import MODULUS
 from helpers import reference_decode, reference_encode
 from test_cli import run
 
@@ -111,6 +115,64 @@ def test_a_key_past_the_wire_is_refused_and_the_level_1_limit_round_trips(tmp_pa
     sealed = round_trip(tmp_path, tmp_path / "limit.key", plain, "limit")
     assert time.perf_counter() - start < 60
     assert sealed.read_bytes()[8] == 8  # entry_bytes follows "GCHW", version, z and scale_exp
+
+
+def retagged(env, mac_key: bytes, **changes) -> bytes:
+    """The wire of ``env`` with ``changes``, tagged again under ``mac_key``, so the
+    tag passes and only decryption can object."""
+    wire = envelope.serialize(dataclasses.replace(env, **changes))
+    return wire[: -auth.TAG_SIZE] + auth.mac(mac_key, wire[: -auth.TAG_SIZE])
+
+
+WORDS = (
+    "the golden matrix cipher block adaptive huffman secret key wavelet haar level message"
+).split()
+
+
+@pytest.mark.parametrize("level", [4, 5, 6])
+@pytest.mark.parametrize("version", [envelope.STORED, envelope.VERSION], ids=["stored", "compressed"])
+def test_a_body_entry_moved_by_p_and_a_bit_count_one_byte_short_are_named(
+    tmp_path, capsys, level, version
+):
+    # level 4 keys check the received entries' range, level 5 and 6 keys
+    # re-encrypt; both bodies take several passes at every level
+    rng = random.Random(30)
+    if version == envelope.STORED:
+        data = rng.randbytes(1 << 16)
+    else:
+        data = " ".join(rng.choice(WORDS) for _ in range(16000)).encode()
+    plain = tmp_path / "plain"
+    plain.write_bytes(data)
+    right, wrong = seeded_keys(tmp_path, "tamper", level)
+    sealed = round_trip(tmp_path, right, plain, "tamper")
+    env = envelope.deserialize(sealed.read_bytes())
+    assert env.version == version
+    # the first entry moved by p toward zero stays inside the entry width
+    width = env.entry_bytes
+    entry = int.from_bytes(env.body[:width], "big", signed=True)
+    moved = entry - MODULUS if entry >= 0 else entry + MODULUS
+    body = moved.to_bytes(width, "big", signed=True) + env.body[width:]
+    # with 8 bits fewer, every block decrypts, but the last data byte lies
+    # where -1 padding must be; a stored envelope carries 8 bits per byte
+    short = {"compressed_bit_count": env.compressed_bit_count - 8}
+    if version == envelope.STORED:
+        short["plain_byte_count"] = env.plain_byte_count - 1
+    forgeries = {
+        "moved": ({"body": body}, "decrypted entry is not an integer"),
+        "short": (short, "block tail is not all padding"),
+    }
+    for name, (changes, message) in forgeries.items():
+        forged, out = tmp_path / f"{name}.gchw", tmp_path / f"{name}.out"
+        forged.write_bytes(retagged(env, bytes.fromhex(secret(2)), **changes))
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert run("decrypt", "--key", str(right), "--in", str(forged), "--out", str(out)) == 3
+        # naming the faulty row lifts it through the inverse mod p that
+        # derive already made, well inside the bound even at level 6
+        assert time.perf_counter() - start < 10
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+    assert_wrong_key_rejected(tmp_path, capsys, wrong, sealed)
 
 
 @pytest.fixture(scope="module")
